@@ -37,6 +37,8 @@ EXIT_INVALID = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
 
+UNIT_ROUNDOFF = 2.0**-53
+
 
 @dataclass
 class RunConfig:
@@ -239,6 +241,11 @@ def cmd_evolve(args) -> int:
     residual = temporal_stability_residual(s, w, label, args.t, tol=cfg.tol)
     state = coefficients(s, w, label, tol=cfg.tol)
     bound = 2.0 * 2.0 * math.sqrt(state.tail_mass_bound) if state.tail_mass_bound else 0.0
+    # rounding the phase arguments e_n gamma, omega e_n t and e_n (gamma + omega t)
+    # moves component n by at most UNIT_ROUNDOFF (3|gamma| + 5|omega t|) e_n radians
+    e = w.levels[: len(state.c)]
+    spread = math.sqrt(float(np.sum(e * e * np.abs(state.c) ** 2)))
+    bound += UNIT_ROUNDOFF * (3.0 * abs(args.gamma) + 5.0 * abs(s.omega * args.t)) * spread
     rows = [[args.J, args.gamma, args.t, residual, bound]]
     _emit_table(["J", "gamma", "t", "residual", "bound"], rows, cfg)
     return EXIT_OK

@@ -23,11 +23,13 @@ from .weights import (
 # the two variance routes must agree to this relative tolerance
 AGREEMENT_RTOL = 1e-8
 
-# pairwise double sums cost O(n^2); above this truncation length the
-# cross-check is skipped and the moment route stands alone
-CROSS_CHECK_LIMIT = 4096
-
 DEFAULT_FIT_CAP = 2_000_000
+
+# near-J* fits size their tables from the certificate's term bound: the
+# bound is only trusted up to this relative rounding margin, and the first
+# table built for a point holds this multiple of it
+_TERM_BOUND_MARGIN = 1e-9
+_FIT_TABLE_SLACK = 1.25
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,8 @@ class VariancePoint:
     """Energy mean/variance at one J, with the propagated truncation error.
 
     ``variance`` is the moment form <H^2> - <H>^2; ``double_sum`` holds the
-    pairwise-route value when it was computed, and ``error`` flags grid
-    points that failed instead of aborting a sweep.
+    double-sum route's value, and ``error`` flags grid points that failed
+    instead of aborting a sweep.
     """
 
     J: float
@@ -67,20 +69,27 @@ def energy_mean(
 
 
 def _double_sum_variance(w: WeightTable, J: float, k: int, omega: float) -> float:
-    """Literal pairwise route: (1/2) sum (e_n - e_m)^2 t_n t_m / (sum t)^2."""
+    """The double sum (1/2) sum (e_n - e_m)^2 t_n t_m / (sum t)^2 over n, m < k,
+    in its centred form sum (x_n - xbar)^2 t_n / sum t.
+
+    The two are algebraically identical, and so is the variance of the gaps
+    x_n = e* - e_n, which a bounded spectrum uses in place of e_n; the
+    centred form costs O(k) and avoids the cancellation of <H^2> - <H>^2
+    near e*.  The terms t_n are recomputed from log rho, independently of
+    the moment route.
+    """
     if J == 0:
         return 0.0
     g = np.arange(k, dtype=float) * math.log(J) - w.log_rho[:k]
     t = np.exp(g - g.max())
-    e = w.levels[:k]
+    s = w.spectrum
+    if s.e_star is not None and math.isfinite(s.e_star):
+        x = s.gap_array(k - 1)
+    else:
+        x = w.levels[:k]
     total = t.sum()
-    num = 0.0
-    block = 512
-    for i in range(0, k, block):
-        sl = slice(i, min(i + block, k))
-        d = e[sl, None] - e[None, :]
-        num += float((d * d * (t[sl, None] * t[None, :])).sum())
-    return omega * omega * 0.5 * num / (total * total)
+    d = x - (x * t).sum() / total
+    return omega * omega * float((d * d * t).sum() / total)
 
 
 def variance(
@@ -89,11 +98,9 @@ def variance(
     J: float,
     *,
     rel_tol: float = DEFAULT_TAIL_TOL,
-    cross_check: bool = True,
-    cross_check_limit: int = CROSS_CHECK_LIMIT,
 ) -> VariancePoint:
     """Energy variance at J, computed as <H^2> - <H>^2 and cross-checked
-    against the symmetric double sum when the truncation is short enough."""
+    against the symmetric double sum over the same truncation."""
     _check_same_spectrum(w, s)
     check_j_range(w, J)
     om = s.omega
@@ -107,15 +114,13 @@ def variance(
     d2 = (ps.t2 + m2 * ps.t0) / ps.s0
     dv = om * om * (d2 + 2.0 * abs(m1) * d1 + d1 * d1)
 
-    vd = None
-    if cross_check and ps.terms_used <= cross_check_limit:
-        vd = _double_sum_variance(w, J, ps.terms_used, om)
-        allowed = max(AGREEMENT_RTOL * max(abs(v), abs(vd)), dv)
-        if abs(v - vd) > allowed:
-            raise CrossCheckError(
-                f"variance routes disagree at J={J}: moment form {v!r} vs "
-                f"double sum {vd!r} (allowed {allowed:.3e})"
-            )
+    vd = _double_sum_variance(w, J, ps.terms_used, om)
+    allowed = max(AGREEMENT_RTOL * max(abs(v), abs(vd)), dv)
+    if abs(v - vd) > allowed:
+        raise CrossCheckError(
+            f"variance routes disagree at J={J}: moment form {v!r} vs "
+            f"double sum {vd!r} (allowed {allowed:.3e})"
+        )
     return VariancePoint(
         J=float(J),
         mean=om * m1,
@@ -166,7 +171,7 @@ def small_j_slope(s: Spectrum, w: WeightTable, *, rel_tol: float = 1e-10) -> flo
     om2 = s.omega * s.omega
     u = []
     for J in _SLOPE_GRID:
-        u.append(variance(s, w, J, rel_tol=rel_tol, cross_check=False).variance / (om2 * J))
+        u.append(variance(s, w, J, rel_tol=rel_tol).variance / (om2 * J))
     r1 = (10.0 * u[1] - u[0]) / 9.0
     r2 = (10.0 * u[2] - u[1]) / 9.0
     out = (100.0 * r2 - r1) / 99.0
@@ -185,6 +190,24 @@ def _fit_loglog(js: np.ndarray, vs: np.ndarray) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
+def _min_certified_terms(J: float, e_star: float, rel_tol: float) -> float:
+    """Fewest terms any sum certified to rel_tol can use at 0 < J < e*.
+
+    Levels stay below e*, so every term ratio J/e_{n+1} exceeds r = J/e*.
+    The sum of the first n + 1 terms is then below t_n r (r^-(n+1) - 1)/(1 - r)
+    and the certified tail beyond them is at least t_n r/(1 - r), so their
+    ratio reaches rel_tol only once r^-(n+1) >= 1 + 1/rel_tol.
+    """
+    return math.log1p(1.0 / rel_tol) / (math.log(e_star) - math.log(J))
+
+
+def _certified_variance(s: Spectrum, w: WeightTable, J: float, rel_tol: float) -> VariancePoint | None:
+    try:
+        return variance(s, w, J, rel_tol=rel_tol)
+    except TruncationError:
+        return None
+
+
 def near_jstar_exponent(
     s: Spectrum,
     w: WeightTable,
@@ -198,6 +221,11 @@ def near_jstar_exponent(
     The default window 1 - 10^(-1.5 k), k = 1..5 is clipped by the edge
     guard and by truncation feasibility (points whose series do not converge
     within n_cap terms are dropped).  Requires a declared J* equal to 1.
+
+    A point that w cannot certify is evaluated on a larger table sized from
+    the term bound of ``_min_certified_terms``, then on one of n_cap
+    entries if that still falls short; a point whose bound exceeds every
+    allowed table is dropped without building one.
     """
     if w.j_star_is_estimate or not math.isfinite(w.j_star) or abs(w.j_star - 1.0) > 1e-9:
         raise LabelRangeError(
@@ -207,27 +235,30 @@ def near_jstar_exponent(
         fit_window = [1.0 - 10.0 ** (-1.5 * k) for k in range(1, 6)]
     window = sorted(J for J in fit_window if 0.0 < J <= 1.0 - EDGE_GUARD)
 
-    table = w
+    top = max(n_cap, w.n_max)
     big: WeightTable | None = None
     points: list[tuple[float, float]] = []
     for J in window:
-        try:
-            vp = variance(s, table, J, rel_tol=rel_tol, cross_check=False)
-        except TruncationError:
-            if big is None:
-                if n_cap <= w.n_max:
-                    continue
+        need = _min_certified_terms(J, w.j_star, rel_tol)
+        if need > (top + 1) * (1.0 + _TERM_BOUND_MARGIN):
+            continue
+        vp = _certified_variance(s, w, J, rel_tol)
+        if vp is None and n_cap > w.n_max:
+            size = math.ceil(_FIT_TABLE_SLACK * need)
+            if not w.n_max < size < n_cap:
+                size = n_cap
+            if big is None or big.n_max < size:
+                big = compute_weights(s, size)
+            vp = _certified_variance(s, big, J, rel_tol)
+            if vp is None and big.n_max < n_cap:
                 big = compute_weights(s, n_cap)
-            try:
-                vp = variance(s, big, J, rel_tol=rel_tol, cross_check=False)
-            except TruncationError:
-                continue
-        if vp.variance > 0:
+                vp = _certified_variance(s, big, J, rel_tol)
+        if vp is not None and vp.variance > 0:
             points.append((J, vp.variance))
     if len(points) < 3:
         raise TruncationError(
             f"only {len(points)} of {len(window)} window points were feasible within "
-            f"{max(n_cap, w.n_max)} terms; supply a window farther from J*"
+            f"{top} terms; supply a window farther from J*"
         )
     js = np.array([p[0] for p in points])
     vs = np.array([p[1] for p in points])

@@ -6,8 +6,6 @@ digits, so those arguments are reduced in extended precision first.
 """
 from __future__ import annotations
 
-import math
-
 import mpmath
 import numpy as np
 
@@ -32,10 +30,3 @@ def phase_factor(x) -> np.ndarray:
     """exp(-i x) elementwise, accurate for arbitrarily large |x|."""
     arr = np.asarray(x, dtype=float)
     return np.exp(-1j * reduce_angles(arr))
-
-
-def phase_factor_scalar(x: float) -> complex:
-    return complex(phase_factor(np.asarray([x]))[0])
-
-
-TWO_PI = 2.0 * math.pi

@@ -112,7 +112,7 @@ def check_j_range(w: WeightTable, J: float, *, edge_guard: float = EDGE_GUARD) -
     An estimated radius is never used to allow or deny evaluation; in that
     case only nonnegativity is enforced and truncation certificates decide.
     """
-    if not isinstance(J, (int, float)) or not math.isfinite(J):
+    if not isinstance(J, (int, float, np.integer, np.floating)) or not math.isfinite(J):
         raise LabelRangeError(f"J must be a finite number, got {J!r}")
     if J < 0:
         raise LabelRangeError(f"J must be nonnegative, got {J}")

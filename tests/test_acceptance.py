@@ -201,7 +201,7 @@ def test_criterion_09b_near_jstar_exponent_synthetic():
     big = compute_weights(s, n_cap)
     worst = 0.0
     for J in window:
-        v = variance(s, big, J, cross_check=False).variance
+        v = variance(s, big, J).variance
         laplace = s.omega**2 * p * J * (1.0 - J) ** target
         worst = max(worst, abs(v / laplace - 1.0))
 

@@ -135,6 +135,27 @@ def test_evolve_zero_time(capsys):
     assert float(rows[0][3]) == 0.0
 
 
+@pytest.mark.parametrize(
+    "model, J, gamma, t",
+    [
+        ("harmonic", "100", "0.3", "1e9"),
+        ("harmonic", "100", "0.3", "1e10"),
+        ("hydrogen_like", "0.9", "0.3", "-1e12"),
+    ],
+)
+def test_evolve_bound_covers_phase_rounding_at_large_times(capsys, model, J, gamma, t):
+    # residuals of 7e-6 to 9e-5 here come from rounding the phase arguments,
+    # not from truncation
+    code, out, _ = run(
+        capsys, ["evolve", "--model", model, "--J", J, "--gamma", gamma, f"--t={t}"]
+    )
+    assert code == 0
+    _, rows = csv_rows(out)
+    residual, bound = float(rows[0][3]), float(rows[0][4])
+    assert residual > 1e-6
+    assert residual <= bound
+
+
 def test_evolve_out_of_range(capsys):
     code, _, err = run(capsys, ["evolve", "--model", "hydrogen_like", "--J", "2.0", "--t", "1"])
     assert code == 1

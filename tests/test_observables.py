@@ -7,6 +7,7 @@ from cstates import (
     CertificationError,
     LabelRangeError,
     StateLabel,
+    TruncationError,
     coefficients,
     compute_weights,
     energy_mean,
@@ -16,10 +17,25 @@ from cstates import (
     near_jstar_coefficient,
     near_jstar_exponent,
     power_gap_spectrum,
+    power_sums,
     small_j_slope,
     variance,
     variance_curve,
 )
+from cstates.observables import DEFAULT_FIT_CAP, _double_sum_variance, _fit_loglog
+
+
+def pairwise_double_sum(w, J, k, omega):
+    """Literal O(k^2) route: (1/2) sum (e_n - e_m)^2 t_n t_m / (sum t)^2."""
+    if J == 0:
+        return 0.0
+    g = np.arange(k, dtype=float) * math.log(J) - w.log_rho[:k]
+    t = np.exp(g - g.max())
+    e = w.levels[:k]
+    total = t.sum()
+    d = e[:, None] - e[None, :]
+    num = float((d * d * (t[:, None] * t[None, :])).sum())
+    return omega * omega * 0.5 * num / (total * total)
 
 
 def tau2_variance_closed_form(J):
@@ -86,12 +102,32 @@ def test_variance_nonnegative_up_to_tail(hydrogen, w_hydrogen):
         assert vp.variance >= -vp.tail_bound
 
 
-def test_variance_cross_check_skipped_for_long_truncations(hydrogen, w_hydrogen):
+@pytest.mark.parametrize(
+    "s, n_max, grid",
+    [
+        (make_builtin("hydrogen_like"), 511, (0.1, 0.5, 0.9, 0.99)),
+        (make_builtin("harmonic", 2.0), 511, (0.5, 5.0, 50.0)),
+        (power_gap_spectrum(0.25), 511, (0.5, 0.9, 0.99)),
+        (from_levels("steps", 1.0, [0.0, 2.0, 5.0, 9.0, 11.0, 11.5], e_star=12.0), 5, (0.1, 1.0, 5.0)),
+        (from_levels("steps", 1.0, [0.0, 2.0, 5.0, 9.0, 11.0, 11.5]), 5, (0.1, 1.0, 5.0)),
+    ],
+    ids=["hydrogen_like", "harmonic_omega2", "power_gap_0.25", "explicit_e_star", "explicit_no_e_star"],
+)
+def test_double_sum_centred_matches_pairwise(s, n_max, grid):
+    w = compute_weights(s, n_max)
+    for J in grid:
+        for k in (1, 2, (n_max + 1) // 2, n_max + 1):
+            got = _double_sum_variance(w, J, k, s.omega)
+            ref = pairwise_double_sum(w, J, k, s.omega)
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0), (J, k)
+
+
+def test_variance_cross_checked_for_long_truncations(hydrogen, w_hydrogen):
+    # ~27,600 terms, far past the lengths a pairwise double sum could afford
+    assert power_sums(w_hydrogen, 0.999, need_second=True).terms_used > 27_000
     vp = variance(hydrogen, w_hydrogen, 0.999)
-    assert vp.double_sum is None  # ~28000 terms, beyond the pairwise limit
-    vp2 = variance(hydrogen, w_hydrogen, 0.999, cross_check_limit=40_000)
-    assert vp2.double_sum is not None
-    assert vp2.double_sum == pytest.approx(vp.variance, rel=1e-8)
+    assert vp.double_sum is not None
+    assert vp.double_sum == pytest.approx(vp.variance, rel=1e-8)
 
 
 def test_variance_curve_flags_failures(hydrogen, w_hydrogen):
@@ -148,7 +184,7 @@ def test_near_jstar_exponent_tau2_matches_closed_form():
     w = compute_weights(s, 60_000)
     window = [0.9, 0.99, 0.999]
     for J in window:
-        vp = variance(s, w, J, cross_check=False)
+        vp = variance(s, w, J)
         assert vp.variance == pytest.approx(tau2_variance_closed_form(J), rel=1e-8)
     got = near_jstar_exponent(s, w, window, n_cap=60_000)
     x = np.log1p(-np.asarray(window))
@@ -174,9 +210,41 @@ def test_near_jstar_exponent_requires_unit_radius(harmonic, w_harmonic):
         near_jstar_exponent(harmonic, w_harmonic)
 
 
-def test_near_jstar_exponent_too_few_points(hydrogen):
-    from cstates import TruncationError
+def full_table_slope(s, window, n_cap):
+    """Fit on every window point that a table of n_cap entries certifies."""
+    big = compute_weights(s, n_cap)
+    points = []
+    for J in sorted(window):
+        try:
+            points.append((J, variance(s, big, J).variance))
+        except TruncationError:
+            continue
+    js, vs = np.array(points).T
+    return _fit_loglog(js, vs)[0], len(points)
 
+
+def test_near_jstar_exponent_sized_tables_match_full_table(hydrogen):
+    # the default window's J = 0.999999 needs ~2.8e7 terms and is dropped
+    # unswept; J = 0.999 and 0.99997 run on tables sized from the term bound
+    window = [1.0 - 10.0 ** (-1.5 * k) for k in range(1, 5)]
+    got = near_jstar_exponent(hydrogen, compute_weights(hydrogen, 20_000))
+    ref, used = full_table_slope(hydrogen, window, DEFAULT_FIT_CAP)
+    assert used == 3
+    assert got == ref
+
+
+def test_near_jstar_exponent_undersized_table_retried_at_cap():
+    # interior-peak weights need far more terms than the bound: the table
+    # sized from it fails, and the point is retried at n_cap
+    s = power_gap_spectrum(0.25)
+    window = [0.90, 0.92, 0.94, 0.96]
+    got = near_jstar_exponent(s, compute_weights(s, 500), window, n_cap=1_200_000)
+    ref, used = full_table_slope(s, window, 1_200_000)
+    assert used == 4
+    assert got == ref
+
+
+def test_near_jstar_exponent_too_few_points(hydrogen):
     w_small = compute_weights(hydrogen, 2_000)
     with pytest.raises(TruncationError):
         near_jstar_exponent(hydrogen, w_small, [0.99, 0.999], n_cap=2_000)
@@ -186,7 +254,7 @@ def test_near_jstar_coefficient_matches_intercept(hydrogen, w_hydrogen):
     coeff = near_jstar_coefficient(hydrogen, w_hydrogen)
     assert coeff.converged
     assert 0.55 <= coeff.value <= 0.56
-    vp = variance(hydrogen, w_hydrogen, 0.999, cross_check=False)
+    vp = variance(hydrogen, w_hydrogen, 0.999)
     intercept = vp.variance / (1.0 - 0.999)
     assert abs(intercept / coeff.value - 1.0) <= 0.2
 

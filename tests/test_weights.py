@@ -129,6 +129,16 @@ def test_edge_guard_rejections(hydrogen, w_hydrogen):
         normalization(w_hydrogen, hydrogen, math.nan)
 
 
+def test_numpy_scalar_labels_accepted(hydrogen, w_hydrogen):
+    ref = normalization(w_hydrogen, hydrogen, 0.5).value
+    assert normalization(w_hydrogen, hydrogen, np.float32(0.5)).value == ref
+    assert normalization(w_hydrogen, hydrogen, np.float64(0.5)).value == ref
+    assert normalization(w_hydrogen, hydrogen, np.int64(0)).value == 1.0
+    for bad in ("0.5", None, 0.5 + 0j, np.float32(np.nan), np.float64(np.inf)):
+        with pytest.raises(LabelRangeError):
+            normalization(w_hydrogen, hydrogen, bad)
+
+
 def test_truncation_failure_reports_partial(hydrogen):
     w_small = compute_weights(hydrogen, 16)
     with pytest.raises(TruncationError) as info:
