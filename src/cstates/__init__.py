@@ -58,7 +58,6 @@ from .weights import (
     SeriesValue,
     WeightTable,
     compute_weights,
-    convergence_radius,
     normalization,
     power_sums,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "builtin_measure",
     "coefficients",
     "compute_weights",
-    "convergence_radius",
     "energy_mean",
     "evolve_coefficients",
     "evolve_label",

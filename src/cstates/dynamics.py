@@ -11,7 +11,7 @@ import numpy as np
 from .errors import SpectrumMismatchError
 from .phase import phase_factor
 from .spectrum import Spectrum
-from .state import StateCoefficients, StateLabel, _padded_inner, coefficients
+from .state import StateCoefficients, StateLabel, _zero_padded, coefficients
 from .weights import DEFAULT_TAIL_TOL, WeightTable
 from dataclasses import dataclass
 
@@ -61,11 +61,7 @@ def temporal_stability_residual(
     start = coefficients(s, w, l, tol)
     evolved = evolve_coefficients(start, s, t)
     relabeled = coefficients(s, w, evolve_label(l, t, s.omega), tol)
-    n = max(len(evolved.c), len(relabeled.c))
-    a = np.zeros(n, dtype=complex)
-    b = np.zeros(n, dtype=complex)
-    a[: len(evolved.c)] = evolved.c
-    b[: len(relabeled.c)] = relabeled.c
+    a, b = _zero_padded(evolved.c, relabeled.c)
     return float(np.linalg.norm(a - b))
 
 
@@ -80,7 +76,7 @@ def kinematic_representation_check(
     """Return (<l|psi, t>, <l(-t)|psi>); the two agree up to truncation tails."""
     psi = np.asarray(psi, dtype=complex)
     bra = coefficients(s, w, l, tol)
-    lhs = _padded_inner(bra.c, evolve_coefficients(psi, s, t).c)
+    lhs = complex(np.vdot(*_zero_padded(bra.c, evolve_coefficients(psi, s, t).c)))
     bra_back = coefficients(s, w, evolve_label(l, -t, s.omega), tol)
-    rhs = _padded_inner(bra_back.c, psi)
+    rhs = complex(np.vdot(*_zero_padded(bra_back.c, psi)))
     return lhs, rhs

@@ -52,12 +52,8 @@ class Spectrum:
     model: str | None = None
     shift_applied: float = 0.0
     levels: tuple[float, ...] | None = None
-    level_rule: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, compare=False, repr=False
-    )
-    gap_rule: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, compare=False, repr=False
-    )
+    level_rule: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    gap_rule: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.omega, (int, float)) or not math.isfinite(self.omega) or self.omega <= 0:

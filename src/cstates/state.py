@@ -13,7 +13,6 @@ from .weights import (
     DEFAULT_TAIL_TOL,
     WeightTable,
     _check_same_spectrum,
-    check_j_range,
     power_sums,
 )
 
@@ -52,7 +51,6 @@ def coefficients(
 ) -> StateCoefficients:
     """Amplitudes of |J, gamma> truncated so the missing mass is at most tol."""
     _check_same_spectrum(w, s)
-    check_j_range(w, label.J)
     if not tol > 0:
         raise ValueError("tol must be positive")
 
@@ -71,14 +69,12 @@ def coefficients(
     return StateCoefficients(c=c, tail_mass_bound=float(tail_mass), label=label, spectrum=s)
 
 
-def _padded_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """sum conj(a_n) b_n over the longer index range, missing entries zero."""
-    n = max(len(a), len(b))
-    if len(a) < n:
-        a = np.concatenate([a, np.zeros(n - len(a), dtype=complex)])
-    if len(b) < n:
-        b = np.concatenate([b, np.zeros(n - len(b), dtype=complex)])
-    return complex(np.vdot(a, b))
+def _zero_padded(*vectors) -> np.ndarray:
+    """The amplitude vectors as rows of one complex array, zero-padded to the longest."""
+    out = np.zeros((len(vectors), max(len(v) for v in vectors)), dtype=complex)
+    for row, v in zip(out, vectors):
+        row[: len(v)] = v
+    return out
 
 
 def overlap(a: StateCoefficients, b: StateCoefficients) -> complex:
@@ -87,7 +83,7 @@ def overlap(a: StateCoefficients, b: StateCoefficients) -> complex:
         raise SpectrumMismatchError(
             f"states live over different spectra: '{a.spectrum.name}' vs '{b.spectrum.name}'"
         )
-    return _padded_inner(a.c, b.c)
+    return complex(np.vdot(*_zero_padded(a.c, b.c)))
 
 
 def norm_deficit(x: StateCoefficients) -> float:

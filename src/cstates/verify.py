@@ -23,7 +23,7 @@ from .observables import (
 )
 from .resolution import Measure, gamma_averaged_projector, moment_check, unity_check
 from .spectrum import Spectrum
-from .state import StateLabel, coefficients, norm_deficit
+from .state import StateLabel, _zero_padded, coefficients, norm_deficit
 from .weights import WeightTable, compute_weights, normalization, power_sums
 
 DEFAULT_SEED = 1234
@@ -327,9 +327,7 @@ def run_suite(
             base = coefficients(s, w, label, tol=tol)
             for dj, dg in ((1e-5, 0.0), (-1e-5, 0.0), (0.0, 1e-5), (1e-6, 1e-6)):
                 other = coefficients(s, w, StateLabel(label.J + dj, label.gamma + dg), tol=tol)
-                n = max(len(base.c), len(other.c))
-                va = np.zeros(n, complex); va[: len(base.c)] = base.c
-                vb = np.zeros(n, complex); vb[: len(other.c)] = other.c
+                va, vb = _zero_padded(base.c, other.c)
                 ratio = float(np.linalg.norm(va - vb)) / (abs(dj) + abs(dg))
                 worst = max(worst, ratio)
         assert math.isfinite(worst), "difference quotient diverged"

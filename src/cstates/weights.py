@@ -57,7 +57,11 @@ class WeightTable:
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """A series evaluation: the true sum lies in [value, value + tail_bound]."""
+    """A series evaluation: the true sum lies in [value, value + tail_bound].
+
+    ``tail_bound`` bounds the truncated remainder only, not the float
+    rounding of ``value`` (harmonic N(600) is off e^600 by 3e-12 relative).
+    """
 
     value: float
     tail_bound: float
@@ -101,13 +105,8 @@ def compute_weights(s: Spectrum, n_max: int = DEFAULT_NMAX) -> WeightTable:
     )
 
 
-def convergence_radius(w: WeightTable) -> float:
-    """Radius of convergence J* of the normalization series (inf representable)."""
-    return w.j_star
-
-
-def check_j_range(w: WeightTable, J: float, *, edge_guard: float = EDGE_GUARD) -> None:
-    """Reject labels outside [0, J*(1 - edge_guard)].
+def check_j_range(w: WeightTable, J: float) -> None:
+    """Reject labels outside [0, J*(1 - EDGE_GUARD)].
 
     An estimated radius is never used to allow or deny evaluation; in that
     case only nonnegativity is enforced and truncation certificates decide.
@@ -118,10 +117,10 @@ def check_j_range(w: WeightTable, J: float, *, edge_guard: float = EDGE_GUARD) -
         raise LabelRangeError(f"J must be nonnegative, got {J}")
     if w.j_star_is_estimate or math.isinf(w.j_star):
         return
-    if J >= w.j_star or J > w.j_star * (1.0 - edge_guard):
+    if J >= w.j_star or J > w.j_star * (1.0 - EDGE_GUARD):
         raise LabelRangeError(
             f"J={J} too close to or beyond the convergence radius J*={w.j_star} "
-            f"(guard {edge_guard:g})"
+            f"(guard {EDGE_GUARD:g})"
         )
 
 
@@ -130,23 +129,6 @@ def _check_same_spectrum(w: WeightTable, s: Spectrum) -> None:
         raise SpectrumMismatchError(
             f"weight table was built for '{w.spectrum.name}', got spectrum '{s.name}'"
         )
-
-
-def _series_arrays(w: WeightTable, J: float):
-    """Scaled terms t_n = exp(n log J - log rho_n - M) and tail ingredients."""
-    n = np.arange(w.n_max + 1, dtype=float)
-    g = n * math.log(J) - w.log_rho
-    scale = float(g.max())
-    t = np.exp(g - scale)
-    e_next = np.empty_like(w.levels)
-    e_next[:-1] = w.levels[1:]
-    e_next[-1] = w.next_level_bound
-    with np.errstate(divide="ignore"):
-        q = J / e_next
-    ok = q < 1.0
-    tf = np.maximum(t, _TERM_FLOOR)
-    tail0 = np.where(ok, tf * q / np.where(ok, 1.0 - q, 1.0), np.inf)
-    return g, scale, t, e_next, q, ok, tail0
 
 
 def _ratio_caps(s: Spectrum, e_next: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -167,7 +149,8 @@ class PowerSums:
 
     All of s0, s1, s2, t0, t1, t2 share the scale exp(log_scale); ratios
     such as s1/s0 are scale-free.  s2/t2 are NaN unless second moments were
-    requested.
+    requested.  The tails bound truncation only, not the float rounding of
+    the partial sums.
     """
 
     J: float
@@ -179,6 +162,77 @@ class PowerSums:
     t0: float
     t1: float
     t2: float
+
+
+def _certified_sums(
+    w: WeightTable, J: float, tol: float, order: int, *, absolute: bool = False
+) -> PowerSums:
+    """The series kernel: S_k = sum e_n^k t_n for k <= order, cut at the first
+    index where every tail is certified.
+
+    Terms are scaled, t_n = exp(n log J - log rho_n - M).  The cut needs each
+    tail at most tol times its partial sum or, when ``absolute``, at most tol
+    once unscaled, compared in log space to survive huge scales.  Moments
+    above ``order`` come back NaN.
+    """
+    check_j_range(w, J)
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    if J == 0:
+        z1 = 0.0 if order >= 1 else math.nan
+        z2 = 0.0 if order >= 2 else math.nan
+        return PowerSums(0.0, 1, 0.0, 1.0, z1, z2, 0.0, z1, z2)
+
+    e = w.levels
+    n = np.arange(w.n_max + 1, dtype=float)
+    g = n * math.log(J) - w.log_rho
+    scale = float(g.max())
+    t = np.exp(g - scale)
+    e_next = np.empty_like(e)
+    e_next[:-1] = e[1:]
+    e_next[-1] = w.next_level_bound
+    with np.errstate(divide="ignore"):
+        q = J / e_next
+    ok = q < 1.0
+    tf = np.maximum(t, _TERM_FLOOR)
+    tail0 = np.where(ok, tf * q / np.where(ok, 1.0 - q, 1.0), np.inf)
+
+    def certified(cum: np.ndarray, tail: np.ndarray) -> np.ndarray:
+        if absolute:
+            with np.errstate(divide="ignore"):
+                return scale + np.log(tail) <= math.log(tol)
+        return tail <= tol * np.maximum(cum, _TERM_FLOOR)
+
+    cums = [np.cumsum(t)]
+    tails = [tail0]
+    cond = ok & certified(cums[0], tail0)
+    if order >= 1:
+        cums.append(np.cumsum(e * t))
+        tails.append(J * (tf + tail0))
+        cond &= certified(cums[1], tails[1])
+    if order >= 2:
+        caps = _ratio_caps(w.spectrum, e_next, n)
+        tails.append(J * (e_next * tf + caps * J * (tf + tail0)))
+        cums.append(np.cumsum(e * e * t))
+        cond &= certified(cums[2], tails[2])
+
+    if not cond.any():
+        best = int(np.argmin(np.where(ok, tail0 / np.maximum(cums[0], _TERM_FLOOR), np.inf)))
+        with np.errstate(over="ignore"):
+            partial = float(np.exp(scale) * cums[0][-1])
+            bound = float(np.exp(scale) * tail0[best]) if ok[best] else math.inf
+        raise TruncationError(
+            f"tail bound not reached within n_max={w.n_max} for J={J} "
+            f"(best relative tail {tail0[best] / cums[0][best]:.3e} at n={best})",
+            value=partial,
+            tail_bound=bound,
+            terms_used=w.n_max + 1,
+        )
+
+    n0 = int(np.argmax(cond))
+    sums = [float(c[n0]) for c in cums] + [math.nan] * (2 - order)
+    bounds = [float(b[n0]) for b in tails] + [math.nan] * (2 - order)
+    return PowerSums(float(J), n0 + 1, scale, *sums, *bounds)
 
 
 def power_sums(
@@ -194,53 +248,7 @@ def power_sums(
     second-moment tail additionally needs a level growth cap (available for
     bounded spectra and the harmonic rule).
     """
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
-    if J == 0:
-        z = 0.0 if need_second else math.nan
-        return PowerSums(0.0, 1, 0.0, 1.0, 0.0, z, 0.0, 0.0, 0.0 if need_second else math.nan)
-
-    e = w.levels
-    n = np.arange(w.n_max + 1, dtype=float)
-    g, scale, t, e_next, q, ok, tail0 = _series_arrays(w, J)
-    tf = np.maximum(t, _TERM_FLOOR)
-
-    cum0 = np.cumsum(t)
-    cum1 = np.cumsum(e * t)
-    tail1 = J * (tf + tail0)
-    cond = ok & (tail0 <= rel_tol * cum0) & (tail1 <= rel_tol * np.maximum(cum1, _TERM_FLOOR))
-
-    if need_second:
-        caps = _ratio_caps(w.spectrum, e_next, n)
-        tail2 = J * (e_next * tf + caps * J * (tf + tail0))
-        cum2 = np.cumsum(e * e * t)
-        cond &= tail2 <= rel_tol * np.maximum(cum2, _TERM_FLOOR)
-
-    if not cond.any():
-        best = int(np.argmin(np.where(ok, tail0 / np.maximum(cum0, _TERM_FLOOR), np.inf)))
-        with np.errstate(over="ignore"):
-            partial = float(np.exp(scale) * cum0[-1])
-            bound = float(np.exp(scale) * tail0[best]) if ok[best] else math.inf
-        raise TruncationError(
-            f"tail bound not reached within n_max={w.n_max} for J={J} "
-            f"(best relative tail {tail0[best] / cum0[best]:.3e} at n={best})",
-            value=partial,
-            tail_bound=bound,
-            terms_used=w.n_max + 1,
-        )
-
-    n0 = int(np.argmax(cond))
-    return PowerSums(
-        J=float(J),
-        terms_used=n0 + 1,
-        log_scale=scale,
-        s0=float(cum0[n0]),
-        s1=float(cum1[n0]),
-        s2=float(cum2[n0]) if need_second else math.nan,
-        t0=float(tail0[n0]),
-        t1=float(tail1[n0]),
-        t2=float(tail2[n0]) if need_second else math.nan,
-    )
+    return _certified_sums(w, J, rel_tol, 2 if need_second else 1)
 
 
 def normalization(
@@ -249,36 +257,14 @@ def normalization(
     J: float,
     *,
     tol: float = DEFAULT_TAIL_TOL,
-    edge_guard: float = EDGE_GUARD,
 ) -> SeriesValue:
     """Normalization series N(J) = sum J^n/rho_n with absolute tail bound <= tol."""
     _check_same_spectrum(w, s)
-    check_j_range(w, J, edge_guard=edge_guard)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if J == 0:
-        return SeriesValue(value=1.0, tail_bound=0.0, terms_used=1)
-
-    g, scale, t, _, q, ok, tail0 = _series_arrays(w, J)
-    cum0 = np.cumsum(t)
-    # absolute condition, evaluated in log space to survive huge scales
+    ps = _certified_sums(w, J, tol, 0, absolute=True)
     with np.errstate(divide="ignore"):
-        log_tail_abs = scale + np.where(ok, np.log(tail0), np.inf)
-    cond = ok & (log_tail_abs <= math.log(tol))
-    if not cond.any():
-        best = int(np.argmin(np.where(ok, log_tail_abs, np.inf)))
-        with np.errstate(over="ignore"):
-            partial = float(np.exp(scale) * cum0[-1])
-            bound = float(np.exp(log_tail_abs[best])) if ok.any() else math.inf
-        raise TruncationError(
-            f"normalization tail <= {tol:g} not reached within n_max={w.n_max} at J={J}",
-            value=partial,
-            tail_bound=bound,
-            terms_used=w.n_max + 1,
-        )
-    n0 = int(np.argmax(cond))
+        tail = np.exp(ps.log_scale + np.log(ps.t0))
     return SeriesValue(
-        value=float(np.exp(scale) * cum0[n0]),
-        tail_bound=float(np.exp(log_tail_abs[n0])),
-        terms_used=n0 + 1,
+        value=float(np.exp(ps.log_scale) * ps.s0),
+        tail_bound=float(tail),
+        terms_used=ps.terms_used,
     )

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from cstates import (
     LabelRangeError,
     SpectrumError,
+    SpectrumMismatchError,
     TruncationError,
     compute_weights,
-    convergence_radius,
     from_levels,
     from_rule,
     normalization,
     power_gap_spectrum,
+    power_sums,
 )
 
 
@@ -50,14 +51,14 @@ def test_product_recursion_equivalence(hydrogen, harmonic, w_hydrogen, w_harmoni
 
 
 def test_radius_harmonic_infinite(w_harmonic):
-    assert convergence_radius(w_harmonic) == math.inf
+    assert w_harmonic.j_star == math.inf
     # oracle: (rho_n)^(1/n) = (n!)^(1/n) grows monotonically
     samples = [math.exp(w_harmonic.log_rho[n] / n) for n in (10, 100, 1000)]
     assert samples[0] < samples[1] < samples[2]
 
 
 def test_radius_hydrogen_is_one(w_hydrogen):
-    assert convergence_radius(w_hydrogen) == 1.0
+    assert w_hydrogen.j_star == 1.0
     assert not w_hydrogen.j_star_is_estimate
 
 
@@ -67,7 +68,7 @@ def test_radius_constant_ratio_rule():
     s = from_rule("towards_c", 1.0, lambda n: c * (1.0 - 1.0 / (np.asarray(n, float) + 1.0)),
                   e_star=c)
     w = compute_weights(s, 500)
-    assert convergence_radius(w) == c
+    assert w.j_star == c
 
 
 def test_radius_estimated_for_undeclared_lists():
@@ -137,6 +138,22 @@ def test_numpy_scalar_labels_accepted(hydrogen, w_hydrogen):
     for bad in ("0.5", None, 0.5 + 0j, np.float32(np.nan), np.float64(np.inf)):
         with pytest.raises(LabelRangeError):
             normalization(w_hydrogen, hydrogen, bad)
+
+
+@pytest.mark.parametrize("J", [-0.5, math.nan, 1.5])
+def test_power_sums_rejects_labels_out_of_range(w_hydrogen, J):
+    # the series kernel owns the label check, so direct callers get it too
+    with pytest.raises(LabelRangeError):
+        power_sums(w_hydrogen, J)
+
+
+def test_table_for_another_rule_under_the_same_name_is_refused():
+    # rules compare by identity: equal names and e_star do not make equal spectra
+    a = from_rule("custom", 1, lambda n: n, e_star=math.inf)
+    b = from_rule("custom", 1, lambda n: n**2, e_star=math.inf)
+    assert a != b
+    with pytest.raises(SpectrumMismatchError):
+        normalization(compute_weights(a, 200), b, 3.0)
 
 
 def test_truncation_failure_reports_partial(hydrogen):
