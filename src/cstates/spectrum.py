@@ -254,7 +254,11 @@ def validate(s: Spectrum, n_max: int) -> ValidationReport:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     top = n_max if s.max_index is None else min(n_max, s.max_index)
-    e = s.e_array(top)
+    return _check_levels(s, s.e_array(top))
+
+
+def _check_levels(s: Spectrum, e: np.ndarray) -> ValidationReport:
+    """The checks of ``validate`` on levels e_0..e_k already evaluated."""
     ties_are_violations = s.kind == "explicit"
 
     violations: list[tuple[int, str]] = []

@@ -25,7 +25,7 @@ from .errors import (
     SpectrumMismatchError,
     TruncationError,
 )
-from .spectrum import Spectrum, validate
+from .spectrum import Spectrum, _check_levels
 
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_NMAX = 20_000
@@ -33,6 +33,8 @@ EDGE_GUARD = 1e-6
 
 # keeps reported tail bounds nonzero after term underflow
 _TERM_FLOOR = 1e-300
+# entries per chunk of the series scan
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,11 +74,11 @@ def compute_weights(s: Spectrum, n_max: int = DEFAULT_NMAX) -> WeightTable:
     """Accumulate log rho_n = sum_{l<=n} log e_l for n = 0..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    report = validate(s, n_max)
+    e = s.e_array(n_max)
+    report = _check_levels(s, e)
     if not report.ok:
         details = "; ".join(f"n={n}: {msg}" for n, msg in report.violations)
         raise SpectrumError(f"spectrum '{s.name}' failed validation: {details}")
-    e = s.e_array(n_max)
     if not e[1] > 0:
         raise SpectrumError("e_1 must be positive")
     log_rho = np.concatenate([[0.0], np.cumsum(np.log(e[1:]))])
@@ -164,16 +166,39 @@ class PowerSums:
     t2: float
 
 
+def _log_terms(w: WeightTable, log_j: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """n and g_n = n log J - log rho_n for n in [lo, hi)."""
+    n = np.arange(lo, hi, dtype=float)
+    return n, n * log_j - w.log_rho[lo:hi]
+
+
+def _running_sums(block: np.ndarray, carry: float) -> np.ndarray:
+    """Cumulative sums of block continued from carry, in place, in numpy's
+    sequential order, so chunk after chunk they equal one whole-table cumsum."""
+    block[0] += carry
+    return np.cumsum(block, out=block)
+
+
 def _certified_sums(
     w: WeightTable, J: float, tol: float, order: int, *, absolute: bool = False
 ) -> PowerSums:
     """The series kernel: S_k = sum e_n^k t_n for k <= order, cut at the first
     index where every tail is certified.
 
-    Terms are scaled, t_n = exp(n log J - log rho_n - M).  The cut needs each
-    tail at most tol times its partial sum or, when ``absolute``, at most tol
-    once unscaled, compared in log space to survive huge scales.  Moments
-    above ``order`` come back NaN.
+    Terms are scaled, t_n = exp(g_n - M) with g_n = n log J - log rho_n.  The
+    cut needs each tail at most tol times its partial sum or, when
+    ``absolute``, at most tol once unscaled, compared in log space to survive
+    huge scales.  Moments above ``order`` come back NaN.
+
+    The table is scanned left to right in chunks of _CHUNK = 65,536 entries,
+    so a call's working memory does not grow with n_max.  The running sums
+    carry from chunk to chunk in numpy's sequential order and equal a
+    whole-table cumsum bit for bit.  Levels are nondecreasing, so g rises
+    while e_{n+1} <= J and falls after; the cut needs J < e_{n+1}, so M, the
+    maximum of g over the chunks up to that turn, is the whole-table maximum.
+    Should a later chunk still raise it (rounding on a flat top), M becomes
+    the whole-table maximum and the scan restarts once from n = 0.  A refusal
+    scans the whole table and reports the best relative tail over all chunks.
     """
     check_j_range(w, J)
     if not tol > 0:
@@ -183,56 +208,88 @@ def _certified_sums(
         z2 = 0.0 if order >= 2 else math.nan
         return PowerSums(0.0, 1, 0.0, 1.0, z1, z2, 0.0, z1, z2)
 
-    e = w.levels
-    n = np.arange(w.n_max + 1, dtype=float)
-    g = n * math.log(J) - w.log_rho
-    scale = float(g.max())
-    t = np.exp(g - scale)
-    e_next = np.empty_like(e)
-    e_next[:-1] = e[1:]
-    e_next[-1] = w.next_level_bound
-    with np.errstate(divide="ignore"):
-        q = J / e_next
-    ok = q < 1.0
-    tf = np.maximum(t, _TERM_FLOOR)
-    tail0 = np.where(ok, tf * q / np.where(ok, 1.0 - q, 1.0), np.inf)
-
     def certified(cum: np.ndarray, tail: np.ndarray) -> np.ndarray:
         if absolute:
             with np.errstate(divide="ignore"):
                 return scale + np.log(tail) <= math.log(tol)
         return tail <= tol * np.maximum(cum, _TERM_FLOOR)
 
-    cums = [np.cumsum(t)]
-    tails = [tail0]
-    cond = ok & certified(cums[0], tail0)
-    if order >= 1:
-        cums.append(np.cumsum(e * t))
-        tails.append(J * (tf + tail0))
-        cond &= certified(cums[1], tails[1])
-    if order >= 2:
-        caps = _ratio_caps(w.spectrum, e_next, n)
-        tails.append(J * (e_next * tf + caps * J * (tf + tail0)))
-        cums.append(np.cumsum(e * e * t))
-        cond &= certified(cums[2], tails[2])
+    log_j = math.log(J)
+    size = w.n_max + 1
+    scale = -math.inf
+    lo = 0
+    while lo < size:
+        hi = min(lo + _CHUNK, size)
+        n, g = _log_terms(w, log_j, lo, hi)
+        top = float(g.max())
+        if top > scale:
+            # g rises until J < e_{n+1}: take its maximum up to that turn, or
+            # over the whole table after a rounding slip past it, so that the
+            # scan restarts at most once
+            scale, ahead = top, hi
+            while ahead < size and (lo > 0 or not J < w.levels[ahead]):
+                nxt = min(ahead + _CHUNK, size)
+                scale = max(scale, float(_log_terms(w, log_j, ahead, nxt)[1].max()))
+                ahead = nxt
+            if lo > 0:
+                lo = 0
+                continue
+        if lo == 0:
+            carry = [0.0] * (order + 1)
+            best = None
 
-    if not cond.any():
-        best = int(np.argmin(np.where(ok, tail0 / np.maximum(cums[0], _TERM_FLOOR), np.inf)))
-        with np.errstate(over="ignore"):
-            partial = float(np.exp(scale) * cums[0][-1])
-            bound = float(np.exp(scale) * tail0[best]) if ok[best] else math.inf
-        raise TruncationError(
-            f"tail bound not reached within n_max={w.n_max} for J={J} "
-            f"(best relative tail {tail0[best] / cums[0][best]:.3e} at n={best})",
-            value=partial,
-            tail_bound=bound,
-            terms_used=w.n_max + 1,
-        )
+        t = np.exp(g - scale)
+        e = w.levels[lo:hi]
+        if hi < size:
+            e_next = w.levels[lo + 1 : hi + 1]
+        else:
+            e_next = np.append(w.levels[lo + 1 :], w.next_level_bound)
+        with np.errstate(divide="ignore"):
+            q = J / e_next
+        ok = q < 1.0
+        tf = np.maximum(t, _TERM_FLOOR)
+        tail0 = np.where(ok, tf * q / np.where(ok, 1.0 - q, 1.0), np.inf)
 
-    n0 = int(np.argmax(cond))
-    sums = [float(c[n0]) for c in cums] + [math.nan] * (2 - order)
-    bounds = [float(b[n0]) for b in tails] + [math.nan] * (2 - order)
-    return PowerSums(float(J), n0 + 1, scale, *sums, *bounds)
+        moments = [t]
+        if order >= 1:
+            moments.append(e * t)
+        if order >= 2:
+            moments.append(e * e * t)
+        cums = [_running_sums(m, c) for m, c in zip(moments, carry)]
+        tails = [tail0]
+        cond = ok & certified(cums[0], tail0)
+        if order >= 1:
+            tails.append(J * (tf + tail0))
+            cond &= certified(cums[1], tails[1])
+        if order >= 2:
+            caps = _ratio_caps(w.spectrum, e_next, n)
+            tails.append(J * (e_next * tf + caps * J * (tf + tail0)))
+            cond &= certified(cums[2], tails[2])
+
+        if cond.any():
+            n0 = int(np.argmax(cond))
+            sums = [float(c[n0]) for c in cums] + [math.nan] * (2 - order)
+            bounds = [float(b[n0]) for b in tails] + [math.nan] * (2 - order)
+            return PowerSums(float(J), lo + n0 + 1, scale, *sums, *bounds)
+
+        rel = np.where(ok, tail0 / np.maximum(cums[0], _TERM_FLOOR), np.inf)
+        i = int(np.argmin(rel))
+        if best is None or rel[i] < best[0]:
+            best = (rel[i], lo + i, tail0[i], cums[0][i], ok[i])
+        carry = [float(c[-1]) for c in cums]
+        lo = hi
+
+    _, at, tail, cum, tail_ok = best
+    with np.errstate(over="ignore"):
+        partial = float(np.exp(scale) * carry[0])
+        bound = float(np.exp(scale) * tail) if tail_ok else math.inf
+    raise TruncationError(
+        f"tail bound not reached within n_max={w.n_max} for J={J} "
+        f"(best relative tail {tail / cum:.3e} at n={at})",
+        value=partial,
+        tail_bound=bound,
+        terms_used=w.n_max + 1,
+    )
 
 
 def power_sums(
