@@ -19,15 +19,13 @@ from .errors import (
     CertificationError,
     CrossCheckError,
     CStatesError,
-    LabelRangeError,
     QuadratureError,
     SpectrumError,
-    SpectrumMismatchError,
     TruncationError,
 )
 from .observables import variance_curve
 from .resolution import builtin_measure, load_measure, moment_check, unity_check
-from .spectrum import Spectrum, load_spectrum, make_builtin, validate
+from .spectrum import MODELS, Spectrum, _read_object, load_spectrum, make_builtin, validate
 from .state import StateLabel, coefficients
 from .verify import DEFAULT_SEED, run_suite
 from .weights import DEFAULT_NMAX, DEFAULT_TAIL_TOL, compute_weights, normalization
@@ -77,11 +75,9 @@ def _resolve_spectrum(cfg: RunConfig) -> Spectrum:
     if cfg.model:
         return make_builtin(cfg.model, cfg.omega if cfg.omega is not None else 1.0)
     if cfg.file:
-        text = Path(cfg.file).read_text()
-        if cfg.omega is None:
-            return load_spectrum(text)
-        doc = json.loads(text)
-        doc["omega"] = cfg.omega
+        doc = _read_object(Path(cfg.file).read_text(), "spectrum")
+        if cfg.omega is not None:
+            doc["omega"] = cfg.omega
         return load_spectrum(doc)
     raise SpectrumError("a spectrum is required: pass --model or --file")
 
@@ -105,13 +101,15 @@ def _write(text: str, cfg: RunConfig) -> None:
 
 
 def _emit_table(header: list[str], rows: list[list], cfg: RunConfig) -> None:
+    """JSON records, or CSV rows with ',' in string cells turned into ';'."""
     if cfg.fmt == "json":
         payload = [dict(zip(header, row)) for row in rows]
         _write(json.dumps(payload, indent=2) + "\n", cfg)
         return
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(g17(v) if isinstance(v, float) else str(v) for v in row))
+        cells = (g17(v) if isinstance(v, float) else str(v).replace(",", ";") for v in row)
+        lines.append(",".join(cells))
     _write("\n".join(lines) + "\n", cfg)
 
 
@@ -218,17 +216,14 @@ def cmd_variance(args) -> int:
     w = _table_for(cfg, s)
     grid = _parse_grid(args)
     points = variance_curve(s, w, grid)
-    with_bound = s.model == "hydrogen_like"
-    header = ["J", "mean", "variance", "tail_bound", "error"]
-    if with_bound:
-        header = ["J", "mean", "variance", "bound", "tail_bound", "error"]
+    bound = s.model.variance_bound if s.model else None
+    header = ["J", "mean", "variance"] + (["bound"] if bound else []) + ["tail_bound", "error"]
     rows = []
     for p in points:
         row = [p.J, p.mean, p.variance]
-        if with_bound:
-            row.append(0.75 * s.omega**2 * p.J * (1.0 - p.J))
-        row.extend([p.tail_bound, (p.error or "").replace(",", ";")])
-        rows.append(row)
+        if bound:
+            row.append(math.nan if p.error else bound(p.J, s.omega))
+        rows.append(row + [p.tail_bound, p.error or ""])
     _emit_table(header, rows, cfg)
     return EXIT_OK
 
@@ -258,7 +253,7 @@ def cmd_resolution(args) -> int:
     if args.measure:
         measure = load_measure(Path(args.measure).read_text())
     elif s.model:
-        measure = builtin_measure(s.model)
+        measure = builtin_measure(s.model.name)
     else:
         raise SpectrumError("custom spectra need --measure FILE for resolution checks")
     n_check = min(args.ncheck, w.n_max)
@@ -275,22 +270,15 @@ def cmd_verify(args) -> int:
     cfg = _config(args)
     s = _resolve_spectrum(cfg)
     w = _table_for(cfg, s)
-    measure = builtin_measure(s.model) if s.model else None
+    measure = builtin_measure(s.model.name) if s.model else None
     results = run_suite(s, w, measure, seed=cfg.seed, tol=cfg.tol)
     rows = [[r.name, r.status, r.detail] for r in results]
-    if cfg.fmt == "json":
-        obj = {
-            "spectrum": s.name,
-            "checks": [{"name": r.name, "status": r.status, "detail": r.detail} for r in results],
-            "ok": all(r.status != "fail" for r in results),
-        }
-        _write(json.dumps(obj, indent=2) + "\n", cfg)
-    else:
-        lines = ["check,status,detail"]
-        for name, status, detail in rows:
-            safe = detail.replace(",", ";")
-            lines.append(f"{name},{status},{safe}")
-        _write("\n".join(lines) + "\n", cfg)
+    obj = {
+        "spectrum": s.name,
+        "checks": [{"name": r.name, "status": r.status, "detail": r.detail} for r in results],
+        "ok": all(r.status != "fail" for r in results),
+    }
+    _emit_object(obj, ["check", "status", "detail"], rows, cfg)
     failed = [r for r in results if r.status == "fail"]
     for r in failed:
         print(f"FAIL {r.name}: {r.detail}", file=sys.stderr)
@@ -303,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coherent states over discrete spectra: construction and checks.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", choices=("harmonic", "hydrogen_like"), default=None)
+    common.add_argument("--model", choices=tuple(MODELS), default=None)
     common.add_argument("--file", default=None, help="spectrum document (JSON)")
     common.add_argument("--omega", type=float, default=None, help="energy scale override")
     common.add_argument("--tol", type=float, default=DEFAULT_TAIL_TOL)
@@ -358,13 +346,7 @@ def main(argv=None) -> int:
     except (TruncationError, CertificationError, QuadratureError, CrossCheckError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (SpectrumError, LabelRangeError, SpectrumMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except CStatesError as exc:
+    except (CStatesError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SpectrumMismatchError
+from .errors import LabelRangeError, SpectrumMismatchError
 from .phase import phase_factor
 from .spectrum import Spectrum
 from .state import StateCoefficients, StateLabel, _zero_padded, coefficients
@@ -27,11 +27,15 @@ class EvolvedState:
 
 def evolve_label(l: StateLabel, t: float, omega: float) -> StateLabel:
     """(J, gamma) -> (J, gamma + omega t)."""
+    if not np.isfinite(t):
+        raise LabelRangeError(f"t must be a finite number, got {t!r}")
     return StateLabel(l.J, l.gamma + omega * t)
 
 
 def evolve_coefficients(x, s: Spectrum, t: float) -> EvolvedState:
     """Apply the phases exp(-i omega e_n t) to a state or raw amplitude vector."""
+    if not np.isfinite(t):
+        raise LabelRangeError(f"t must be a finite number, got {t!r}")
     if isinstance(x, StateCoefficients):
         if x.spectrum is not s and x.spectrum != s:
             raise SpectrumMismatchError(

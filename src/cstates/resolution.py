@@ -9,7 +9,6 @@ forced by rho_n -> 1/2 > 0 while the moments of any integrable density on
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -17,7 +16,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import LabelRangeError, QuadratureError, SpectrumError
-from .spectrum import Spectrum
+from .spectrum import MODELS, Spectrum, _number, _read_object
 from .weights import WeightTable, _check_same_spectrum, check_j_range, normalization
 
 _QUAD_START = 64
@@ -60,23 +59,18 @@ class ProjectorMatrix:
 
 
 def builtin_measure(model: str) -> Measure:
-    if model == "harmonic":
-        return Measure(
-            name="harmonic",
-            U=math.inf,
-            density=lambda u: np.exp(-np.asarray(u, dtype=float)),
-            quadrature_hint=SEMI_INFINITE,
-            log_density=lambda u: -np.asarray(u, dtype=float),
-        )
-    if model == "hydrogen_like":
-        return Measure(
-            name="hydrogen_like",
-            U=1.0,
-            density=lambda u: np.full_like(np.asarray(u, dtype=float), 0.5),
-            atoms=((1.0, 0.5),),
-            quadrature_hint=FINITE_INTERVAL,
-        )
-    raise SpectrumError(f"no builtin measure for model {model!r}")
+    """The measure of a record in MODELS, on [0, e_star)."""
+    record = MODELS.get(model) if isinstance(model, str) else None
+    if record is None:
+        raise SpectrumError(f"no builtin measure for model {model!r}")
+    return Measure(
+        name=record.name,
+        U=record.e_star,
+        density=record.density,
+        atoms=record.atoms,
+        quadrature_hint=SEMI_INFINITE if math.isinf(record.e_star) else FINITE_INTERVAL,
+        log_density=record.log_density,
+    )
 
 
 def load_measure(document: str | Mapping) -> Measure:
@@ -85,26 +79,14 @@ def load_measure(document: str | Mapping) -> Measure:
     Schema: {"U": float|"inf", "density": {"kind": "exponential"|"constant"|
     "table", ...}, "atoms": [{"u": float, "w": float}]}
     """
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SpectrumError(f"cannot parse measure document: {exc}") from None
-    elif isinstance(document, Mapping):
-        doc = dict(document)
-    else:
-        raise SpectrumError("measure document must be JSON text or a mapping")
-
-    U = doc.get("U")
-    if isinstance(U, str):
-        if U.lower() in ("inf", "infinity"):
-            U = math.inf
-        else:
-            raise SpectrumError(f"U must be a number or 'inf', got {U!r}")
-    if not isinstance(U, (int, float)) or not U > 0:
+    doc = _read_object(document, "measure")
+    U = _number(doc.get("U"), "U")
+    if not U > 0:
         raise SpectrumError(f"U must be positive, got {U!r}")
 
     dens = doc.get("density") or {}
+    if not isinstance(dens, Mapping):
+        raise SpectrumError(f"density must be a JSON object, got {dens!r}")
     kind = dens.get("kind")
     log_density = None
     if kind == "exponential":
@@ -146,15 +128,16 @@ def load_measure(document: str | Mapping) -> Measure:
     else:
         raise SpectrumError(f"unknown density kind {kind!r}")
 
-    atoms = []
-    for atom in doc.get("atoms", ()) or ():
-        atoms.append((float(atom["u"]), float(atom["w"])))
+    try:
+        atoms = tuple((float(a["u"]), float(a["w"])) for a in doc.get("atoms") or ())
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpectrumError(f"each atom needs numbers 'u' and 'w' ({exc!r})") from None
 
     return Measure(
         name=str(doc.get("name", "custom")),
-        U=float(U),
+        U=U,
         density=density,
-        atoms=tuple(atoms),
+        atoms=atoms,
         quadrature_hint=hint,
         log_density=log_density,
     )

@@ -11,20 +11,9 @@ import numpy as np
 
 from .errors import LevelRangeError, SpectrumError
 
-BUILTIN_MODELS = ("harmonic", "hydrogen_like")
-
-
-def _harmonic_levels(n: np.ndarray) -> np.ndarray:
-    return np.asarray(n, dtype=float)
-
-
 def _hydrogen_gap(n: np.ndarray) -> np.ndarray:
     shifted = np.asarray(n, dtype=float) + 1.0
     return 1.0 / (shifted * shifted)
-
-
-def _hydrogen_levels(n: np.ndarray) -> np.ndarray:
-    return 1.0 - _hydrogen_gap(n)
 
 
 @dataclass(frozen=True)
@@ -42,14 +31,14 @@ class Spectrum:
     ``levels``; rule-based spectra evaluate ``level_rule`` on integer arrays.
     ``e_star`` is the limit of e_n: a finite number, ``math.inf``, or None
     when unknown.  ``gap_rule``, when present, returns e_star - e_n without
-    the cancellation of forming the difference in floats.
+    the cancellation of forming the difference in floats.  ``model`` is the
+    record of a built-in spectrum, None for custom ones.
     """
 
     name: str
     omega: float
-    kind: str  # "builtin" | "explicit" | "rule"
     e_star: float | None
-    model: str | None = None
+    model: Model | None = field(default=None, repr=False)
     shift_applied: float = 0.0
     levels: tuple[float, ...] | None = None
     level_rule: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
@@ -58,11 +47,11 @@ class Spectrum:
     def __post_init__(self):
         if not isinstance(self.omega, (int, float)) or not math.isfinite(self.omega) or self.omega <= 0:
             raise SpectrumError(f"omega must be a positive finite number, got {self.omega!r}")
-        if self.kind == "explicit":
+        if self.levels is not None:
             if not self.levels:
                 raise SpectrumError("explicit spectrum needs at least one level")
         elif self.level_rule is None:
-            raise SpectrumError(f"{self.kind} spectrum needs a level rule")
+            raise SpectrumError("spectrum needs explicit levels or a level rule")
 
     @property
     def max_index(self) -> int | None:
@@ -108,20 +97,85 @@ class Spectrum:
         return self.e_star - self.e_array(n_max)
 
 
+@dataclass(frozen=True, eq=False, kw_only=True)
+class Model:
+    """Closed-form facts of one built-in spectrum, and how ``verify`` checks them.
+
+    ``ratio_cap(n)`` bounds e_{m+1}/e_m over m > n where e_star is infinite;
+    ``normalization`` is N(J); the measure on [0, e_star) is ``density``
+    (``log_density`` when known) plus point ``atoms``; ``variance_bound(J,
+    omega)``, read as ``variance_bound_text``, caps v(J).  ``verify`` checks
+    N(J) on ``closed_form_grid`` within ``closed_form_rtol`` (or the tail
+    bound, when larger), variances on ``variance_grid``, measures up to
+    ``n_check``, and runs the model-only ``checks``.
+    """
+
+    name: str
+    e_star: float
+    level_rule: Callable[[np.ndarray], np.ndarray]
+    gap_rule: Callable[[np.ndarray], np.ndarray] | None = None
+    ratio_cap: Callable[[np.ndarray], np.ndarray] | None = None
+    normalization: Callable[[float], float]
+    density: Callable[[np.ndarray], np.ndarray]
+    log_density: Callable[[np.ndarray], np.ndarray] | None = None
+    atoms: tuple[tuple[float, float], ...] = ()
+    variance_bound: Callable[[float, float], float] | None = None
+    variance_bound_text: str = ""
+    closed_form_grid: tuple[float, ...]
+    closed_form_rtol: float
+    variance_grid: tuple[float, ...]
+    n_check: int
+    checks: frozenset[str] = frozenset()
+
+
+MODELS: dict[str, Model] = {
+    m.name: m
+    for m in (
+        Model(
+            name="harmonic",
+            e_star=math.inf,
+            level_rule=lambda n: np.asarray(n, dtype=float),
+            # e_{m+1}/e_m = (m+1)/m falls with m, so m = n+1 sets the cap
+            ratio_cap=lambda n: (n + 2.0) / (n + 1.0),
+            normalization=math.exp,
+            density=lambda u: np.exp(-np.asarray(u, dtype=float)),
+            log_density=lambda u: -np.asarray(u, dtype=float),
+            closed_form_grid=(0.5, 1.0, 2.0, 5.0),
+            closed_form_rtol=1e-12,
+            variance_grid=(0.5, 1.0, 2.0, 4.0),
+            n_check=15,
+            checks=frozenset({"canonical-reduction"}),
+        ),
+        Model(
+            name="hydrogen_like",
+            e_star=1.0,
+            level_rule=lambda n: 1.0 - _hydrogen_gap(n),
+            gap_rule=_hydrogen_gap,
+            normalization=lambda J: 2.0 / (1.0 - J) + (2.0 / (J * J)) * (J + math.log1p(-J)),
+            density=lambda u: np.full_like(np.asarray(u, dtype=float), 0.5),
+            atoms=((1.0, 0.5),),
+            variance_bound=lambda J, omega: 0.75 * omega**2 * J * (1.0 - J),
+            variance_bound_text="(3/4) omega^2 J (1-J)",
+            closed_form_grid=tuple(np.arange(0.05, 0.951, 0.05).tolist()),
+            closed_form_rtol=1e-10,
+            variance_grid=tuple(np.arange(0.1, 0.91, 0.1).tolist()),
+            n_check=30,
+            checks=frozenset({"projector-offdiagonal-decay", "near-jstar-exponent"}),
+        ),
+    )
+}
+
+
 def make_builtin(model: str, omega: float = 1.0) -> Spectrum:
-    """Built-in spectra: 'harmonic' (e_n = n) or 'hydrogen_like' (e_n = 1 - 1/(n+1)^2)."""
-    if model == "harmonic":
-        return Spectrum(
-            name="harmonic", omega=float(omega), kind="builtin",
-            e_star=math.inf, model="harmonic", level_rule=_harmonic_levels,
-        )
-    if model == "hydrogen_like":
-        return Spectrum(
-            name="hydrogen_like", omega=float(omega), kind="builtin",
-            e_star=1.0, model="hydrogen_like",
-            level_rule=_hydrogen_levels, gap_rule=_hydrogen_gap,
-        )
-    raise SpectrumError(f"unknown builtin model {model!r}; choose from {BUILTIN_MODELS}")
+    """Built-in spectra, one per record in MODELS: 'harmonic' (e_n = n) or
+    'hydrogen_like' (e_n = 1 - 1/(n+1)^2)."""
+    record = MODELS.get(model) if isinstance(model, str) else None
+    if record is None:
+        raise SpectrumError(f"unknown builtin model {model!r}; choose from {tuple(MODELS)}")
+    return Spectrum(
+        name=record.name, omega=float(omega), e_star=record.e_star, model=record,
+        level_rule=record.level_rule, gap_rule=record.gap_rule,
+    )
 
 
 def from_rule(
@@ -142,8 +196,7 @@ def from_rule(
             return _star - np.asarray(_gap(n), dtype=float)
 
     return Spectrum(
-        name=name, omega=float(omega), kind="rule",
-        e_star=None if e_star is None else float(e_star),
+        name=name, omega=float(omega), e_star=None if e_star is None else float(e_star),
         level_rule=level_rule, gap_rule=gap_rule,
     )
 
@@ -183,8 +236,7 @@ def from_levels(
                 f"declared e_star={e_star} must exceed the last level e={e[-1]}"
             )
     built = Spectrum(
-        name=name, omega=float(omega), kind="explicit",
-        e_star=e_star, shift_applied=float(shift), levels=e,
+        name=name, omega=float(omega), e_star=e_star, shift_applied=float(shift), levels=e
     )
     if len(e) > 1:
         report = validate(built, len(e) - 1)
@@ -194,26 +246,37 @@ def from_levels(
     return built
 
 
+def _read_object(document: str | Mapping, what: str) -> dict:
+    """A document given as JSON text or a mapping, as a new dict; anything but
+    a JSON object is refused."""
+    if isinstance(document, str):
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise SpectrumError(f"cannot parse {what} document: {exc}") from None
+    if not isinstance(document, Mapping):
+        raise SpectrumError(f"{what} document must be a JSON object")
+    return dict(document)
+
+
+def _number(value, name: str) -> float:
+    """A number from a document, where the strings 'inf' and 'infinity' mean math.inf."""
+    if isinstance(value, str) and value.lower() in ("inf", "infinity"):
+        return math.inf
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpectrumError(f"{name} must be a number or 'inf', got {value!r}")
+    return float(value)
+
+
 def load_spectrum(document: str | Mapping) -> Spectrum:
     """Parse a spectrum document (JSON text or mapping) into a validated Spectrum.
 
     Document schema:
       {"name": str, "omega": float, "kind": "builtin"|"explicit",
-       "model": "harmonic"|"hydrogen_like" (builtin only),
-       "levels": [floats] (explicit only), "e_star": float|null}
+       "model": a key of MODELS (builtin only),
+       "levels": [floats] (explicit only), "e_star": float|"inf"|null}
     """
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SpectrumError(f"cannot parse spectrum document: {exc}") from None
-    elif isinstance(document, Mapping):
-        doc = dict(document)
-    else:
-        raise SpectrumError("spectrum document must be JSON text or a mapping")
-    if not isinstance(doc, dict):
-        raise SpectrumError("spectrum document must be a JSON object")
-
+    doc = _read_object(document, "spectrum")
     omega = doc.get("omega")
     if not isinstance(omega, (int, float)) or not omega > 0:
         raise SpectrumError(f"omega must be a positive number, got {omega!r}")
@@ -231,11 +294,8 @@ def load_spectrum(document: str | Mapping) -> Spectrum:
         if not isinstance(raw, (list, tuple)) or not raw:
             raise SpectrumError("explicit spectrum needs a nonempty 'levels' array")
         e_star = doc.get("e_star")
-        if isinstance(e_star, str):
-            if e_star.lower() in ("inf", "infinity"):
-                e_star = math.inf
-            else:
-                raise SpectrumError(f"e_star must be a number, null, or 'inf', got {e_star!r}")
+        if e_star is not None:
+            e_star = _number(e_star, "e_star")
         return from_levels(str(name or "custom"), float(omega), raw, e_star=e_star)
 
     raise SpectrumError(f"unknown spectrum kind {kind!r} (expected 'builtin' or 'explicit')")
@@ -259,8 +319,6 @@ def validate(s: Spectrum, n_max: int) -> ValidationReport:
 
 def _check_levels(s: Spectrum, e: np.ndarray) -> ValidationReport:
     """The checks of ``validate`` on levels e_0..e_k already evaluated."""
-    ties_are_violations = s.kind == "explicit"
-
     violations: list[tuple[int, str]] = []
     if not np.isfinite(e[0]) or e[0] != 0.0:
         violations.append((0, f"e_0 must be 0, got {e[0]!r}"))
@@ -274,7 +332,7 @@ def _check_levels(s: Spectrum, e: np.ndarray) -> ValidationReport:
         ties = (diffs == 0) & finite_pair
     for idx in np.nonzero(decreasing)[0]:
         violations.append((int(idx) + 1, "decreasing level"))
-    if ties_are_violations:
+    if s.levels is not None:  # ties are tolerated in rules only, see validate
         for idx in np.nonzero(ties)[0]:
             violations.append((int(idx) + 1, "degenerate level (equal to the previous one)"))
     if s.e_star is not None and math.isfinite(s.e_star):

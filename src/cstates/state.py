@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpectrumMismatchError
+from .errors import LabelRangeError, SpectrumMismatchError
 from .phase import phase_factor
 from .spectrum import Spectrum
 from .weights import (
@@ -19,10 +19,14 @@ from .weights import (
 
 @dataclass(frozen=True)
 class StateLabel:
-    """Action-angle label (J, gamma); gamma is unbounded and never wrapped."""
+    """Action-angle label (J, gamma); gamma is unbounded and never wrapped, but finite."""
 
     J: float
     gamma: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.gamma):
+            raise LabelRangeError(f"gamma must be a finite number, got {self.gamma!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,10 +36,6 @@ class CheckResult:
     detail: str
 
 
-def _closed_form_normalization_hydrogen(J: float) -> float:
-    return 2.0 / (1.0 - J) + (2.0 / (J * J)) * (J + math.log1p(-J))
-
-
 def _probe_usable_j(w: WeightTable, start: float, tol: float, need_second: bool) -> float:
     """Largest J (down a 0.7-geometric ladder) whose tails certify at tol.
 
@@ -69,6 +65,7 @@ def run_suite(
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     model = s.model
+    model_checks = model.checks if model else frozenset()
 
     def run(name, fn):
         try:
@@ -79,8 +76,11 @@ def run_suite(
         except CStatesError as exc:
             results.append(CheckResult(name, "fail", f"{type(exc).__name__}: {exc}"))
 
-    def skip(name, reason):
-        results.append(CheckResult(name, "skipped", reason))
+    def run_if(applies, name, fn, reason):
+        if applies:
+            run(name, fn)
+        else:
+            results.append(CheckResult(name, "skipped", reason))
 
     j_top = 0.95 * min(w.j_star, 10.0)
     j_state = _probe_usable_j(w, j_top, tol, need_second=False)
@@ -95,54 +95,39 @@ def run_suite(
 
     run("action-identity", chk_action_identity)
 
-    if model == "hydrogen_like":
-        def chk_closed_form():
-            worst = 0.0
-            for J in np.arange(0.05, 0.951, 0.05):
-                val = normalization(w, s, float(J))
-                ref = _closed_form_normalization_hydrogen(float(J))
-                err = abs(val.value / ref - 1.0)
-                worst = max(worst, err)
-                assert err <= max(1e-10, val.tail_bound / ref), (
-                    f"N({J:.2f}) series {val.value!r} vs closed form {ref!r}"
-                )
-            return f"max relative deviation {worst:.2e}"
+    def chk_closed_form():
+        worst = 0.0
+        for J in model.closed_form_grid:
+            val = normalization(w, s, J)
+            ref = model.normalization(J)
+            err = abs(val.value / ref - 1.0)
+            worst = max(worst, err)
+            assert err <= max(model.closed_form_rtol, val.tail_bound / ref), (
+                f"N({J:.2f}) series {val.value!r} vs closed form {ref!r}"
+            )
+        return f"max relative deviation {worst:.2e}"
 
-        run("normalization-closed-form", chk_closed_form)
-    elif model == "harmonic":
-        def chk_exp_form():
-            worst = 0.0
-            for J in (0.5, 1.0, 2.0, 5.0):
-                val = normalization(w, s, J)
-                worst = max(worst, abs(val.value / math.exp(J) - 1.0))
-            assert worst <= 1e-12, f"N(J) vs exp(J) off by {worst:.3e}"
-            return f"max relative deviation from exp(J): {worst:.2e}"
+    run_if(model, "normalization-closed-form", chk_closed_form, "no closed form for custom spectra")
 
-        run("normalization-closed-form", chk_exp_form)
-    else:
-        skip("normalization-closed-form", "no closed form for custom spectra")
+    def chk_reduction():
+        worst = 0.0
+        for _ in range(10):
+            J = float(rng.uniform(0.0, 6.0))
+            gamma = float(rng.uniform(-math.pi, math.pi))
+            state = coefficients(s, w, StateLabel(J, gamma), tol=1e-26)
+            z = math.sqrt(J) * complex(math.cos(gamma), -math.sin(gamma))
+            top = min(60, state.n_top)
+            log_fact = 0.0
+            for n in range(top + 1):
+                if n > 0:
+                    log_fact += math.log(n)
+                exact = math.exp(-J / 2.0 - 0.5 * log_fact) * z**n
+                worst = max(worst, abs(state.c[n] - exact))
+        assert worst <= 1e-12, f"worst component deviation {worst:.3e} > 1e-12"
+        return f"worst |c_n - canonical| = {worst:.2e} over 10 labels, n <= 60"
 
-    if model == "harmonic":
-        def chk_reduction():
-            worst = 0.0
-            for _ in range(10):
-                J = float(rng.uniform(0.0, 6.0))
-                gamma = float(rng.uniform(-math.pi, math.pi))
-                state = coefficients(s, w, StateLabel(J, gamma), tol=1e-26)
-                z = math.sqrt(J) * complex(math.cos(gamma), -math.sin(gamma))
-                top = min(60, state.n_top)
-                log_fact = 0.0
-                for n in range(top + 1):
-                    if n > 0:
-                        log_fact += math.log(n)
-                    exact = math.exp(-J / 2.0 - 0.5 * log_fact) * z**n
-                    worst = max(worst, abs(state.c[n] - exact))
-            assert worst <= 1e-12, f"worst component deviation {worst:.3e} > 1e-12"
-            return f"worst |c_n - canonical| = {worst:.2e} over 10 labels, n <= 60"
-
-        run("canonical-reduction", chk_reduction)
-    else:
-        skip("canonical-reduction", "canonical closed form applies to the harmonic rule only")
+    run_if("canonical-reduction" in model_checks, "canonical-reduction", chk_reduction,
+           "canonical closed form applies to the harmonic rule only")
 
     def chk_norm_deficit():
         worst = 0.0
@@ -184,12 +169,7 @@ def run_suite(
     run("dynamics-as-kinematics", chk_kinematics)
 
     def chk_variance_agreement():
-        if model == "hydrogen_like":
-            grid = np.arange(0.1, 0.91, 0.1)
-        elif model == "harmonic":
-            grid = np.array([0.5, 1.0, 2.0, 4.0])
-        else:
-            grid = np.linspace(0.1, 0.8, 5) * j_var
+        grid = model.variance_grid if model else np.linspace(0.1, 0.8, 5) * j_var
         worst = 0.0
         for J in grid:
             vp = variance(s, w, float(J))  # raises CrossCheckError on disagreement
@@ -197,10 +177,8 @@ def run_suite(
                 worst = max(worst, abs(vp.variance - vp.double_sum) / abs(vp.variance))
         return f"max relative route difference {worst:.2e}"
 
-    if model is not None or j_var > 0:
-        run("variance-route-agreement", chk_variance_agreement)
-    else:
-        skip("variance-route-agreement", "no certified second-moment bound (declare e_star)")
+    run_if(model or j_var > 0, "variance-route-agreement", chk_variance_agreement,
+           "no certified second-moment bound (declare e_star)")
 
     def chk_gamma_independence():
         J = float(j_mid)
@@ -215,32 +193,31 @@ def run_suite(
 
     run("gamma-independence", chk_gamma_independence)
 
-    if model == "hydrogen_like":
-        def chk_bound():
-            for J in np.arange(0.1, 0.91, 0.1):
-                vp = variance(s, w, float(J))
-                bound = 0.75 * s.omega**2 * J * (1.0 - J)
-                assert vp.variance <= bound + 1e-9, (
-                    f"v({J:.1f}) = {vp.variance!r} exceeds (3/4) omega^2 J(1-J) = {bound!r}"
-                )
-            return "v(J) <= (3/4) omega^2 J (1-J) on the 0.1..0.9 grid"
+    def chk_bound():
+        grid = model.variance_grid
+        for J in grid:
+            vp = variance(s, w, J)
+            bound = model.variance_bound(J, s.omega)
+            assert vp.variance <= bound + 1e-9, (
+                f"v({J:g}) = {vp.variance!r} exceeds {model.variance_bound_text} = {bound!r}"
+            )
+        return f"v(J) <= {model.variance_bound_text} on the {grid[0]:g}..{grid[-1]:g} grid"
 
-        run("variance-bound", chk_bound)
+    run_if(model and model.variance_bound, "variance-bound", chk_bound,
+           "closed-form bound applies to the hydrogen-like rule only")
 
-        def chk_decay():
-            offs = []
-            for gam in (1e2, 1e3, 1e4):
-                proj = gamma_averaged_projector(s, w, 0.5, gam, 30)
-                off = proj.entries - np.diag(np.diag(proj.entries))
-                offs.append(float(np.abs(off).max()))
-            r1, r2 = offs[0] / offs[1], offs[1] / offs[2]
-            assert r1 >= 8.0 and r2 >= 8.0, f"decay ratios {r1:.2f}, {r2:.2f} below 8"
-            return f"off-diagonal max decay ratios {r1:.1f}x, {r2:.1f}x per 10x Gamma"
+    def chk_decay():
+        offs = []
+        for gam in (1e2, 1e3, 1e4):
+            proj = gamma_averaged_projector(s, w, 0.5, gam, 30)
+            off = proj.entries - np.diag(np.diag(proj.entries))
+            offs.append(float(np.abs(off).max()))
+        r1, r2 = offs[0] / offs[1], offs[1] / offs[2]
+        assert r1 >= 8.0 and r2 >= 8.0, f"decay ratios {r1:.2f}, {r2:.2f} below 8"
+        return f"off-diagonal max decay ratios {r1:.1f}x, {r2:.1f}x per 10x Gamma"
 
-        run("projector-offdiagonal-decay", chk_decay)
-    else:
-        skip("variance-bound", "closed-form bound applies to the hydrogen-like rule only")
-        skip("projector-offdiagonal-decay", "calibrated for the hydrogen-like gap structure")
+    run_if("projector-offdiagonal-decay" in model_checks, "projector-offdiagonal-decay",
+           chk_decay, "calibrated for the hydrogen-like gap structure")
 
     def chk_slope():
         ref = s.e(1)
@@ -251,51 +228,42 @@ def run_suite(
         assert abs(got / ref - 1.0) <= 1e-4, f"slope {got!r} vs e_1 = {ref!r}"
         return f"v(J)/J -> {got:.12g}, e_1 = {ref:.12g}"
 
-    if j_var > 0:
-        run("small-j-slope", chk_slope)
-    else:
-        skip("small-j-slope", "no certified second-moment bound (declare e_star)")
+    run_if(j_var > 0, "small-j-slope", chk_slope,
+           "no certified second-moment bound (declare e_star)")
 
-    if model == "hydrogen_like":
-        def chk_exponent():
-            got = near_jstar_exponent(s, w)
-            assert abs(got - 1.0) <= 0.1, f"fitted exponent {got:.3f} not within 1.0 +- 0.1"
-            coeff = near_jstar_coefficient(s, w)
-            # the intercept needs ~3e4 terms at J = 0.999
-            wide = w if w.n_max >= 40_000 else compute_weights(s, 40_000)
-            vp = variance(s, wide, 0.999)
-            intercept = vp.variance / (s.omega**2 * (1.0 - 0.999))
-            rel = abs(intercept / coeff.value - 1.0)
-            assert rel <= 0.2, (
-                f"v/(1-J) at J=0.999 is {intercept:.4f} vs direct-sum coefficient "
-                f"{coeff.value:.4f} (off by {rel:.1%})"
-            )
-            return f"exponent {got:.3f}; v/(1-J) vs coefficient off by {rel:.1%}"
+    def chk_exponent():
+        got = near_jstar_exponent(s, w)
+        assert abs(got - 1.0) <= 0.1, f"fitted exponent {got:.3f} not within 1.0 +- 0.1"
+        coeff = near_jstar_coefficient(s, w)
+        # the intercept needs ~3e4 terms at J = 0.999
+        wide = w if w.n_max >= 40_000 else compute_weights(s, 40_000)
+        vp = variance(s, wide, 0.999)
+        intercept = vp.variance / (s.omega**2 * (1.0 - 0.999))
+        rel = abs(intercept / coeff.value - 1.0)
+        assert rel <= 0.2, (
+            f"v/(1-J) at J=0.999 is {intercept:.4f} vs direct-sum coefficient "
+            f"{coeff.value:.4f} (off by {rel:.1%})"
+        )
+        return f"exponent {got:.3f}; v/(1-J) vs coefficient off by {rel:.1%}"
 
-        run("near-jstar-exponent", chk_exponent)
-    else:
-        skip("near-jstar-exponent", "needs declared J* = 1 with known asymptotics")
+    run_if("near-jstar-exponent" in model_checks, "near-jstar-exponent", chk_exponent,
+           "needs declared J* = 1 with known asymptotics")
 
-    if measure is not None:
-        n_check = 30 if model == "hydrogen_like" else 15
+    n_check = model.n_check if model else 15
 
-        def chk_moments():
-            err = moment_check(measure, w, n_check)
-            assert err <= 1e-9, f"max relative moment error {err:.3e} > 1e-9"
-            return f"max relative moment error {err:.2e} for n <= {n_check}"
+    def chk_moments():
+        err = moment_check(measure, w, n_check)
+        assert err <= 1e-9, f"max relative moment error {err:.3e} > 1e-9"
+        return f"max relative moment error {err:.2e} for n <= {n_check}"
 
-        run("measure-moments", chk_moments)
+    def chk_unity():
+        d = unity_check(measure, w, s, n_check)
+        worst = float(np.abs(d - 1.0).max())
+        assert worst <= 1e-9, f"unity diagonals deviate by {worst:.3e} > 1e-9"
+        return f"max |d_n - 1| = {worst:.2e} for n <= {n_check}"
 
-        def chk_unity():
-            d = unity_check(measure, w, s, n_check)
-            worst = float(np.abs(d - 1.0).max())
-            assert worst <= 1e-9, f"unity diagonals deviate by {worst:.3e} > 1e-9"
-            return f"max |d_n - 1| = {worst:.2e} for n <= {n_check}"
-
-        run("unity-diagonals", chk_unity)
-    else:
-        skip("measure-moments", "no measure available for this spectrum")
-        skip("unity-diagonals", "no measure available for this spectrum")
+    for name, fn in (("measure-moments", chk_moments), ("unity-diagonals", chk_unity)):
+        run_if(measure is not None, name, fn, "no measure available for this spectrum")
 
     def chk_trace():
         ps = power_sums(w, j_mid, rel_tol=tol)

@@ -137,8 +137,8 @@ def _ratio_caps(s: Spectrum, e_next: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Certified upper bound on e_{m+1}/e_m over all m > n, per n."""
     if s.e_star is not None and math.isfinite(s.e_star):
         return s.e_star / e_next
-    if s.model == "harmonic":
-        return (n + 2.0) / (n + 1.0)
+    if s.model is not None and s.model.ratio_cap is not None:
+        return s.model.ratio_cap(n)
     raise CertificationError(
         "second-moment tail bound needs a finite e_star (declare one) "
         "or a built-in growth rule"

@@ -43,6 +43,23 @@ def test_spectrum_bad_file_exits_nonzero(tmp_path, capsys):
     assert "decreasing" in err or "invalid" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--file", "DOC", "--omega", "2"],
+        ["spectrum", "--file", "DOC"],
+        ["resolution", "--model", "hydrogen_like", "--measure", "DOC"],
+    ],
+)
+def test_json_list_documents_are_refused(tmp_path, capsys, argv):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, out, err = run(capsys, [str(path) if a == "DOC" else a for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_spectrum_json_format(capsys):
     code, out, _ = run(capsys, ["spectrum", "--model", "hydrogen_like", "--format", "json"])
     assert code == 0
@@ -94,6 +111,15 @@ def test_variance_grid_respects_bound(capsys):
     for r in rows:
         assert float(r[2]) <= float(r[3]) + 1e-9
         assert r[5] == ""
+
+
+def test_variance_failed_rows_have_no_bound(capsys):
+    code, out, _ = run(capsys, ["variance", "--model", "hydrogen_like", "--grid", "0.5,1.5"])
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert float(rows[0][3]) == 0.1875
+    assert rows[1][1:5] == ["nan", "nan", "nan", "nan"]
+    assert rows[1][5].startswith("LabelRangeError")
 
 
 def test_variance_single_point_harmonic(capsys):
@@ -160,6 +186,23 @@ def test_evolve_out_of_range(capsys):
     code, _, err = run(capsys, ["evolve", "--model", "hydrogen_like", "--J", "2.0", "--t", "1"])
     assert code == 1
     assert "J" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--model", "harmonic", "--J", "1", "--t", "inf"],
+        ["evolve", "--model", "harmonic", "--J", "1", "--t", "nan"],
+        ["evolve", "--model", "hydrogen_like", "--J", "0.5", "--gamma=-inf", "--t", "1"],
+        ["state", "--model", "harmonic", "--J", "1", "--gamma", "nan"],
+        ["state", "--model", "hydrogen_like", "--J", "0.5", "--gamma", "inf"],
+    ],
+)
+def test_nonfinite_label_or_time_is_refused(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_resolution_builtin(capsys):
@@ -262,6 +305,42 @@ def test_verify_builtins_pass(capsys):
         assert all(v in ("pass", "skipped") for v in statuses.values())
         assert statuses["action-identity"] == "pass"
         assert statuses["temporal-stability"] == "pass"
+
+
+VERIFY_CHECKS = (
+    "action-identity", "normalization-closed-form", "canonical-reduction", "norm-deficit",
+    "temporal-stability", "dynamics-as-kinematics", "variance-route-agreement",
+    "gamma-independence", "variance-bound", "projector-offdiagonal-decay", "small-j-slope",
+    "near-jstar-exponent", "measure-moments", "unity-diagonals", "projector-trace",
+    "projector-psd", "label-continuity", "evolution-norm", "label-flow",
+)
+CUSTOM_SKIPS = {
+    "normalization-closed-form", "canonical-reduction", "variance-bound",
+    "projector-offdiagonal-decay", "near-jstar-exponent", "measure-moments", "unity-diagonals",
+}
+STEPS = {"name": "steps", "omega": 1.0, "kind": "explicit", "levels": [0.0, 2.0, 5.0, 9.0]}
+
+
+@pytest.mark.parametrize(
+    "source, skipped",
+    [
+        (["--model", "harmonic"],
+         {"variance-bound", "projector-offdiagonal-decay", "near-jstar-exponent"}),
+        (["--model", "hydrogen_like"], {"canonical-reduction"}),
+        ({**STEPS, "e_star": 12.0}, CUSTOM_SKIPS),
+        (STEPS, CUSTOM_SKIPS | {"variance-route-agreement", "small-j-slope"}),
+    ],
+    ids=["harmonic", "hydrogen_like", "explicit-e_star", "explicit"],
+)
+def test_verify_check_sequence(tmp_path, capsys, source, skipped):
+    if isinstance(source, dict):
+        path = tmp_path / "spectrum.json"
+        path.write_text(json.dumps(source))
+        source = ["--file", str(path)]
+    code, out, err = run(capsys, ["verify", *source, "--format", "json"])
+    assert code == 0, err
+    got = [(c["name"], c["status"]) for c in json.loads(out)["checks"]]
+    assert got == [(name, "skipped" if name in skipped else "pass") for name in VERIFY_CHECKS]
 
 
 def test_verify_hydrogen_specifics(capsys):

@@ -7,12 +7,22 @@ from cstates import (
     LabelRangeError,
     Measure,
     builtin_measure,
+    compute_weights,
     gamma_averaged_projector,
     load_measure,
+    make_builtin,
     moment_check,
     unity_check,
 )
 from cstates.resolution import _measure_moments
+from cstates.spectrum import MODELS
+
+
+def builtin_cases():
+    """(measure, spectrum, weight table, n_check) for each built-in model."""
+    for model, record in MODELS.items():
+        s = make_builtin(model)
+        yield builtin_measure(model), s, compute_weights(s, 2_000), record.n_check
 
 
 def test_harmonic_measure_moments_are_factorials(w_harmonic):
@@ -32,13 +42,13 @@ def test_hydrogen_measure_moments_analytic(w_hydrogen):
 
 
 def test_zeroth_moment_is_normalized():
-    for model in ("harmonic", "hydrogen_like"):
+    for model in MODELS:
         assert _measure_moments(builtin_measure(model), 0)[0] == pytest.approx(1.0, rel=1e-12)
 
 
-def test_moment_check_builtins(w_harmonic, w_hydrogen):
-    assert moment_check(builtin_measure("harmonic"), w_harmonic, 15) <= 1e-9
-    assert moment_check(builtin_measure("hydrogen_like"), w_hydrogen, 30) <= 1e-10
+def test_moment_check_builtins():
+    for m, _, w, n_check in builtin_cases():
+        assert moment_check(m, w, n_check) <= 1e-10, m.name
 
 
 def test_moment_check_negative_control(w_harmonic):
@@ -53,15 +63,11 @@ def test_moment_check_range_guard(w_hydrogen):
         moment_check(builtin_measure("hydrogen_like"), w_hydrogen, w_hydrogen.n_max + 1)
 
 
-def test_unity_check_hydrogen(hydrogen, w_hydrogen):
-    d = unity_check(builtin_measure("hydrogen_like"), w_hydrogen, hydrogen, 30)
-    assert np.abs(d - 1.0).max() <= 1e-10
-    assert d[0] == pytest.approx(1.0, rel=1e-12)
-
-
-def test_unity_check_harmonic(harmonic, w_harmonic):
-    d = unity_check(builtin_measure("harmonic"), w_harmonic, harmonic, 15)
-    assert np.abs(d - 1.0).max() <= 1e-9
+def test_unity_check_builtins():
+    for m, s, w, n_check in builtin_cases():
+        d = unity_check(m, w, s, n_check)
+        assert np.abs(d - 1.0).max() <= 1e-10, m.name
+        assert d[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_unity_check_support_mismatch(hydrogen, w_hydrogen):
@@ -160,14 +166,20 @@ def test_load_measure_table():
 def test_load_measure_rejects_bad_documents():
     from cstates import SpectrumError
 
-    with pytest.raises(SpectrumError):
-        load_measure({"U": -1.0, "density": {"kind": "constant", "value": 1.0}})
-    with pytest.raises(SpectrumError):
-        load_measure({"U": 1.0, "density": {"kind": "nope"}})
-    with pytest.raises(SpectrumError):
-        load_measure({"U": "inf", "density": {"kind": "constant", "value": 1.0}})
-    with pytest.raises(SpectrumError):
-        load_measure("not json at all {{")
+    constant = {"kind": "constant", "value": 0.5}
+    for bad in (
+        {"U": -1.0, "density": constant},
+        {"U": 1.0, "density": {"kind": "nope"}},
+        {"U": "inf", "density": constant},
+        "not json at all {{",
+        "[1, 2]",
+        {"U": 1.0, "density": [0.5]},
+        {"U": 1.0, "density": constant, "atoms": [{"u": 1.0}]},
+        {"U": 1.0, "density": constant, "atoms": [{"w": 0.5}]},
+        {"U": 1.0, "density": constant, "atoms": [1.0]},
+    ):
+        with pytest.raises(SpectrumError):
+            load_measure(bad)
 
 
 def test_measure_atom_guards():
