@@ -63,11 +63,18 @@ def test_moment_check_range_guard(w_hydrogen):
         moment_check(builtin_measure("hydrogen_like"), w_hydrogen, w_hydrogen.n_max + 1)
 
 
-def test_unity_check_builtins():
-    for m, s, w, n_check in builtin_cases():
-        d = unity_check(m, w, s, n_check)
-        assert np.abs(d - 1.0).max() <= 1e-10, m.name
-        assert d[0] == pytest.approx(1.0, rel=1e-12)
+def check_unity(model, s, w):
+    d = unity_check(builtin_measure(model), w, s, MODELS[model].n_check)
+    assert np.abs(d - 1.0).max() <= 1e-10
+    assert d[0] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_unity_check_hydrogen(hydrogen, w_hydrogen):
+    check_unity("hydrogen_like", hydrogen, w_hydrogen)
+
+
+def test_unity_check_harmonic(harmonic, w_harmonic):
+    check_unity("harmonic", harmonic, w_harmonic)
 
 
 def test_unity_check_support_mismatch(hydrogen, w_hydrogen):
