@@ -100,11 +100,16 @@ def _write(text: str, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
+def _json_text(obj) -> str:
+    """Strict JSON: the NaN and Infinity tokens of json.dumps come back as null."""
+    strict = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    return json.dumps(strict, indent=2, allow_nan=False) + "\n"
+
+
 def _emit_table(header: list[str], rows: list[list], cfg: RunConfig) -> None:
     """JSON records, or CSV rows with ',' in string cells turned into ';'."""
     if cfg.fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _write(json.dumps(payload, indent=2) + "\n", cfg)
+        _write(_json_text([dict(zip(header, row)) for row in rows]), cfg)
         return
     lines = [",".join(header)]
     for row in rows:
@@ -116,7 +121,7 @@ def _emit_table(header: list[str], rows: list[list], cfg: RunConfig) -> None:
 def _emit_object(obj: dict, header: list[str], rows: list[list], cfg: RunConfig) -> None:
     """JSON gets the full object; CSV keeps only the tabular part."""
     if cfg.fmt == "json":
-        _write(json.dumps(obj, indent=2) + "\n", cfg)
+        _write(_json_text(obj), cfg)
     else:
         _emit_table(header, rows, cfg)
 
@@ -215,7 +220,7 @@ def cmd_variance(args) -> int:
     s = _resolve_spectrum(cfg)
     w = _table_for(cfg, s)
     grid = _parse_grid(args)
-    points = variance_curve(s, w, grid)
+    points = variance_curve(s, w, grid, rel_tol=cfg.tol)
     bound = s.model.variance_bound if s.model else None
     header = ["J", "mean", "variance"] + (["bound"] if bound else []) + ["tail_bound", "error"]
     rows = []

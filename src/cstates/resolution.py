@@ -1,11 +1,14 @@
 """Resolution-of-unity checks: moment measures and gamma-averaged projectors.
 
 A weight measure rho(u) du on [0, U) (plus optional point atoms) resolves
-the identity when its power moments reproduce rho_n with U = J*.  Built-in
-measures: exp(-u) du on [0, inf) for the harmonic rule, and du/2 on [0, 1)
-plus an atom of mass 1/2 at u = 1 for the hydrogen-like rule — the atom is
-forced by rho_n -> 1/2 > 0 while the moments of any integrable density on
-[0, 1) vanish as n grows.
+the identity when its power moments reproduce rho_n with U = J*.  Every
+measure comes from a measure document read by ``load_measure``; a built-in
+model's record holds its document (``Model.measure``) and U = e_star.  They
+are exp(-u) du on [0, inf) for the harmonic rule, and du/2 on [0, 1) plus an
+atom of mass 1/2 at u = 1 for the hydrogen-like rule — the atom is forced by
+rho_n -> 1/2 > 0 while the moments of any integrable density on [0, 1)
+vanish as n grows.  Moments use Gauss-Laguerre nodes when U is infinite and
+Gauss-Legendre nodes on [0, U) otherwise.
 """
 from __future__ import annotations
 
@@ -24,19 +27,16 @@ _QUAD_DOUBLINGS = 4
 _QUAD_RTOL = 1e-12
 _TINY = 1e-300
 
-FINITE_INTERVAL = "finite_interval"
-SEMI_INFINITE = "semi_infinite_exponential"
-
 
 @dataclass(frozen=True, eq=False)
 class Measure:
-    """Weight measure on [0, U): a density plus a finite list of point atoms."""
+    """Weight measure on [0, U): a density (and its log, when known) plus a
+    finite list of point atoms; U alone selects the quadrature rule."""
 
     name: str
     U: float
     density: Callable[[np.ndarray], np.ndarray]
     atoms: tuple[tuple[float, float], ...] = ()
-    quadrature_hint: str = FINITE_INTERVAL
     log_density: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -59,25 +59,20 @@ class ProjectorMatrix:
 
 
 def builtin_measure(model: str) -> Measure:
-    """The measure of a record in MODELS, on [0, e_star)."""
+    """The measure document of a record in MODELS, read on [0, e_star)."""
     record = MODELS.get(model) if isinstance(model, str) else None
     if record is None:
         raise SpectrumError(f"no builtin measure for model {model!r}")
-    return Measure(
-        name=record.name,
-        U=record.e_star,
-        density=record.density,
-        atoms=record.atoms,
-        quadrature_hint=SEMI_INFINITE if math.isinf(record.e_star) else FINITE_INTERVAL,
-        log_density=record.log_density,
-    )
+    doc = _read_object(record.measure, "measure")
+    return load_measure({**doc, "name": record.name, "U": record.e_star})
 
 
 def load_measure(document: str | Mapping) -> Measure:
     """Parse a measure document.
 
     Schema: {"U": float|"inf", "density": {"kind": "exponential"|"constant"|
-    "table", ...}, "atoms": [{"u": float, "w": float}]}
+    "table", ...}, "atoms": [{"u": float, "w": float}]}; density parameters
+    and table entries are finite numbers, and a table needs a finite U.
     """
     doc = _read_object(document, "measure")
     U = _number(doc.get("U"), "U")
@@ -90,10 +85,10 @@ def load_measure(document: str | Mapping) -> Measure:
     kind = dens.get("kind")
     log_density = None
     if kind == "exponential":
-        rate = float(dens.get("rate", 1.0))
-        amplitude = float(dens.get("amplitude", 1.0))
-        if rate <= 0 or amplitude <= 0:
-            raise SpectrumError("exponential density needs positive rate and amplitude")
+        rate = _number(dens.get("rate", 1.0), "rate")
+        amplitude = _number(dens.get("amplitude", 1.0), "amplitude")
+        if not (0 < rate < math.inf and 0 < amplitude < math.inf):
+            raise SpectrumError("exponential density needs finite positive rate and amplitude")
 
         def density(u, _r=rate, _a=amplitude):
             return _a * np.exp(-_r * np.asarray(u, dtype=float))
@@ -101,30 +96,32 @@ def load_measure(document: str | Mapping) -> Measure:
         def log_density(u, _r=rate, _a=amplitude):
             return math.log(_a) - _r * np.asarray(u, dtype=float)
 
-        hint = SEMI_INFINITE if math.isinf(U) else FINITE_INTERVAL
     elif kind == "constant":
-        value = float(dens.get("value", 0.0))
-        if value < 0:
-            raise SpectrumError("constant density must be nonnegative")
+        value = _number(dens.get("value", 0.0), "value")
+        if not 0 <= value < math.inf:
+            raise SpectrumError("constant density must be finite and nonnegative")
         if math.isinf(U) and value > 0:
             raise SpectrumError("constant density on an infinite interval is not integrable")
 
         def density(u, _v=value):
             return np.full_like(np.asarray(u, dtype=float), _v)
 
-        hint = FINITE_INTERVAL
     elif kind == "table":
-        us = np.asarray(dens.get("u", ()), dtype=float)
-        vals = np.asarray(dens.get("rho", ()), dtype=float)
+        if math.isinf(U):
+            raise SpectrumError("table density needs a finite U")
+        us, vals = (dens.get(key, ()) for key in ("u", "rho"))
+        if not (isinstance(us, (list, tuple)) and isinstance(vals, (list, tuple))):
+            raise SpectrumError("table density needs arrays 'u' and 'rho'")
+        us = np.array([_number(v, "table u") for v in us])
+        vals = np.array([_number(v, "table rho") for v in vals])
         if us.size < 2 or us.size != vals.size:
             raise SpectrumError("table density needs matching 'u' and 'rho' arrays (>= 2 points)")
-        if np.any(vals < 0):
-            raise SpectrumError("table density must be nonnegative")
+        if not (np.all(np.isfinite(us)) and np.all(np.isfinite(vals)) and np.all(vals >= 0)):
+            raise SpectrumError("table density needs finite 'u' and finite nonnegative 'rho'")
 
         def density(u, _us=us, _vals=vals):
             return np.interp(np.asarray(u, dtype=float), _us, _vals, left=0.0, right=0.0)
 
-        hint = FINITE_INTERVAL
     else:
         raise SpectrumError(f"unknown density kind {kind!r}")
 
@@ -138,14 +135,13 @@ def load_measure(document: str | Mapping) -> Measure:
         U=U,
         density=density,
         atoms=atoms,
-        quadrature_hint=hint,
         log_density=log_density,
     )
 
 
 def _quad_once(m: Measure, ns: np.ndarray, nodes: int) -> np.ndarray:
     """Moments int u^n rho(u) du at a fixed node count (atoms excluded)."""
-    if m.quadrature_hint == SEMI_INFINITE:
+    if math.isinf(m.U):
         x, wq = np.polynomial.laguerre.laggauss(nodes)
         if m.log_density is not None:
             ld = np.asarray(m.log_density(x), dtype=float)
@@ -161,10 +157,6 @@ def _quad_once(m: Measure, ns: np.ndarray, nodes: int) -> np.ndarray:
             grid = base[None, :] + ns[:, None] * lx[None, :]
         return np.exp(grid).sum(axis=1)
 
-    if not math.isfinite(m.U):
-        raise QuadratureError(
-            "finite-interval quadrature needs finite U; set the semi-infinite hint instead"
-        )
     x, wq = np.polynomial.legendre.leggauss(nodes)
     u = 0.5 * m.U * (x + 1.0)
     wgt = 0.5 * m.U * wq * np.asarray(m.density(u), dtype=float)
@@ -213,12 +205,7 @@ def unity_check(m: Measure, w: WeightTable, s: Spectrum, n_check: int) -> np.nda
     _check_same_spectrum(w, s)
     if n_check > w.n_max:
         raise ValueError(f"n_check={n_check} exceeds the weight table range {w.n_max}")
-    same_support = (math.isinf(m.U) and math.isinf(w.j_star)) or (
-        math.isfinite(m.U)
-        and math.isfinite(w.j_star)
-        and abs(m.U - w.j_star) <= 1e-9 * max(1.0, abs(w.j_star))
-    )
-    if not same_support:
+    if not math.isclose(m.U, w.j_star, rel_tol=1e-9, abs_tol=1e-9):
         raise LabelRangeError(
             f"measure support U={m.U} must equal the convergence radius J*={w.j_star}"
         )

@@ -102,12 +102,13 @@ class Model:
     """Closed-form facts of one built-in spectrum, and how ``verify`` checks them.
 
     ``ratio_cap(n)`` bounds e_{m+1}/e_m over m > n where e_star is infinite;
-    ``normalization`` is N(J); the measure on [0, e_star) is ``density``
-    (``log_density`` when known) plus point ``atoms``; ``variance_bound(J,
-    omega)``, read as ``variance_bound_text``, caps v(J).  ``verify`` checks
-    N(J) on ``closed_form_grid`` within ``closed_form_rtol`` (or the tail
-    bound, when larger), variances on ``variance_grid``, measures up to
-    ``n_check``, and runs the model-only ``checks``.
+    ``normalization`` is N(J); ``measure`` is the JSON text of a measure
+    document, which ``resolution.builtin_measure`` reads on [0, e_star);
+    ``variance_bound(J, omega)``, read as ``variance_bound_text``, caps
+    v(J).  ``verify`` checks N(J) on ``closed_form_grid`` within
+    ``closed_form_rtol`` (or the tail bound, when larger), variances on
+    ``variance_grid``, measures up to ``n_check``, and runs the model-only
+    ``checks``.
     """
 
     name: str
@@ -116,9 +117,7 @@ class Model:
     gap_rule: Callable[[np.ndarray], np.ndarray] | None = None
     ratio_cap: Callable[[np.ndarray], np.ndarray] | None = None
     normalization: Callable[[float], float]
-    density: Callable[[np.ndarray], np.ndarray]
-    log_density: Callable[[np.ndarray], np.ndarray] | None = None
-    atoms: tuple[tuple[float, float], ...] = ()
+    measure: str
     variance_bound: Callable[[float, float], float] | None = None
     variance_bound_text: str = ""
     closed_form_grid: tuple[float, ...]
@@ -138,8 +137,7 @@ MODELS: dict[str, Model] = {
             # e_{m+1}/e_m = (m+1)/m falls with m, so m = n+1 sets the cap
             ratio_cap=lambda n: (n + 2.0) / (n + 1.0),
             normalization=math.exp,
-            density=lambda u: np.exp(-np.asarray(u, dtype=float)),
-            log_density=lambda u: -np.asarray(u, dtype=float),
+            measure='{"density": {"kind": "exponential", "rate": 1}}',
             closed_form_grid=(0.5, 1.0, 2.0, 5.0),
             closed_form_rtol=1e-12,
             variance_grid=(0.5, 1.0, 2.0, 4.0),
@@ -152,8 +150,7 @@ MODELS: dict[str, Model] = {
             level_rule=lambda n: 1.0 - _hydrogen_gap(n),
             gap_rule=_hydrogen_gap,
             normalization=lambda J: 2.0 / (1.0 - J) + (2.0 / (J * J)) * (J + math.log1p(-J)),
-            density=lambda u: np.full_like(np.asarray(u, dtype=float), 0.5),
-            atoms=((1.0, 0.5),),
+            measure='{"density": {"kind": "constant", "value": 0.5}, "atoms": [{"u": 1, "w": 0.5}]}',
             variance_bound=lambda J, omega: 0.75 * omega**2 * J * (1.0 - J),
             variance_bound_text="(3/4) omega^2 J (1-J)",
             closed_form_grid=tuple(np.arange(0.05, 0.951, 0.05).tolist()),

@@ -122,6 +122,31 @@ def test_variance_failed_rows_have_no_bound(capsys):
     assert rows[1][5].startswith("LabelRangeError")
 
 
+def test_variance_json_is_strict(capsys):
+    code, out, _ = run(
+        capsys, ["variance", "--model", "hydrogen_like", "--grid", "0.5,1.5", "--format", "json"]
+    )
+    assert code == 0
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    rows = json.loads(out, parse_constant=refuse)
+    assert rows[0]["bound"] == 0.1875
+    assert [rows[1][k] for k in ("mean", "variance", "bound", "tail_bound")] == [None] * 4
+    assert rows[1]["error"].startswith("LabelRangeError")
+
+
+def test_variance_honours_tol(capsys):
+    argv = ["variance", "--model", "hydrogen_like", "--grid", "0.5", "--format", "json"]
+    tails = []
+    for extra in ([], ["--tol", "1e-4"]):
+        code, out, _ = run(capsys, argv + extra)
+        assert code == 0
+        tails.append(json.loads(out)[0]["tail_bound"])
+    assert tails[0] <= 1e-11 < tails[1] <= 1e-4
+
+
 def test_variance_single_point_harmonic(capsys):
     code, out, _ = run(capsys, ["variance", "--model", "harmonic", "--grid", "1.0"])
     assert code == 0
@@ -212,6 +237,15 @@ def test_resolution_builtin(capsys):
     assert len(rows) == 21
     for r in rows:
         assert float(r[3]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_resolution_refuses_malformed_measure_number(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"U": "inf", "density": {"kind": "exponential", "rate": [1]}}))
+    code, out, err = run(capsys, ["resolution", "--model", "harmonic", "--measure", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_resolution_custom_needs_measure(tmp_path, capsys):

@@ -147,8 +147,14 @@ def test_projector_range_guards(hydrogen, w_hydrogen):
 def test_load_measure_exponential(w_harmonic):
     doc = {"U": "inf", "density": {"kind": "exponential", "rate": 1.0}}
     m = load_measure(doc)
-    assert m.quadrature_hint == "semi_infinite_exponential"
     assert moment_check(m, w_harmonic, 12) <= 1e-9
+
+
+def test_load_measure_atom_on_infinite_interval():
+    # a zero density on [0, inf) takes the Laguerre rule and adds nothing
+    doc = {"U": "inf", "density": {"kind": "constant", "value": 0}, "atoms": [{"u": 2, "w": 3}]}
+    moments = _measure_moments(load_measure(doc), 5)
+    np.testing.assert_allclose(moments, 3.0 * 2.0 ** np.arange(6), rtol=1e-15)
 
 
 def test_load_measure_constant_with_atom(hydrogen, w_hydrogen):
@@ -184,6 +190,10 @@ def test_load_measure_rejects_bad_documents():
         {"U": 1.0, "density": constant, "atoms": [{"u": 1.0}]},
         {"U": 1.0, "density": constant, "atoms": [{"w": 0.5}]},
         {"U": 1.0, "density": constant, "atoms": [1.0]},
+        {"U": "inf", "density": {"kind": "exponential", "rate": [1]}},
+        {"U": "inf", "density": {"kind": "exponential", "rate": "abc"}},
+        {"U": 1.0, "density": {"kind": "table", "u": [0, "x"], "rho": [1, 1]}},
+        {"U": "inf", "density": {"kind": "table", "u": [0, 1], "rho": [1, 1]}},
     ):
         with pytest.raises(SpectrumError):
             load_measure(bad)
