@@ -11,7 +11,7 @@ import numpy as np
 from .errors import LabelRangeError, SpectrumMismatchError
 from .phase import phase_factor
 from .spectrum import Spectrum
-from .state import StateCoefficients, StateLabel, _zero_padded, coefficients
+from .state import StateCoefficients, StateLabel, _states, _zero_padded
 from .weights import DEFAULT_TAIL_TOL, WeightTable
 from dataclasses import dataclass
 
@@ -59,12 +59,12 @@ def temporal_stability_residual(
 ) -> float:
     """2-norm of (evolved coherent state) - (coherent state at the evolved label).
 
-    Both vectors share the truncation picked for J, so the residual measures
-    only the phase identity, not mismatched supports.
+    Evolution keeps J, so both states come from one certified series: they
+    share the truncation picked for J, and the residual measures only the
+    phase identity, not mismatched supports.
     """
-    start = coefficients(s, w, l, tol)
+    start, relabeled = _states(s, w, [l, evolve_label(l, t, s.omega)], tol)
     evolved = evolve_coefficients(start, s, t)
-    relabeled = coefficients(s, w, evolve_label(l, t, s.omega), tol)
     a, b = _zero_padded(evolved.c, relabeled.c)
     return float(np.linalg.norm(a - b))
 
@@ -77,10 +77,12 @@ def kinematic_representation_check(
     t: float,
     tol: float = DEFAULT_TAIL_TOL,
 ) -> tuple[complex, complex]:
-    """Return (<l|psi, t>, <l(-t)|psi>); the two agree up to truncation tails."""
+    """Return (<l|psi, t>, <l(-t)|psi>); the two agree up to truncation tails.
+
+    l and l(-t) share J, so both bras come from one certified series.
+    """
     psi = np.asarray(psi, dtype=complex)
-    bra = coefficients(s, w, l, tol)
+    bra, bra_back = _states(s, w, [l, evolve_label(l, -t, s.omega)], tol)
     lhs = complex(np.vdot(*_zero_padded(bra.c, evolve_coefficients(psi, s, t).c)))
-    bra_back = coefficients(s, w, evolve_label(l, -t, s.omega), tol)
     rhs = complex(np.vdot(*_zero_padded(bra_back.c, psi)))
     return lhs, rhs

@@ -219,8 +219,9 @@ def near_jstar_exponent(
     guard and by truncation feasibility (points whose series do not converge
     within n_cap terms are dropped).  Requires a declared J* equal to 1.
 
-    A point that w cannot certify is evaluated on a larger table sized from
-    the term bound of ``_min_certified_terms``, then on one of n_cap
+    A point is tried on w only when the term bound of
+    ``_min_certified_terms`` fits in it.  A point that w cannot certify is
+    evaluated on a larger table sized from that bound, then on one of n_cap
     entries if that still falls short; a point whose bound exceeds every
     allowed table is dropped without building one.
     """
@@ -239,7 +240,9 @@ def near_jstar_exponent(
         need = _min_certified_terms(J, w.j_star, rel_tol)
         if need > (top + 1) * (1.0 + _TERM_BOUND_MARGIN):
             continue
-        vp = _certified_variance(s, w, J, rel_tol)
+        vp = None
+        if need <= (w.n_max + 1) * (1.0 + _TERM_BOUND_MARGIN):
+            vp = _certified_variance(s, w, J, rel_tol)
         if vp is None and n_cap > w.n_max:
             size = math.ceil(_FIT_TABLE_SLACK * need)
             if not w.n_max < size < n_cap:

@@ -71,8 +71,9 @@ def load_measure(document: str | Mapping) -> Measure:
     """Parse a measure document.
 
     Schema: {"U": float|"inf", "density": {"kind": "exponential"|"constant"|
-    "table", ...}, "atoms": [{"u": float, "w": float}]}; density parameters
-    and table entries are finite numbers, and a table needs a finite U.
+    "table", ...}, "atoms": [{"u": float, "w": float}]}; density parameters,
+    table entries and atoms are finite numbers, table u strictly increases,
+    and a table needs a finite U.
     """
     doc = _read_object(document, "measure")
     U = _number(doc.get("U"), "U")
@@ -118,6 +119,8 @@ def load_measure(document: str | Mapping) -> Measure:
             raise SpectrumError("table density needs matching 'u' and 'rho' arrays (>= 2 points)")
         if not (np.all(np.isfinite(us)) and np.all(np.isfinite(vals)) and np.all(vals >= 0)):
             raise SpectrumError("table density needs finite 'u' and finite nonnegative 'rho'")
+        if not np.all(np.diff(us) > 0):
+            raise SpectrumError("table density needs strictly increasing 'u'")
 
         def density(u, _us=us, _vals=vals):
             return np.interp(np.asarray(u, dtype=float), _us, _vals, left=0.0, right=0.0)
@@ -125,10 +128,12 @@ def load_measure(document: str | Mapping) -> Measure:
     else:
         raise SpectrumError(f"unknown density kind {kind!r}")
 
-    try:
-        atoms = tuple((float(a["u"]), float(a["w"])) for a in doc.get("atoms") or ())
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpectrumError(f"each atom needs numbers 'u' and 'w' ({exc!r})") from None
+    raw_atoms = doc.get("atoms") or ()
+    if not (isinstance(raw_atoms, (list, tuple)) and all(isinstance(a, Mapping) for a in raw_atoms)):
+        raise SpectrumError(f"atoms must be an array of objects, got {raw_atoms!r}")
+    atoms = tuple((_number(a.get("u"), "atom u"), _number(a.get("w"), "atom w")) for a in raw_atoms)
+    if not all(math.isfinite(x) for atom in atoms for x in atom):
+        raise SpectrumError(f"atom locations and masses must be finite numbers, got {atoms!r}")
 
     return Measure(
         name=str(doc.get("name", "custom")),

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -54,23 +55,40 @@ def coefficients(
     tol: float = DEFAULT_TAIL_TOL,
 ) -> StateCoefficients:
     """Amplitudes of |J, gamma> truncated so the missing mass is at most tol."""
+    return _states(s, w, [label], tol)[0]
+
+
+def _states(
+    s: Spectrum,
+    w: WeightTable,
+    labels: Sequence[StateLabel],
+    tol: float,
+) -> list[StateCoefficients]:
+    """coefficients() of each label, with one certified series per distinct J.
+
+    The truncation, the magnitudes |c_n| and the tail mass depend on J alone,
+    so labels that differ only in gamma share them and differ in phases only.
+    """
     _check_same_spectrum(w, s)
     if not tol > 0:
         raise ValueError("tol must be positive")
 
-    if label.J == 0:
-        c = np.zeros(1, dtype=complex)
-        c[0] = 1.0
-        return StateCoefficients(c=c, tail_mass_bound=0.0, label=label, spectrum=s)
-
-    ps = power_sums(w, label.J, rel_tol=tol)
-    k = ps.terms_used
-    g = np.arange(k, dtype=float) * math.log(label.J) - w.log_rho[:k]
-    log_norm = ps.log_scale + math.log(ps.s0 + ps.t0)
-    magnitudes = np.exp(0.5 * (g - log_norm))
-    c = magnitudes * phase_factor(w.levels[:k] * label.gamma)
-    tail_mass = ps.t0 / (ps.s0 + ps.t0)
-    return StateCoefficients(c=c, tail_mass_bound=float(tail_mass), label=label, spectrum=s)
+    parts: dict[float, tuple[np.ndarray, float]] = {}
+    out = []
+    for label in labels:
+        if label.J == 0:
+            c, tail_mass = np.ones(1, dtype=complex), 0.0
+        else:
+            if label.J not in parts:
+                ps = power_sums(w, label.J, rel_tol=tol)
+                k = ps.terms_used
+                g = np.arange(k, dtype=float) * math.log(label.J) - w.log_rho[:k]
+                log_norm = ps.log_scale + math.log(ps.s0 + ps.t0)
+                parts[label.J] = (np.exp(0.5 * (g - log_norm)), float(ps.t0 / (ps.s0 + ps.t0)))
+            magnitudes, tail_mass = parts[label.J]
+            c = magnitudes * phase_factor(w.levels[: len(magnitudes)] * label.gamma)
+        out.append(StateCoefficients(c=c, tail_mass_bound=tail_mass, label=label, spectrum=s))
+    return out
 
 
 def _zero_padded(*vectors) -> np.ndarray:

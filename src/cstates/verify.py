@@ -14,6 +14,7 @@ from .dynamics import (
 )
 from .errors import CertificationError, CStatesError, TruncationError
 from .observables import (
+    VariancePoint,
     energy_mean,
     moments_from_state,
     near_jstar_coefficient,
@@ -23,7 +24,7 @@ from .observables import (
 )
 from .resolution import Measure, gamma_averaged_projector, moment_check, unity_check
 from .spectrum import Spectrum
-from .state import StateLabel, _zero_padded, coefficients, norm_deficit
+from .state import StateLabel, _states, _zero_padded, coefficients, norm_deficit
 from .weights import WeightTable, compute_weights, normalization, power_sums
 
 DEFAULT_SEED = 1234
@@ -168,11 +169,16 @@ def run_suite(
 
     run("dynamics-as-kinematics", chk_kinematics)
 
+    # variance-bound reads the points variance-route-agreement certified on
+    # the model's grid; a point that raised there is recomputed and raises again
+    variance_points: dict[float, VariancePoint] = {}
+
     def chk_variance_agreement():
         grid = model.variance_grid if model else np.linspace(0.1, 0.8, 5) * j_var
         worst = 0.0
         for J in grid:
             vp = variance(s, w, float(J))  # raises CrossCheckError on disagreement
+            variance_points[float(J)] = vp
             if vp.variance != 0:
                 worst = max(worst, abs(vp.variance - vp.double_sum) / abs(vp.variance))
         return f"max relative route difference {worst:.2e}"
@@ -182,8 +188,7 @@ def run_suite(
 
     def chk_gamma_independence():
         J = float(j_mid)
-        a = coefficients(s, w, StateLabel(J, 0.0), tol=tol)
-        b = coefficients(s, w, StateLabel(J, 7.3), tol=tol)
+        a, b = _states(s, w, [StateLabel(J, 0.0), StateLabel(J, 7.3)], tol)
         ma, _, va = moments_from_state(s, a)
         mb, _, vb = moments_from_state(s, b)
         assert abs(ma - mb) <= 1e-9 and abs(va - vb) <= 1e-9, (
@@ -196,7 +201,7 @@ def run_suite(
     def chk_bound():
         grid = model.variance_grid
         for J in grid:
-            vp = variance(s, w, J)
+            vp = variance_points[J] if J in variance_points else variance(s, w, J)
             bound = model.variance_bound(J, s.omega)
             assert vp.variance <= bound + 1e-9, (
                 f"v({J:g}) = {vp.variance!r} exceeds {model.variance_bound_text} = {bound!r}"
@@ -288,13 +293,14 @@ def run_suite(
     run("projector-psd", chk_psd)
 
     def chk_continuity():
+        steps = ((1e-5, 0.0), (-1e-5, 0.0), (0.0, 1e-5), (1e-6, 1e-6))
         worst = 0.0
         for _ in range(5):
             label = StateLabel(float(rng.uniform(0.05 * j_state, 0.8 * j_state)),
                                float(rng.uniform(-3, 3)))
-            base = coefficients(s, w, label, tol=tol)
-            for dj, dg in ((1e-5, 0.0), (-1e-5, 0.0), (0.0, 1e-5), (1e-6, 1e-6)):
-                other = coefficients(s, w, StateLabel(label.J + dj, label.gamma + dg), tol=tol)
+            near = [StateLabel(label.J + dj, label.gamma + dg) for dj, dg in steps]
+            base, *others = _states(s, w, [label, *near], tol)
+            for (dj, dg), other in zip(steps, others):
                 va, vb = _zero_padded(base.c, other.c)
                 ratio = float(np.linalg.norm(va - vb)) / (abs(dj) + abs(dg))
                 worst = max(worst, ratio)

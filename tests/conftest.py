@@ -21,3 +21,24 @@ def w_hydrogen(hydrogen):
 @pytest.fixture(scope="session")
 def w_harmonic(harmonic):
     return compute_weights(harmonic, 2_000)
+
+
+@pytest.fixture
+def series_calls(monkeypatch):
+    """(table, J, certified) for every certified series call made during a test."""
+    from cstates import TruncationError, weights
+
+    calls = []
+    original = weights._certified_sums
+
+    def spy(w, J, *args, **kwargs):
+        try:
+            out = original(w, J, *args, **kwargs)
+        except TruncationError:
+            calls.append((w, J, False))
+            raise
+        calls.append((w, J, True))
+        return out
+
+    monkeypatch.setattr(weights, "_certified_sums", spy)
+    return calls

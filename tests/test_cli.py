@@ -248,6 +248,19 @@ def test_resolution_refuses_malformed_measure_number(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("doc", [
+    {"U": 1, "density": {"kind": "table", "u": [1, 0], "rho": [1, 1]}},
+    {"U": 1, "density": {"kind": "constant", "value": 0.5}, "atoms": [{"u": "1", "w": "0.5"}]},
+])
+def test_resolution_refuses_unordered_table_and_string_atoms(tmp_path, capsys, doc):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["resolution", "--model", "hydrogen_like", "--measure", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_resolution_custom_needs_measure(tmp_path, capsys):
     doc = {"name": "c", "omega": 1.0, "kind": "explicit", "levels": [0, 1, 2.5]}
     path = tmp_path / "c.json"

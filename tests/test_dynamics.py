@@ -71,6 +71,18 @@ def test_energy_conserved_under_evolution(hydrogen, w_hydrogen):
         assert mean == pytest.approx(hydrogen.omega * label.J, abs=1e-10)
 
 
+def test_residual_makes_one_series_call(hydrogen, w_hydrogen, series_calls):
+    # evolution keeps J, so the start and relabeled states share one series
+    temporal_stability_residual(hydrogen, w_hydrogen, StateLabel(0.6, 0.4), 2.5)
+    assert [J for _, J, _ in series_calls] == [0.6]
+
+
+def test_kinematics_makes_one_series_call(hydrogen, w_hydrogen, series_calls):
+    psi = np.ones(12, dtype=complex) / math.sqrt(12)
+    kinematic_representation_check(hydrogen, w_hydrogen, psi, StateLabel(0.6, 0.4), -1.3)
+    assert [J for _, J, _ in series_calls] == [0.6]
+
+
 def test_kinematics_coherent_at_t0(hydrogen, w_hydrogen):
     label = StateLabel(0.45, 0.8)
     psi = coefficients(hydrogen, w_hydrogen, label).c

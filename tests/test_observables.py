@@ -233,6 +233,15 @@ def test_near_jstar_exponent_sized_tables_match_full_table(hydrogen):
     assert got == ref
 
 
+def test_near_jstar_exponent_skips_tables_the_term_bound_rules_out(hydrogen, series_calls):
+    # J = 0.999 and 0.99997 need more terms than 20k entries hold: they go
+    # straight to sized tables, and w is never swept for a refusal
+    w = compute_weights(hydrogen, 20_000)
+    near_jstar_exponent(hydrogen, w)
+    assert [J for table, J, ok in series_calls if table is w and not ok] == []
+    assert [J for table, J, _ in series_calls if table is w] == [1.0 - 10.0**-1.5]
+
+
 def test_near_jstar_exponent_undersized_table_retried_at_cap():
     # interior-peak weights need far more terms than the bound: the table
     # sized from it fails, and the point is retried at n_cap

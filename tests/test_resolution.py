@@ -194,6 +194,12 @@ def test_load_measure_rejects_bad_documents():
         {"U": "inf", "density": {"kind": "exponential", "rate": "abc"}},
         {"U": 1.0, "density": {"kind": "table", "u": [0, "x"], "rho": [1, 1]}},
         {"U": "inf", "density": {"kind": "table", "u": [0, 1], "rho": [1, 1]}},
+        {"U": 1.0, "density": {"kind": "table", "u": [1, 0], "rho": [1, 1]}},
+        {"U": 1.0, "density": {"kind": "table", "u": [0, 0.5, 0.5, 1], "rho": [1, 1, 1, 1]}},
+        {"U": 1.0, "density": constant, "atoms": [{"u": "1", "w": "0.5"}]},
+        {"U": 1.0, "density": constant, "atoms": [{"u": 1.0, "w": "0.5"}]},
+        {"U": "inf", "density": {"kind": "constant", "value": 0}, "atoms": [{"u": "inf", "w": 1}]},
+        {"U": 1.0, "density": constant, "atoms": {"u": 1.0, "w": 0.5}},
     ):
         with pytest.raises(SpectrumError):
             load_measure(bad)

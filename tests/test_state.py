@@ -11,10 +11,12 @@ from cstates import (
     StateLabel,
     coefficients,
     compute_weights,
+    from_levels,
     make_builtin,
     norm_deficit,
     overlap,
 )
+from cstates.state import _states
 
 
 def closed_form_hydrogen_normalization(J):
@@ -39,6 +41,27 @@ def test_ground_state(hydrogen, w_hydrogen):
     assert len(x.c) == 1
     assert x.tail_mass_bound == 0.0
     assert norm_deficit(x) == 0.0
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-26])
+@pytest.mark.parametrize("system", ["hydrogen", "harmonic", "ladder"])
+def test_states_equal_coefficients_bit_for_bit(system, tol, request):
+    if system == "ladder":
+        s = from_levels("ladder", 1.0, [n + 0.1 * n * n for n in range(80)])
+        w = compute_weights(s, 79)
+    else:
+        s, w = request.getfixturevalue(system), request.getfixturevalue(f"w_{system}")
+    # repeated J with different gammas, distinct J, and J = 0
+    labels = [StateLabel(0.4, 0.0), StateLabel(0.4, -2.5), StateLabel(0.0, 1.7),
+              StateLabel(0.7, 3.1), StateLabel(0.4, 11.0), StateLabel(0.0, 0.0)]
+    got = _states(s, w, labels, tol)
+    assert len(got) == len(labels)
+    for label, x in zip(labels, got):
+        ref = coefficients(s, w, label, tol)
+        assert x.label == label == ref.label
+        assert x.c.tobytes() == ref.c.tobytes()
+        assert x.tail_mass_bound == ref.tail_mass_bound
+        assert x.spectrum is ref.spectrum
 
 
 def test_harmonic_matches_canonical_formula(harmonic, w_harmonic):
