@@ -10,7 +10,6 @@ steepens toward (1-J)^(1+1/p), log-corrected at the marginal p = 1.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
 
 from cstates import (
     TruncationError,
@@ -21,19 +20,15 @@ from cstates import (
     power_gap_spectrum,
 )
 
-
-@dataclass
-class ScanConfig:
-    gap_exponents: list[float] = field(default_factory=lambda: [2.0, 1.0, 0.5, 0.25])
-    window: list[float] = field(default_factory=lambda: [0.90, 0.92, 0.94, 0.96])
-    n_cap: int = 1_500_000
+GAP_EXPONENTS = [2.0, 1.0, 0.5, 0.25]
+WINDOW = [0.90, 0.92, 0.94, 0.96]
+DEFAULT_NCAP = 1_500_000
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--ncap", type=int, default=ScanConfig.n_cap)
+    parser.add_argument("--ncap", type=int, default=DEFAULT_NCAP)
     args = parser.parse_args()
-    cfg = ScanConfig(n_cap=args.ncap)
 
     print(f"{'spectrum':>22}  {'fitted exponent':>16}  {'v/(1-J) coefficient':>20}")
     s = make_builtin("hydrogen_like", 1.0)
@@ -42,11 +37,11 @@ def main() -> int:
     coeff = near_jstar_coefficient(s, w)
     print(f"{'hydrogen_like':>22}  {exp_h:>16.4f}  {coeff.value:>20.6f}")
 
-    for p in cfg.gap_exponents:
+    for p in GAP_EXPONENTS:
         s = power_gap_spectrum(p)
         w = compute_weights(s, 20_000)
         try:
-            got = near_jstar_exponent(s, w, cfg.window, n_cap=cfg.n_cap)
+            got = near_jstar_exponent(s, w, WINDOW, n_cap=args.ncap)
         except TruncationError as exc:
             print(f"{s.name:>22}  window infeasible: {exc}")
             continue

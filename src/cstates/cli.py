@@ -9,7 +9,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,52 +37,27 @@ EXIT_VERIFY = 3
 UNIT_ROUNDOFF = 2.0**-53
 
 
-@dataclass
-class RunConfig:
-    model: str | None
-    file: str | None
-    omega: float | None
-    tol: float
-    n_max: int
-    fmt: str
-    out: str | None
-    seed: int
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise SpectrumError(f"tolerance must be positive, got {self.tol}")
-        if self.n_max < 8:
-            raise SpectrumError(f"n_max must be at least 8, got {self.n_max}")
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        model=args.model,
-        file=args.file,
-        omega=args.omega,
-        tol=args.tol,
-        n_max=args.nmax,
-        fmt=args.format,
-        out=args.out,
-        seed=args.seed,
-    )
-
-
-def _resolve_spectrum(cfg: RunConfig) -> Spectrum:
-    if cfg.model and cfg.file:
+def _resolve_spectrum(args) -> Spectrum:
+    """The spectrum of --model or --file, after the --tol and --nmax checks
+    every command shares."""
+    if not args.tol > 0:
+        raise SpectrumError(f"tolerance must be positive, got {args.tol}")
+    if args.nmax < 8:
+        raise SpectrumError(f"n_max must be at least 8, got {args.nmax}")
+    if args.model and args.file:
         raise SpectrumError("give either --model or --file, not both")
-    if cfg.model:
-        return make_builtin(cfg.model, cfg.omega if cfg.omega is not None else 1.0)
-    if cfg.file:
-        doc = _read_object(Path(cfg.file).read_text(), "spectrum")
-        if cfg.omega is not None:
-            doc["omega"] = cfg.omega
+    if args.model:
+        return make_builtin(args.model, args.omega if args.omega is not None else 1.0)
+    if args.file:
+        doc = _read_object(Path(args.file).read_text(), "spectrum")
+        if args.omega is not None:
+            doc["omega"] = args.omega
         return load_spectrum(doc)
     raise SpectrumError("a spectrum is required: pass --model or --file")
 
 
-def _table_for(cfg: RunConfig, s: Spectrum):
-    n_max = cfg.n_max
+def _table_for(args, s: Spectrum):
+    n_max = args.nmax
     if s.max_index is not None:
         n_max = min(n_max, s.max_index)
     return compute_weights(s, max(1, n_max))
@@ -93,9 +67,9 @@ def g17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write(text: str, cfg: RunConfig) -> None:
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+def _write(text: str, args) -> None:
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -106,29 +80,28 @@ def _json_text(obj) -> str:
     return json.dumps(strict, indent=2, allow_nan=False) + "\n"
 
 
-def _emit_table(header: list[str], rows: list[list], cfg: RunConfig) -> None:
+def _emit_table(header: list[str], rows: list[list], args) -> None:
     """JSON records, or CSV rows with ',' in string cells turned into ';'."""
-    if cfg.fmt == "json":
-        _write(_json_text([dict(zip(header, row)) for row in rows]), cfg)
+    if args.format == "json":
+        _write(_json_text([dict(zip(header, row)) for row in rows]), args)
         return
     lines = [",".join(header)]
     for row in rows:
         cells = (g17(v) if isinstance(v, float) else str(v).replace(",", ";") for v in row)
         lines.append(",".join(cells))
-    _write("\n".join(lines) + "\n", cfg)
+    _write("\n".join(lines) + "\n", args)
 
 
-def _emit_object(obj: dict, header: list[str], rows: list[list], cfg: RunConfig) -> None:
+def _emit_object(obj: dict, header: list[str], rows: list[list], args) -> None:
     """JSON gets the full object; CSV keeps only the tabular part."""
-    if cfg.fmt == "json":
-        _write(_json_text(obj), cfg)
+    if args.format == "json":
+        _write(_json_text(obj), args)
     else:
-        _emit_table(header, rows, cfg)
+        _emit_table(header, rows, args)
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _config(args)
-    s = _resolve_spectrum(cfg)
+    s = _resolve_spectrum(args)
     count = args.count
     top = count - 1
     if s.max_index is not None:
@@ -147,7 +120,7 @@ def cmd_spectrum(args) -> int:
         },
         "levels": [{"n": r[0], "e_n": r[1], "E_n": r[2]} for r in rows],
     }
-    _emit_object(obj, ["n", "e_n", "E_n"], rows, cfg)
+    _emit_object(obj, ["n", "e_n", "E_n"], rows, args)
     if not report.ok:
         for n, msg in report.violations:
             print(f"validation violation at n={n}: {msg}", file=sys.stderr)
@@ -156,9 +129,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    cfg = _config(args)
-    s = _resolve_spectrum(cfg)
-    w = _table_for(cfg, s)
+    s = _resolve_spectrum(args)
+    w = _table_for(args, s)
     top = min(args.count - 1, w.n_max)
     rows = [[int(n), float(w.log_rho[n]), float(np.exp(w.log_rho[n]))] for n in range(top + 1)]
     obj = {
@@ -169,7 +141,7 @@ def cmd_weights(args) -> int:
         "weights": [{"n": r[0], "log_rho": r[1], "rho": r[2]} for r in rows],
     }
     if args.J is not None:
-        series = normalization(w, s, args.J, tol=cfg.tol)
+        series = normalization(w, s, args.J, tol=args.tol)
         obj["normalization"] = {
             "J": args.J,
             "value": series.value,
@@ -181,15 +153,14 @@ def cmd_weights(args) -> int:
             f"(tail <= {g17(series.tail_bound)}, {series.terms_used} terms)",
             file=sys.stderr,
         )
-    _emit_object(obj, ["n", "log_rho", "rho"], rows, cfg)
+    _emit_object(obj, ["n", "log_rho", "rho"], rows, args)
     return EXIT_OK
 
 
 def cmd_state(args) -> int:
-    cfg = _config(args)
-    s = _resolve_spectrum(cfg)
-    w = _table_for(cfg, s)
-    state = coefficients(s, w, StateLabel(args.J, args.gamma), tol=cfg.tol)
+    s = _resolve_spectrum(args)
+    w = _table_for(args, s)
+    state = coefficients(s, w, StateLabel(args.J, args.gamma), tol=args.tol)
     rows = [[int(n), float(state.c[n].real), float(state.c[n].imag)] for n in range(len(state.c))]
     obj = {
         "J": args.J,
@@ -197,7 +168,7 @@ def cmd_state(args) -> int:
         "tail_mass_bound": state.tail_mass_bound,
         "coefficients": [[r[1], r[2]] for r in rows],
     }
-    _emit_object(obj, ["n", "re", "im"], rows, cfg)
+    _emit_object(obj, ["n", "re", "im"], rows, args)
     return EXIT_OK
 
 
@@ -216,11 +187,10 @@ def _parse_grid(args) -> list[float]:
 
 
 def cmd_variance(args) -> int:
-    cfg = _config(args)
-    s = _resolve_spectrum(cfg)
-    w = _table_for(cfg, s)
+    s = _resolve_spectrum(args)
+    w = _table_for(args, s)
     grid = _parse_grid(args)
-    points = variance_curve(s, w, grid, rel_tol=cfg.tol)
+    points = variance_curve(s, w, grid, rel_tol=args.tol)
     bound = s.model.variance_bound if s.model else None
     header = ["J", "mean", "variance"] + (["bound"] if bound else []) + ["tail_bound", "error"]
     rows = []
@@ -229,17 +199,16 @@ def cmd_variance(args) -> int:
         if bound:
             row.append(math.nan if p.error else bound(p.J, s.omega))
         rows.append(row + [p.tail_bound, p.error or ""])
-    _emit_table(header, rows, cfg)
+    _emit_table(header, rows, args)
     return EXIT_OK
 
 
 def cmd_evolve(args) -> int:
-    cfg = _config(args)
-    s = _resolve_spectrum(cfg)
-    w = _table_for(cfg, s)
+    s = _resolve_spectrum(args)
+    w = _table_for(args, s)
     label = StateLabel(args.J, args.gamma)
-    residual = temporal_stability_residual(s, w, label, args.t, tol=cfg.tol)
-    state = coefficients(s, w, label, tol=cfg.tol)
+    residual = temporal_stability_residual(s, w, label, args.t, tol=args.tol)
+    state = coefficients(s, w, label, tol=args.tol)
     bound = 2.0 * 2.0 * math.sqrt(state.tail_mass_bound) if state.tail_mass_bound else 0.0
     # rounding the phase arguments e_n gamma, omega e_n t and e_n (gamma + omega t)
     # moves component n by at most UNIT_ROUNDOFF (3|gamma| + 5|omega t|) e_n radians
@@ -247,14 +216,13 @@ def cmd_evolve(args) -> int:
     spread = math.sqrt(float(np.sum(e * e * np.abs(state.c) ** 2)))
     bound += UNIT_ROUNDOFF * (3.0 * abs(args.gamma) + 5.0 * abs(s.omega * args.t)) * spread
     rows = [[args.J, args.gamma, args.t, residual, bound]]
-    _emit_table(["J", "gamma", "t", "residual", "bound"], rows, cfg)
+    _emit_table(["J", "gamma", "t", "residual", "bound"], rows, args)
     return EXIT_OK
 
 
 def cmd_resolution(args) -> int:
-    cfg = _config(args)
-    s = _resolve_spectrum(cfg)
-    w = _table_for(cfg, s)
+    s = _resolve_spectrum(args)
+    w = _table_for(args, s)
     if args.measure:
         measure = load_measure(Path(args.measure).read_text())
     elif s.model:
@@ -266,24 +234,23 @@ def cmd_resolution(args) -> int:
     diag = unity_check(measure, w, s, n_check)
     rho = np.exp(w.log_rho[: n_check + 1])
     rows = [[int(n), float(rho[n]), float(diag[n] * rho[n]), float(diag[n])] for n in range(n_check + 1)]
-    _emit_table(["n", "rho_n", "moment", "unity_d_n"], rows, cfg)
+    _emit_table(["n", "rho_n", "moment", "unity_d_n"], rows, args)
     print(f"max relative moment error: {g17(err)}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
-    s = _resolve_spectrum(cfg)
-    w = _table_for(cfg, s)
+    s = _resolve_spectrum(args)
+    w = _table_for(args, s)
     measure = builtin_measure(s.model.name) if s.model else None
-    results = run_suite(s, w, measure, seed=cfg.seed, tol=cfg.tol)
+    results = run_suite(s, w, measure, seed=args.seed, tol=args.tol)
     rows = [[r.name, r.status, r.detail] for r in results]
     obj = {
         "spectrum": s.name,
         "checks": [{"name": r.name, "status": r.status, "detail": r.detail} for r in results],
         "ok": all(r.status != "fail" for r in results),
     }
-    _emit_object(obj, ["check", "status", "detail"], rows, cfg)
+    _emit_object(obj, ["check", "status", "detail"], rows, args)
     failed = [r for r in results if r.status == "fail"]
     for r in failed:
         print(f"FAIL {r.name}: {r.detail}", file=sys.stderr)

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LabelRangeError, SpectrumMismatchError
+from .errors import LabelRangeError
 from .phase import phase_factor
 from .spectrum import Spectrum
 from .state import StateCoefficients, StateLabel, _states, _zero_padded
-from .weights import DEFAULT_TAIL_TOL, WeightTable
+from .weights import DEFAULT_TAIL_TOL, WeightTable, _check_same_spectrum
 from dataclasses import dataclass
 
 
@@ -37,15 +37,10 @@ def evolve_coefficients(x, s: Spectrum, t: float) -> EvolvedState:
     if not np.isfinite(t):
         raise LabelRangeError(f"t must be a finite number, got {t!r}")
     if isinstance(x, StateCoefficients):
-        if x.spectrum is not s and x.spectrum != s:
-            raise SpectrumMismatchError(
-                f"state over '{x.spectrum.name}' evolved with spectrum '{s.name}'"
-            )
-        c = x.c
-        source = x.label
+        _check_same_spectrum(x, s)
+        c, source = x.c, x.label
     else:
-        c = np.asarray(x, dtype=complex)
-        source = None
+        c, source = np.asarray(x, dtype=complex), None
     e = s.e_array(len(c) - 1)
     return EvolvedState(c=c * phase_factor(s.omega * e * t), t=float(t), source_label=source)
 

@@ -15,6 +15,7 @@ from .weights import (
     EDGE_GUARD,
     WeightTable,
     _check_same_spectrum,
+    _log_terms,
     compute_weights,
     power_sums,
 )
@@ -78,7 +79,7 @@ def _double_sum_variance(w: WeightTable, J: float, k: int, omega: float) -> floa
     """
     if J == 0:
         return 0.0
-    g = np.arange(k, dtype=float) * math.log(J) - w.log_rho[:k]
+    g = _log_terms(w, math.log(J), 0, k)[1]
     t = np.exp(g - g.max())
     s = w.spectrum
     if s.e_star is not None and math.isfinite(s.e_star):
@@ -198,6 +199,15 @@ def _min_certified_terms(J: float, e_star: float, rel_tol: float) -> float:
     return math.log1p(1.0 / rel_tol) / (math.log(e_star) - math.log(J))
 
 
+def _check_near_jstar(s: Spectrum, w: WeightTable) -> None:
+    """Refuse a table of another spectrum, or one without a declared J* = 1 (NaN is not 1)."""
+    _check_same_spectrum(w, s)
+    if w.j_star_is_estimate or not math.isfinite(w.j_star) or abs(w.j_star - 1.0) > 1e-9:
+        raise LabelRangeError(
+            "near-J* analysis needs a spectrum with declared accumulation point J* = 1"
+        )
+
+
 def _certified_variance(s: Spectrum, w: WeightTable, J: float, rel_tol: float) -> VariancePoint | None:
     try:
         return variance(s, w, J, rel_tol=rel_tol)
@@ -225,10 +235,7 @@ def near_jstar_exponent(
     entries if that still falls short; a point whose bound exceeds every
     allowed table is dropped without building one.
     """
-    if w.j_star_is_estimate or not math.isfinite(w.j_star) or abs(w.j_star - 1.0) > 1e-9:
-        raise LabelRangeError(
-            "near-J* analysis needs a spectrum with declared accumulation point J* = 1"
-        )
+    _check_near_jstar(s, w)
     if fit_window is None:
         fit_window = [1.0 - 10.0 ** (-1.5 * k) for k in range(1, 6)]
     window = sorted(J for J in fit_window if 0.0 < J <= 1.0 - EDGE_GUARD)
@@ -280,10 +287,7 @@ def near_jstar_coefficient(s: Spectrum, w: WeightTable) -> JstarCoefficient:
     shows the same value).  ``converged`` is False when the partial sums are
     still moving at n_max, e.g. when rho_n -> 0.
     """
-    if w.j_star_is_estimate or not math.isfinite(w.j_star) or abs(w.j_star - 1.0) > 1e-9:
-        raise LabelRangeError(
-            "near-J* analysis needs a spectrum with declared accumulation point J* = 1"
-        )
+    _check_near_jstar(s, w)
     gaps = s.gap_array(w.n_max)
     with np.errstate(over="ignore", divide="ignore"):
         terms = gaps * gaps / np.exp(w.log_rho)
@@ -299,6 +303,7 @@ def moments_from_state(s: Spectrum, x: StateCoefficients) -> tuple[float, float,
 
     Used to confirm gamma plays no role: the phases cancel in |c_n|^2.
     """
+    _check_same_spectrum(x, s)
     p = np.abs(x.c) ** 2
     total = p.sum()
     e = s.e_array(len(p) - 1)

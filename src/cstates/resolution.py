@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import LabelRangeError, QuadratureError, SpectrumError
 from .spectrum import MODELS, Spectrum, _number, _read_object
-from .weights import WeightTable, _check_same_spectrum, check_j_range, normalization
+from .weights import WeightTable, _check_same_spectrum, _log_terms, check_j_range, normalization
 
 _QUAD_START = 64
 _QUAD_DOUBLINGS = 4
@@ -246,7 +246,7 @@ def gamma_averaged_projector(
         amps = np.zeros(size)
         amps[0] = 1.0
     else:
-        g = np.arange(size, dtype=float) * math.log(J) - w.log_rho[:size]
+        g = _log_terms(w, math.log(J), 0, size)[1]
         amps = np.exp(0.5 * g)
     ee = w.levels[:size]
     if math.isinf(Gamma):

@@ -4,12 +4,21 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import LevelRangeError, SpectrumError
+
+
+def _omega(value) -> float:
+    """omega as a float: a finite positive real, numpy scalars included, bools not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise SpectrumError(f"omega must be a positive finite number, got {value!r}")
+    return float(value)
+
 
 def _hydrogen_gap(n: np.ndarray) -> np.ndarray:
     shifted = np.asarray(n, dtype=float) + 1.0
@@ -45,8 +54,7 @@ class Spectrum:
     gap_rule: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.omega, (int, float)) or not math.isfinite(self.omega) or self.omega <= 0:
-            raise SpectrumError(f"omega must be a positive finite number, got {self.omega!r}")
+        object.__setattr__(self, "omega", _omega(self.omega))
         if self.levels is not None:
             if not self.levels:
                 raise SpectrumError("explicit spectrum needs at least one level")
@@ -170,7 +178,7 @@ def make_builtin(model: str, omega: float = 1.0) -> Spectrum:
     if record is None:
         raise SpectrumError(f"unknown builtin model {model!r}; choose from {tuple(MODELS)}")
     return Spectrum(
-        name=record.name, omega=float(omega), e_star=record.e_star, model=record,
+        name=record.name, omega=omega, e_star=record.e_star, model=record,
         level_rule=record.level_rule, gap_rule=record.gap_rule,
     )
 
@@ -193,7 +201,7 @@ def from_rule(
             return _star - np.asarray(_gap(n), dtype=float)
 
     return Spectrum(
-        name=name, omega=float(omega), e_star=None if e_star is None else float(e_star),
+        name=name, omega=omega, e_star=None if e_star is None else float(e_star),
         level_rule=level_rule, gap_rule=gap_rule,
     )
 
@@ -222,24 +230,18 @@ def from_levels(
         raise SpectrumError(f"levels must be numbers: {exc}") from None
     if not arr:
         raise SpectrumError("explicit spectrum needs at least one level")
-    if not isinstance(omega, (int, float)) or not omega > 0:
-        raise SpectrumError(f"omega must be positive, got {omega!r}")
+    omega = _omega(omega)
     shift = arr[0]
-    e = tuple((v - shift) / float(omega) for v in arr)
+    e = tuple((v - shift) / omega for v in arr)
     if e_star is not None:
         e_star = float(e_star)
         if e_star <= e[-1]:
             raise SpectrumError(
                 f"declared e_star={e_star} must exceed the last level e={e[-1]}"
             )
-    built = Spectrum(
-        name=name, omega=float(omega), e_star=e_star, shift_applied=float(shift), levels=e
-    )
+    built = Spectrum(name=name, omega=omega, e_star=e_star, shift_applied=float(shift), levels=e)
     if len(e) > 1:
-        report = validate(built, len(e) - 1)
-        if not report.ok:
-            details = "; ".join(f"n={n}: {msg}" for n, msg in report.violations)
-            raise SpectrumError(f"invalid explicit levels: {details}")
+        _refuse_invalid(validate(built, len(e) - 1), "invalid explicit levels")
     return built
 
 
@@ -274,14 +276,12 @@ def load_spectrum(document: str | Mapping) -> Spectrum:
        "levels": [floats] (explicit only), "e_star": float|"inf"|null}
     """
     doc = _read_object(document, "spectrum")
-    omega = doc.get("omega")
-    if not isinstance(omega, (int, float)) or not omega > 0:
-        raise SpectrumError(f"omega must be a positive number, got {omega!r}")
+    omega = _omega(doc.get("omega"))
     kind = doc.get("kind")
     name = doc.get("name")
 
     if kind == "builtin":
-        built = make_builtin(doc.get("model"), float(omega))
+        built = make_builtin(doc.get("model"), omega)
         if name and name != built.name:
             built = dataclasses.replace(built, name=str(name))
         return built
@@ -293,7 +293,7 @@ def load_spectrum(document: str | Mapping) -> Spectrum:
         e_star = doc.get("e_star")
         if e_star is not None:
             e_star = _number(e_star, "e_star")
-        return from_levels(str(name or "custom"), float(omega), raw, e_star=e_star)
+        return from_levels(str(name or "custom"), omega, raw, e_star=e_star)
 
     raise SpectrumError(f"unknown spectrum kind {kind!r} (expected 'builtin' or 'explicit')")
 
@@ -312,6 +312,13 @@ def validate(s: Spectrum, n_max: int) -> ValidationReport:
         raise ValueError("n_max must be >= 1")
     top = n_max if s.max_index is None else min(n_max, s.max_index)
     return _check_levels(s, s.e_array(top))
+
+
+def _refuse_invalid(report: ValidationReport, what: str) -> None:
+    """Raise SpectrumError listing every violation of a failed report, after what."""
+    if not report.ok:
+        details = "; ".join(f"n={n}: {msg}" for n, msg in report.violations)
+        raise SpectrumError(f"{what}: {details}")
 
 
 def _check_levels(s: Spectrum, e: np.ndarray) -> ValidationReport:

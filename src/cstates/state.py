@@ -7,13 +7,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LabelRangeError, SpectrumMismatchError
+from .errors import LabelRangeError
 from .phase import phase_factor
 from .spectrum import Spectrum
 from .weights import (
     DEFAULT_TAIL_TOL,
     WeightTable,
     _check_same_spectrum,
+    _log_terms,
     power_sums,
 )
 
@@ -82,7 +83,7 @@ def _states(
             if label.J not in parts:
                 ps = power_sums(w, label.J, rel_tol=tol)
                 k = ps.terms_used
-                g = np.arange(k, dtype=float) * math.log(label.J) - w.log_rho[:k]
+                g = _log_terms(w, math.log(label.J), 0, k)[1]
                 log_norm = ps.log_scale + math.log(ps.s0 + ps.t0)
                 parts[label.J] = (np.exp(0.5 * (g - log_norm)), float(ps.t0 / (ps.s0 + ps.t0)))
             magnitudes, tail_mass = parts[label.J]
@@ -101,10 +102,7 @@ def _zero_padded(*vectors) -> np.ndarray:
 
 def overlap(a: StateCoefficients, b: StateCoefficients) -> complex:
     """Inner product <a|b>; magnitude is 1 at equal labels up to the tails."""
-    if a.spectrum is not b.spectrum and a.spectrum != b.spectrum:
-        raise SpectrumMismatchError(
-            f"states live over different spectra: '{a.spectrum.name}' vs '{b.spectrum.name}'"
-        )
+    _check_same_spectrum(b, a.spectrum)
     return complex(np.vdot(*_zero_padded(a.c, b.c)))
 
 

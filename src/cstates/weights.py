@@ -25,7 +25,7 @@ from .errors import (
     SpectrumMismatchError,
     TruncationError,
 )
-from .spectrum import Spectrum, _check_levels
+from .spectrum import Spectrum, _check_levels, _refuse_invalid
 
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_NMAX = 20_000
@@ -75,10 +75,7 @@ def compute_weights(s: Spectrum, n_max: int = DEFAULT_NMAX) -> WeightTable:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     e = s.e_array(n_max)
-    report = _check_levels(s, e)
-    if not report.ok:
-        details = "; ".join(f"n={n}: {msg}" for n, msg in report.violations)
-        raise SpectrumError(f"spectrum '{s.name}' failed validation: {details}")
+    _refuse_invalid(_check_levels(s, e), f"spectrum '{s.name}' failed validation")
     if not e[1] > 0:
         raise SpectrumError("e_1 must be positive")
     log_rho = np.concatenate([[0.0], np.cumsum(np.log(e[1:]))])
@@ -126,10 +123,11 @@ def check_j_range(w: WeightTable, J: float) -> None:
         )
 
 
-def _check_same_spectrum(w: WeightTable, s: Spectrum) -> None:
-    if s is not w.spectrum and s != w.spectrum:
+def _check_same_spectrum(x, s: Spectrum) -> None:
+    """Refuse s unless it is the spectrum of x, a weight table or a state."""
+    if s is not x.spectrum and s != x.spectrum:
         raise SpectrumMismatchError(
-            f"weight table was built for '{w.spectrum.name}', got spectrum '{s.name}'"
+            f"{type(x).__name__} was built for '{x.spectrum.name}', got spectrum '{s.name}'"
         )
 
 

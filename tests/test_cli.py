@@ -298,6 +298,44 @@ def test_nmax_floor_rejected(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum"],
+        ["weights"],
+        ["state", "--J", "0.5"],
+        ["variance", "--grid", "0.5"],
+        ["evolve", "--J", "0.5", "--t", "1.0"],
+        ["resolution"],
+        ["verify"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tol", "0"], "tolerance must be positive"),
+        (["--nmax", "4"], "n_max must be at least 8"),
+        (["--nmax", "4", "--tol", "0"], "tolerance must be positive"),
+    ],
+    ids=["tol", "nmax", "both"],
+)
+def test_every_command_checks_tol_then_nmax_first(capsys, argv, flags, message):
+    # the shared checks come before the spectrum source is looked at
+    for source in (["--model", "harmonic"], []):
+        code, out, err = run(capsys, argv + source + flags)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+
+
+def test_file_with_boolean_omega_is_refused(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"name": "b", "omega": True, "kind": "explicit", "levels": [0, 2, 5]}))
+    code, out, err = run(capsys, ["spectrum", "--file", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: omega must be")
+
+
 def test_unreachable_tail_exits_with_numerical_code(capsys):
     code, _, err = run(
         capsys,

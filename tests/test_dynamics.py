@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstates import (
+    SpectrumMismatchError,
     StateLabel,
     coefficients,
     evolve_coefficients,
@@ -32,6 +33,12 @@ def test_evolve_coefficients_identity_at_t0(hydrogen, w_hydrogen):
     ev = evolve_coefficients(x, hydrogen, 0.0)
     assert np.array_equal(ev.c, x.c)
     assert ev.source_label == x.label
+
+
+def test_evolve_coefficients_refuses_another_spectrum(hydrogen, w_hydrogen, harmonic):
+    state = coefficients(hydrogen, w_hydrogen, StateLabel(0.5, 0.0))
+    with pytest.raises(SpectrumMismatchError):
+        evolve_coefficients(state, harmonic, 1.0)
 
 
 def test_eigenstate_gets_pure_phase(hydrogen):

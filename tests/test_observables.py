@@ -6,6 +6,7 @@ import pytest
 from cstates import (
     CertificationError,
     LabelRangeError,
+    SpectrumMismatchError,
     StateLabel,
     TruncationError,
     coefficients,
@@ -276,6 +277,19 @@ def test_near_jstar_coefficient_abel_identity(hydrogen, w_hydrogen):
     lhs = float(((gaps[:-1] - gaps[1:]) / rho).sum())
     rhs = float((gaps[:-1] ** 2 / rho).sum())
     assert lhs == pytest.approx(rhs, rel=5e-9)
+
+
+def test_near_jstar_coefficient_refuses_another_spectrums_table(hydrogen):
+    # both accumulate at J* = 1, so only the identity check tells them apart
+    with pytest.raises(SpectrumMismatchError):
+        near_jstar_coefficient(power_gap_spectrum(2), compute_weights(hydrogen, 2000))
+
+
+def test_moments_from_state_refuses_another_spectrums_state(hydrogen, w_hydrogen, harmonic):
+    state = coefficients(hydrogen, w_hydrogen, StateLabel(0.5, 0.0))
+    assert moments_from_state(hydrogen, state)[0] == pytest.approx(0.5, rel=1e-9)
+    with pytest.raises(SpectrumMismatchError):
+        moments_from_state(harmonic, state)
 
 
 def test_near_jstar_coefficient_flags_nonsummable():

@@ -49,6 +49,31 @@ def test_omega_must_be_positive():
         from_levels("x", 0.0, [0, 1, 2])
 
 
+OMEGA_CONSTRUCTORS = {
+    "make_builtin": lambda omega: make_builtin("harmonic", omega),
+    "from_rule": lambda omega: from_rule("linear", omega, lambda n: n, e_star=math.inf),
+    "power_gap_spectrum": lambda omega: power_gap_spectrum(2.0, omega),
+    "from_levels": lambda omega: from_levels("x", omega, [0.0, 2.0, 5.0]),
+    "load_spectrum": lambda omega: load_spectrum(
+        {"kind": "explicit", "omega": omega, "levels": [0.0, 2.0, 5.0]}
+    ),
+}
+
+
+@pytest.mark.parametrize("build", OMEGA_CONSTRUCTORS.values(), ids=OMEGA_CONSTRUCTORS.keys())
+@pytest.mark.parametrize("omega", [np.int64(2), np.float32(2.0), 2, 2.0], ids=repr)
+def test_every_constructor_accepts_real_omega(build, omega):
+    s = build(omega)
+    assert s.omega == 2.0 and type(s.omega) is float
+
+
+@pytest.mark.parametrize("build", OMEGA_CONSTRUCTORS.values(), ids=OMEGA_CONSTRUCTORS.keys())
+@pytest.mark.parametrize("omega", [True, 0, -1, math.nan, math.inf, "2"], ids=repr)
+def test_every_constructor_refuses_bad_omega(build, omega):
+    with pytest.raises(SpectrumError, match="omega must be a positive finite number"):
+        build(omega)
+
+
 def test_hydrogen_gap_exact():
     # the gap rule avoids forming 1 - e_n, so it is exact in floats
     s = make_builtin("hydrogen_like", 1.0)
