@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import temporal_stability_residual
+from .dynamics import _stability
 from .errors import (
     CertificationError,
     CrossCheckError,
@@ -207,8 +207,7 @@ def cmd_evolve(args) -> int:
     s = _resolve_spectrum(args)
     w = _table_for(args, s)
     label = StateLabel(args.J, args.gamma)
-    residual = temporal_stability_residual(s, w, label, args.t, tol=args.tol)
-    state = coefficients(s, w, label, tol=args.tol)
+    residual, state = _stability(s, w, label, args.t, args.tol)
     bound = 2.0 * 2.0 * math.sqrt(state.tail_mass_bound) if state.tail_mass_bound else 0.0
     # rounding the phase arguments e_n gamma, omega e_n t and e_n (gamma + omega t)
     # moves component n by at most UNIT_ROUNDOFF (3|gamma| + 5|omega t|) e_n radians

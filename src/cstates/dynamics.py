@@ -58,10 +58,17 @@ def temporal_stability_residual(
     share the truncation picked for J, and the residual measures only the
     phase identity, not mismatched supports.
     """
+    return _stability(s, w, l, t, tol)[0]
+
+
+def _stability(
+    s: Spectrum, w: WeightTable, l: StateLabel, t: float, tol: float
+) -> tuple[float, StateCoefficients]:
+    """The temporal-stability residual at (l, t), and the state at l it evolved."""
     start, relabeled = _states(s, w, [l, evolve_label(l, t, s.omega)], tol)
     evolved = evolve_coefficients(start, s, t)
     a, b = _zero_padded(evolved.c, relabeled.c)
-    return float(np.linalg.norm(a - b))
+    return float(np.linalg.norm(a - b)), start
 
 
 def kinematic_representation_check(

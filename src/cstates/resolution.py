@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import LabelRangeError, QuadratureError, SpectrumError
-from .spectrum import MODELS, Spectrum, _number, _read_object
+from .spectrum import Spectrum, _builtin_model, _number, _read_object
 from .weights import WeightTable, _check_same_spectrum, _log_terms, check_j_range, normalization
 
 _QUAD_START = 64
@@ -60,9 +60,7 @@ class ProjectorMatrix:
 
 def builtin_measure(model: str) -> Measure:
     """The measure document of a record in MODELS, read on [0, e_star)."""
-    record = MODELS.get(model) if isinstance(model, str) else None
-    if record is None:
-        raise SpectrumError(f"no builtin measure for model {model!r}")
+    record = _builtin_model(model)
     doc = _read_object(record.measure, "measure")
     return load_measure({**doc, "name": record.name, "U": record.e_star})
 

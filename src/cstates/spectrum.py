@@ -21,8 +21,17 @@ def _omega(value) -> float:
 
 
 def _hydrogen_gap(n: np.ndarray) -> np.ndarray:
-    shifted = np.asarray(n, dtype=float) + 1.0
-    return 1.0 / (shifted * shifted)
+    """1/(n+1)^2, squared and divided in place in one new array."""
+    gap = np.array(n, dtype=float)
+    gap += 1.0
+    gap *= gap
+    return np.divide(1.0, gap, out=gap)
+
+
+def _hydrogen_level(n: np.ndarray) -> np.ndarray:
+    """1 - 1/(n+1)^2, subtracted in place from the gap's array."""
+    gap = _hydrogen_gap(n)
+    return np.subtract(1.0, gap, out=gap)
 
 
 @dataclass(frozen=True)
@@ -86,10 +95,18 @@ class Spectrum:
 
     def e_array(self, n_max: int) -> np.ndarray:
         """Levels e_0..e_{n_max} as a float array."""
-        self._check_index(n_max)
+        return self.e_range(0, n_max + 1)
+
+    def _check_range(self, lo: int, hi: int) -> None:
+        self._check_index(lo)
+        self._check_index(hi - 1)
+
+    def e_range(self, lo: int, hi: int) -> np.ndarray:
+        """Levels e_n for n in [lo, hi) as a float array."""
+        self._check_range(lo, hi)
         if self.levels is not None:
-            return np.asarray(self.levels[: n_max + 1], dtype=float)
-        return np.asarray(self.level_rule(np.arange(n_max + 1, dtype=float)), dtype=float)
+            return np.asarray(self.levels[lo:hi], dtype=float)
+        return np.asarray(self.level_rule(np.arange(lo, hi, dtype=float)), dtype=float)
 
     def energy(self, n: int) -> float:
         """E_n = omega * e_n in energy units."""
@@ -97,12 +114,16 @@ class Spectrum:
 
     def gap_array(self, n_max: int) -> np.ndarray:
         """e_star - e_n for n = 0..n_max (requires a finite accumulation point)."""
+        return self.gap_range(0, n_max + 1)
+
+    def gap_range(self, lo: int, hi: int) -> np.ndarray:
+        """e_star - e_n for n in [lo, hi), from ``gap_rule`` when there is one."""
         if self.gap_rule is not None:
-            self._check_index(n_max)
-            return np.asarray(self.gap_rule(np.arange(n_max + 1, dtype=float)), dtype=float)
+            self._check_range(lo, hi)
+            return np.asarray(self.gap_rule(np.arange(lo, hi, dtype=float)), dtype=float)
         if self.e_star is None or not math.isfinite(self.e_star):
             raise SpectrumError("gap to the accumulation point needs a finite e_star")
-        return self.e_star - self.e_array(n_max)
+        return self.e_star - self.e_range(lo, hi)
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -155,7 +176,7 @@ MODELS: dict[str, Model] = {
         Model(
             name="hydrogen_like",
             e_star=1.0,
-            level_rule=lambda n: 1.0 - _hydrogen_gap(n),
+            level_rule=_hydrogen_level,
             gap_rule=_hydrogen_gap,
             normalization=lambda J: 2.0 / (1.0 - J) + (2.0 / (J * J)) * (J + math.log1p(-J)),
             measure='{"density": {"kind": "constant", "value": 0.5}, "atoms": [{"u": 1, "w": 0.5}]}',
@@ -171,12 +192,18 @@ MODELS: dict[str, Model] = {
 }
 
 
-def make_builtin(model: str, omega: float = 1.0) -> Spectrum:
-    """Built-in spectra, one per record in MODELS: 'harmonic' (e_n = n) or
-    'hydrogen_like' (e_n = 1 - 1/(n+1)^2)."""
+def _builtin_model(model: str) -> Model:
+    """The record of MODELS named model; any other name or type is refused."""
     record = MODELS.get(model) if isinstance(model, str) else None
     if record is None:
         raise SpectrumError(f"unknown builtin model {model!r}; choose from {tuple(MODELS)}")
+    return record
+
+
+def make_builtin(model: str, omega: float = 1.0) -> Spectrum:
+    """Built-in spectra, one per record in MODELS: 'harmonic' (e_n = n) or
+    'hydrogen_like' (e_n = 1 - 1/(n+1)^2)."""
+    record = _builtin_model(model)
     return Spectrum(
         name=record.name, omega=omega, e_star=record.e_star, model=record,
         level_rule=record.level_rule, gap_rule=record.gap_rule,
@@ -228,18 +255,14 @@ def from_levels(
         arr = [float(v) for v in energies]
     except (TypeError, ValueError) as exc:
         raise SpectrumError(f"levels must be numbers: {exc}") from None
-    if not arr:
-        raise SpectrumError("explicit spectrum needs at least one level")
     omega = _omega(omega)
-    shift = arr[0]
+    shift = arr[0] if arr else 0.0
     e = tuple((v - shift) / omega for v in arr)
     if e_star is not None:
         e_star = float(e_star)
-        if e_star <= e[-1]:
-            raise SpectrumError(
-                f"declared e_star={e_star} must exceed the last level e={e[-1]}"
-            )
     built = Spectrum(name=name, omega=omega, e_star=e_star, shift_applied=float(shift), levels=e)
+    if e_star is not None and e_star <= e[-1]:
+        raise SpectrumError(f"declared e_star={e_star} must exceed the last level e={e[-1]}")
     if len(e) > 1:
         _refuse_invalid(validate(built, len(e) - 1), "invalid explicit levels")
     return built
@@ -288,8 +311,8 @@ def load_spectrum(document: str | Mapping) -> Spectrum:
 
     if kind == "explicit":
         raw = doc.get("levels")
-        if not isinstance(raw, (list, tuple)) or not raw:
-            raise SpectrumError("explicit spectrum needs a nonempty 'levels' array")
+        if not isinstance(raw, (list, tuple)):
+            raise SpectrumError("explicit spectrum needs a 'levels' array")
         e_star = doc.get("e_star")
         if e_star is not None:
             e_star = _number(e_star, "e_star")

@@ -25,7 +25,7 @@ from .observables import (
 from .resolution import Measure, gamma_averaged_projector, moment_check, unity_check
 from .spectrum import Spectrum
 from .state import StateLabel, _states, _zero_padded, coefficients, norm_deficit
-from .weights import WeightTable, compute_weights, normalization, power_sums
+from .weights import WeightTable, _check_same_spectrum, compute_weights, normalization, power_sums
 
 DEFAULT_SEED = 1234
 
@@ -41,7 +41,9 @@ def _probe_usable_j(w: WeightTable, start: float, tol: float, need_second: bool)
     """Largest J (down a 0.7-geometric ladder) whose tails certify at tol.
 
     Short explicit lists cannot push relative tail bounds arbitrarily low at
-    large J, so sampled checks stay inside the certifiable range.
+    large J, so sampled checks stay inside the certifiable range.  A
+    CertificationError does not depend on J (there is no second-moment bound
+    at all), so it ends the ladder at once with 0.
     """
     J = start
     for _ in range(80):
@@ -50,8 +52,10 @@ def _probe_usable_j(w: WeightTable, start: float, tol: float, need_second: bool)
         try:
             power_sums(w, J, rel_tol=tol, need_second=need_second)
             return J
-        except (TruncationError, CertificationError):
+        except TruncationError:
             J *= 0.7
+        except CertificationError:
+            return 0.0
     return 0.0
 
 
@@ -63,6 +67,9 @@ def run_suite(
     seed: int = DEFAULT_SEED,
     tol: float = 1e-12,
 ) -> list[CheckResult]:
+    """Every check of the suite on s, in order; a table of another spectrum is
+    refused before any check runs."""
+    _check_same_spectrum(w, s)
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     model = s.model

@@ -71,14 +71,20 @@ class SeriesValue:
 
 
 def compute_weights(s: Spectrum, n_max: int = DEFAULT_NMAX) -> WeightTable:
-    """Accumulate log rho_n = sum_{l<=n} log e_l for n = 0..n_max."""
+    """Accumulate log rho_n = sum_{l<=n} log e_l for n = 0..n_max.
+
+    The logs and their running sum are written in place into log_rho, so no
+    full-length copy of it is made on the way.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     e = s.e_array(n_max)
     _refuse_invalid(_check_levels(s, e), f"spectrum '{s.name}' failed validation")
     if not e[1] > 0:
         raise SpectrumError("e_1 must be positive")
-    log_rho = np.concatenate([[0.0], np.cumsum(np.log(e[1:]))])
+    log_rho = np.empty(n_max + 1)
+    log_rho[0] = 0.0
+    np.cumsum(np.log(e[1:], out=log_rho[1:]), out=log_rho[1:])
 
     if s.e_star is not None:
         j_star = float(s.e_star)

@@ -25,8 +25,9 @@ def w_harmonic(harmonic):
 
 @pytest.fixture
 def series_calls(monkeypatch):
-    """(table, J, certified) for every certified series call made during a test."""
-    from cstates import TruncationError, weights
+    """(table, J, certified) for every certified series call made during a
+    test; a call refused with any CStatesError counts as not certified."""
+    from cstates import CStatesError, weights
 
     calls = []
     original = weights._certified_sums
@@ -34,7 +35,7 @@ def series_calls(monkeypatch):
     def spy(w, J, *args, **kwargs):
         try:
             out = original(w, J, *args, **kwargs)
-        except TruncationError:
+        except CStatesError:
             calls.append((w, J, False))
             raise
         calls.append((w, J, True))

@@ -177,6 +177,14 @@ def test_evolve_reports_residual(capsys):
     assert float(rows[0][3]) <= 1e-10
 
 
+def test_evolve_builds_its_state_once(capsys, series_calls):
+    code, _, _ = run(
+        capsys, ["evolve", "--model", "hydrogen_like", "--J", "0.5", "--gamma", "0", "--t", "3.7"]
+    )
+    assert code == 0
+    assert [J for _, J, _ in series_calls] == [0.5]
+
+
 def test_evolve_zero_time(capsys):
     code, out, _ = run(
         capsys, ["evolve", "--model", "hydrogen_like", "--J", "0.5", "--t", "0"]

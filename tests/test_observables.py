@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from cstates import (
     variance_curve,
 )
 from cstates.observables import DEFAULT_FIT_CAP, _double_sum_variance, _fit_loglog
+from cstates.weights import _CHUNK
 
 
 def pairwise_double_sum(w, J, k, omega):
@@ -123,6 +125,88 @@ def test_double_sum_centred_matches_pairwise(s, n_max, grid):
             assert got == pytest.approx(ref, rel=1e-13, abs=0.0), (J, k)
 
 
+def whole_range_centred_sum(w, J, k, omega):
+    """The centred double sum as one pass over [0, k), in numpy's operations."""
+    g = np.arange(k, dtype=float) * math.log(J) - w.log_rho[:k]
+    t = np.exp(g - g.max())
+    s = w.spectrum
+    x = s.gap_array(k - 1) if s.e_star is not None and math.isfinite(s.e_star) else w.levels[:k]
+    total = t.sum()
+    d = x - (x * t).sum() / total
+    return omega * omega * float((d * d * t).sum() / total)
+
+
+def fsum_centred_sum(w, J, k, omega):
+    """The centred double sum with every sum a correctly rounded math.fsum and
+    the mean refined once, as the reference for the blocked route."""
+    g = np.arange(k, dtype=float) * math.log(J) - w.log_rho[:k]
+    t = np.exp(g - g.max())
+    s = w.spectrum
+    x = s.gap_array(k - 1) if s.e_star is not None and math.isfinite(s.e_star) else w.levels[:k]
+    total = math.fsum(t.tolist())
+    mean = math.fsum((x * t).tolist()) / total
+    mean += math.fsum(((x - mean) * t).tolist()) / total
+    d = x - mean
+    return omega * omega * math.fsum((d * d * t).tolist()) / total
+
+
+@pytest.mark.parametrize(
+    "s, n_max, grid",
+    [
+        (make_builtin("hydrogen_like"), _CHUNK, (0.3, 0.99, 0.9999)),
+        (make_builtin("harmonic", 2.0), _CHUNK, (0.5, 500.0, 60_000.0)),
+        (power_gap_spectrum(0.25), _CHUNK, (0.5, 0.999)),
+        (from_levels("steps", 1.0, [0.0, 2.0, 5.0, 9.0, 11.0, 11.5], e_star=12.0), 5, (0.1, 5.0)),
+    ],
+    ids=["hydrogen_like", "harmonic_omega2", "power_gap_0.25", "explicit_e_star"],
+)
+def test_double_sum_one_block_is_the_whole_range_sum(s, n_max, grid):
+    w = compute_weights(s, n_max)
+    for J in grid:
+        for k in sorted({1, 2, 1000, _CHUNK - 1, _CHUNK} & set(range(1, n_max + 2))):
+            assert _double_sum_variance(w, J, k, s.omega) == whole_range_centred_sum(w, J, k, s.omega)
+
+
+@pytest.mark.parametrize(
+    "model, omega, n_max, J, k",
+    [
+        ("hydrogen_like", 1.0, 300_000, 0.99999, 300_001),
+        ("hydrogen_like", 1.0, 300_000, 0.9999, 2 * _CHUNK + 1),
+        # t_n = 0.5^n / rho_n underflows near n = 1,075: blocks 2 to 4 add nothing
+        ("hydrogen_like", 1.0, 300_000, 0.5, 4 * _CHUNK),
+        # terms below n ~ 1.5e5 underflow, so the first blocks add nothing; the
+        # last term dominates the first 65,537, where x ~ 6.6e4 and the spread ~ 1
+        ("harmonic", 2.0, 300_000, 200_000.0, 300_001),
+        ("harmonic", 2.0, 300_000, 150_000.0, _CHUNK + 1),
+        ("harmonic", 1.0, 300_000, 50_000.0, 200_000),
+    ],
+)
+def test_double_sum_over_blocks_matches_fsum(model, omega, n_max, J, k):
+    w = compute_weights(make_builtin(model, omega), n_max)
+    got = _double_sum_variance(w, J, k, omega)
+    assert got == pytest.approx(fsum_centred_sum(w, J, k, omega), rel=1e-13, abs=0.0)
+
+
+@pytest.fixture(scope="module")
+def w_near_jstar(hydrogen):
+    # the near-J* fit table for J = 1 - 10^-4.5, 1.25 times its term bound
+    return compute_weights(hydrogen, 1_092_195)
+
+
+def test_near_jstar_variance_memory_does_not_grow_with_the_terms(hydrogen, w_near_jstar):
+    J = 1.0 - 10.0**-4.5
+    tracemalloc.start()
+    try:
+        vp = variance(hydrogen, w_near_jstar, J)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 873,767 terms; the whole-range cross-check peaked at 40 MiB
+    assert power_sums(w_near_jstar, J, need_second=True).terms_used > 870_000
+    assert vp.double_sum == pytest.approx(vp.variance, rel=1e-8)
+    assert peak <= 10 * 2**20
+
+
 def test_variance_cross_checked_for_long_truncations(hydrogen, w_hydrogen):
     # ~27,600 terms, far past the lengths a pairwise double sum could afford
     assert power_sums(w_hydrogen, 0.999, need_second=True).terms_used > 27_000
@@ -136,6 +220,14 @@ def test_variance_curve_flags_failures(hydrogen, w_hydrogen):
     assert [p.J for p in pts] == [0.1, 0.5, 0.9999999, 0.2]
     assert pts[0].error is None and pts[3].error is None
     assert pts[2].error is not None and math.isnan(pts[2].variance)
+
+
+def test_variance_curve_refuses_another_spectrums_table_once(hydrogen, harmonic, series_calls):
+    # no row per point: the table is refused before any point is tried
+    w = compute_weights(hydrogen, 200)
+    with pytest.raises(SpectrumMismatchError):
+        variance_curve(harmonic, w, [0.1, 0.5, 0.9])
+    assert series_calls == []
 
 
 def test_variance_curve_empty_and_single(hydrogen, w_hydrogen):

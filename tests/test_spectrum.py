@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from cstates import (
     LevelRangeError,
+    Spectrum,
     SpectrumError,
+    builtin_measure,
     from_levels,
     from_rule,
     load_spectrum,
@@ -81,6 +83,48 @@ def test_hydrogen_gap_exact():
     assert np.array_equal(s.gap_array(100), 1.0 / (n + 1.0) ** 2)
     # and the subtraction route agrees to rounding
     np.testing.assert_allclose(1.0 - s.e_array(100), s.gap_array(100), rtol=1e-11)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [make_builtin("hydrogen_like"), power_gap_spectrum(0.5),
+     from_levels("steps", 1.0, [0.0, 2.0, 5.0, 9.0], e_star=12.0)],
+    ids=lambda s: s.name,
+)
+def test_gap_range_is_a_slice_of_gap_array(s):
+    top = 3 if s.max_index is not None else 500
+    whole = s.gap_array(top)
+    for lo, hi in ((0, top + 1), (1, 3), (top, top + 1)):
+        assert np.array_equal(s.gap_range(lo, hi), whole[lo:hi])
+        assert np.array_equal(s.e_range(lo, hi), s.e_array(top)[lo:hi])
+    with pytest.raises(LevelRangeError):
+        s.gap_range(-1, 2)
+    if s.max_index is not None:
+        with pytest.raises(LevelRangeError):
+            s.gap_range(top + 1, top + 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: load_spectrum({"kind": "explicit", "omega": 1.0, "levels": []}),
+        lambda: from_levels("x", 1.0, []),
+        lambda: Spectrum(name="x", omega=1.0, e_star=None, levels=()),
+    ],
+    ids=["load_spectrum", "from_levels", "Spectrum"],
+)
+def test_empty_levels_are_refused_with_one_message(build):
+    with pytest.raises(SpectrumError, match="^explicit spectrum needs at least one level$"):
+        build()
+
+
+@pytest.mark.parametrize("model", ["morse", None, 3])
+def test_unknown_builtin_model_is_refused_alike(model):
+    message = r"^unknown builtin model .*; choose from \('harmonic', 'hydrogen_like'\)$"
+    with pytest.raises(SpectrumError, match=message):
+        make_builtin(model)
+    with pytest.raises(SpectrumError, match=message):
+        builtin_measure(model)
 
 
 def test_load_builtin_round_trip():

@@ -1,7 +1,13 @@
 import pytest
 
-from cstates import builtin_measure, compute_weights, make_builtin
-from cstates.verify import run_suite
+from cstates import (
+    SpectrumMismatchError,
+    builtin_measure,
+    compute_weights,
+    from_levels,
+    make_builtin,
+)
+from cstates.verify import _probe_usable_j, run_suite
 
 
 @pytest.mark.parametrize("model, cap", [("hydrogen_like", 240), ("harmonic", 225)])
@@ -12,3 +18,28 @@ def test_run_suite_series_calls_capped(model, cap, series_calls):
     results = run_suite(s, compute_weights(s), builtin_measure(model))
     assert [r.name for r in results if r.status == "fail"] == []
     assert len(series_calls) <= cap
+
+
+STEPS = from_levels("steps", 1.0, [0.0, 2.0, 5.0, 9.0])
+
+
+def test_probe_ladder_stops_at_the_first_certification_error(series_calls):
+    # without e_star no second-moment tail bound exists at any J
+    w = compute_weights(STEPS, 3)
+    assert _probe_usable_j(w, 9.5, 1e-12, need_second=True) == 0.0
+    assert [ok for _, _, ok in series_calls] == [False]
+
+
+def test_run_suite_refused_series_calls_capped(series_calls):
+    # the second-moment probe walked all 80 rungs of its ladder, each refused
+    results = run_suite(STEPS, compute_weights(STEPS, 3), None)
+    assert [r.name for r in results if r.status == "fail"] == []
+    assert {r.name: r.status for r in results}["small-j-slope"] == "skipped"
+    assert len([J for _, J, ok in series_calls if not ok]) <= 30
+
+
+def test_run_suite_refuses_another_spectrums_table(series_calls):
+    w = compute_weights(make_builtin("hydrogen_like"), 200)
+    with pytest.raises(SpectrumMismatchError):
+        run_suite(make_builtin("harmonic"), w, builtin_measure("harmonic"))
+    assert series_calls == []

@@ -390,3 +390,27 @@ def test_series_memory_does_not_grow_with_the_table(hydrogen):
         tracemalloc.stop()
     assert ps.terms_used > 900_000
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("model", ["hydrogen_like", "harmonic"])
+def test_table_build_memory_stays_near_the_table(model):
+    # log -> cumsum -> concatenate peaked at 2.0x (hydrogen_like) and 1.5x
+    # (harmonic) the final table
+    s = make_builtin(model)
+    tracemalloc.start()
+    try:
+        w = compute_weights(s, 1_092_195)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * (w.log_rho.nbytes + w.levels.nbytes)
+
+
+@pytest.mark.parametrize("model", ["hydrogen_like", "harmonic"])
+def test_table_built_in_place_is_the_concatenated_one(model):
+    s = make_builtin(model)
+    w = compute_weights(s, 300_000)
+    n = np.arange(300_001, dtype=float)
+    levels = n if model == "harmonic" else 1.0 - 1.0 / ((n + 1.0) * (n + 1.0))
+    assert np.array_equal(w.levels, levels)
+    assert np.array_equal(w.log_rho, np.concatenate([[0.0], np.cumsum(np.log(levels[1:]))]))
