@@ -14,7 +14,7 @@ from .weights import (
     DEFAULT_TAIL_TOL,
     EDGE_GUARD,
     WeightTable,
-    _CHUNK,
+    _blocks,
     _check_same_spectrum,
     _log_terms,
     compute_weights,
@@ -78,17 +78,18 @@ def _double_sum_variance(w: WeightTable, J: float, k: int, omega: float) -> floa
     near e*.  The terms t_n = exp(g_n - max g) are recomputed from log rho,
     independently of the moment route and of its scale.
 
-    [0, k) is scanned in blocks of _CHUNK entries, so working memory does not
-    grow with k.  A first pass finds max g and, when there is more than one
-    block, the x_c at which it is reached.  A second gives each block its
-    weight W_b = sum t, the weighted mean of y = x - x_c and
-    M2_b = sum (y - mean_b)^2 t, and merges the blocks by the pairwise update
-    of Chan, Golub & LeVeque (Amer. Statist. 37, 242 (1983)).  The shift to
-    y keeps the block means, whose difference the update squares, near the
-    spread of the terms rather than near |x|: unshifted, harmonic J = 1.5e5
-    cut at k = 65,537 lost 4e-12 relative.  A block whose terms all
-    underflow adds nothing.  For k <= _CHUNK there is one block, no shift
-    and no merge, so the result is the whole-range centred sum bit for bit.
+    [0, k) is scanned on the series kernel's block schedule
+    (``weights._blocks``), so working memory does not grow with k.  A first
+    pass finds max g and, when there is more than one block, the x_c at which
+    it is reached.  A second gives each block its weight W_b = sum t, the
+    weighted mean of y = x - x_c and M2_b = sum (y - mean_b)^2 t, and merges
+    the blocks by the pairwise update of Chan, Golub & LeVeque (Amer.
+    Statist. 37, 242 (1983)).  The shift to y keeps the block means, whose
+    difference the update squares, near the spread of the terms rather than
+    near |x|: unshifted, harmonic J = 1.5e5 cut at k = 65,537 into two blocks
+    lost 4e-12 relative.  A block whose terms all underflow adds nothing.  For
+    k <= weights._FIRST_BLOCK there is one block, no shift and no merge, so
+    the result is the whole-range centred sum bit for bit.
     """
     if J == 0:
         return 0.0
@@ -99,7 +100,7 @@ def _double_sum_variance(w: WeightTable, J: float, k: int, omega: float) -> floa
     def gaps(lo: int, hi: int) -> np.ndarray:
         return s.gap_range(lo, hi) if bounded else w.levels[lo:hi]
 
-    blocks = [(lo, min(lo + _CHUNK, k)) for lo in range(0, k, _CHUNK)]
+    blocks = list(_blocks(0, k))
     top, at = -math.inf, 0
     for lo, hi in blocks:
         g = _log_terms(w, log_j, lo, hi)[1]
@@ -332,13 +333,26 @@ def near_jstar_coefficient(s: Spectrum, w: WeightTable) -> JstarCoefficient:
     difference contribute equally; an Abel summation of sum Delta_m/rho_m
     shows the same value).  ``converged`` is False when the partial sums are
     still moving at n_max, e.g. when rho_n -> 0.
+
+    The sum runs over the series kernel's blocks (``weights._blocks``), split
+    at the end of the head, 0.9 n_max, so its working memory does not grow
+    with n_max.
     """
     _check_near_jstar(s, w)
-    gaps = s.gap_array(w.n_max)
+
+    def blocked_sum(lo: int, stop: int) -> float:
+        out = 0.0
+        for a, b in _blocks(lo, stop):
+            terms = np.square(s.gap_range(a, b))
+            terms /= np.exp(w.log_rho[a:b])
+            out += float(terms.sum())
+        return out
+
+    size = w.n_max + 1
+    split = max(1, int(0.9 * size))
     with np.errstate(over="ignore", divide="ignore"):
-        terms = gaps * gaps / np.exp(w.log_rho)
-        total = float(terms.sum())
-        head = float(terms[: max(1, int(0.9 * len(terms)))].sum())
+        head = blocked_sum(0, split)
+        total = head + blocked_sum(split, size)
     converged = math.isfinite(total) and (total - head) <= 0.01 * total
     rho_inf = float(np.exp(w.log_rho[-1]))
     return JstarCoefficient(value=rho_inf * total, converged=converged)

@@ -261,7 +261,7 @@ def from_levels(
     if e_star is not None:
         e_star = float(e_star)
     built = Spectrum(name=name, omega=omega, e_star=e_star, shift_applied=float(shift), levels=e)
-    if e_star is not None and e_star <= e[-1]:
+    if e_star is not None and not e_star > e[-1]:  # NaN exceeds nothing
         raise SpectrumError(f"declared e_star={e_star} must exceed the last level e={e[-1]}")
     if len(e) > 1:
         _refuse_invalid(validate(built, len(e) - 1), "invalid explicit levels")

@@ -14,6 +14,7 @@ q = J/e_{n0+1} and the tail is at most t_{n0} * q / (1 - q) once q < 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,12 @@ EDGE_GUARD = 1e-6
 
 # keeps reported tail bounds nonzero after term underflow
 _TERM_FLOOR = 1e-300
-# entries per chunk of the series scan
+# the series scans' block schedule: the first block holds _FIRST_BLOCK
+# entries, and each later one twice the last, up to _CHUNK.  The first
+# block's float64 arrays are 32 KiB, below glibc's 64 KiB free-consolidation
+# threshold, so freeing them does not trim the heap and the next call does
+# not fault its working set back in
+_FIRST_BLOCK = 1 << 12
 _CHUNK = 1 << 16
 
 
@@ -176,9 +182,26 @@ def _log_terms(w: WeightTable, log_j: float, lo: int, hi: int) -> tuple[np.ndarr
     return n, n * log_j - w.log_rho[lo:hi]
 
 
+def _block_end(lo: int, stop: int) -> int:
+    """End of the scan block that starts at lo, cut at stop.
+
+    A block holds lo + _FIRST_BLOCK entries, up to _CHUNK: from n = 0 the
+    blocks hold _FIRST_BLOCK entries, then twice the last block each time.
+    """
+    return min(lo + min(lo + _FIRST_BLOCK, _CHUNK), stop)
+
+
+def _blocks(lo: int, stop: int) -> Iterator[tuple[int, int]]:
+    """The scan blocks (lo, hi) that cover [lo, stop), by ``_block_end``."""
+    while lo < stop:
+        hi = _block_end(lo, stop)
+        yield lo, hi
+        lo = hi
+
+
 def _running_sums(block: np.ndarray, carry: float) -> np.ndarray:
     """Cumulative sums of block continued from carry, in place, in numpy's
-    sequential order, so chunk after chunk they equal one whole-table cumsum."""
+    sequential order, so block after block they equal one whole-table cumsum."""
     block[0] += carry
     return np.cumsum(block, out=block)
 
@@ -194,15 +217,18 @@ def _certified_sums(
     ``absolute``, at most tol once unscaled, compared in log space to survive
     huge scales.  Moments above ``order`` come back NaN.
 
-    The table is scanned left to right in chunks of _CHUNK = 65,536 entries,
-    so a call's working memory does not grow with n_max.  The running sums
-    carry from chunk to chunk in numpy's sequential order and equal a
-    whole-table cumsum bit for bit.  Levels are nondecreasing, so g rises
-    while e_{n+1} <= J and falls after; the cut needs J < e_{n+1}, so M, the
-    maximum of g over the chunks up to that turn, is the whole-table maximum.
-    Should a later chunk still raise it (rounding on a flat top), M becomes
-    the whole-table maximum and the scan restarts once from n = 0.  A refusal
-    scans the whole table and reports the best relative tail over all chunks.
+    The table is scanned left to right in blocks (``_block_end``): 4,096
+    entries first, then each block twice the last, up to _CHUNK = 65,536.
+    So a sum that needs few terms reads few entries, and a call's working
+    memory does not grow with n_max.  The running sums carry from block to
+    block in numpy's sequential order and equal a whole-table cumsum bit for
+    bit.  Levels are nondecreasing, so g rises while e_{n+1} <= J and falls
+    after; the cut needs J < e_{n+1}, so M, the maximum of g over the blocks
+    up to that turn (read ahead of the block being summed), is the
+    whole-table maximum.  Should a later block still raise it (rounding on a
+    flat top), M becomes the whole-table maximum and the scan restarts once
+    from n = 0, with the schedule started over.  A refusal scans the whole
+    table and reports the best relative tail over all blocks.
     """
     check_j_range(w, J)
     if not tol > 0:
@@ -223,7 +249,7 @@ def _certified_sums(
     scale = -math.inf
     lo = 0
     while lo < size:
-        hi = min(lo + _CHUNK, size)
+        hi = _block_end(lo, size)
         n, g = _log_terms(w, log_j, lo, hi)
         top = float(g.max())
         if top > scale:
@@ -232,7 +258,7 @@ def _certified_sums(
             # scan restarts at most once
             scale, ahead = top, hi
             while ahead < size and (lo > 0 or not J < w.levels[ahead]):
-                nxt = min(ahead + _CHUNK, size)
+                nxt = _block_end(ahead, size)
                 scale = max(scale, float(_log_terms(w, log_j, ahead, nxt)[1].max()))
                 ahead = nxt
             if lo > 0:

@@ -43,6 +43,15 @@ def test_spectrum_bad_file_exits_nonzero(tmp_path, capsys):
     assert "decreasing" in err or "invalid" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "variance", "spectrum"])
+def test_file_with_nan_e_star_is_refused(tmp_path, capsys, command):
+    path = tmp_path / "nan.json"
+    path.write_text('{"kind": "explicit", "omega": 1.0, "levels": [0, 2, 5, 9], "e_star": NaN}')
+    code, out, err = run(capsys, [command, "--file", str(path)])
+    assert code == 1 and out == ""
+    assert "declared e_star=nan must exceed the last level" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cstates
 from cstates import (
     SpectrumMismatchError,
     StateLabel,
@@ -121,14 +126,32 @@ def test_kinematics_single_eigenstate(hydrogen, w_hydrogen):
 
 
 def test_reduce_angles_against_mpmath():
-    values = np.array([3.0, -2.0, 1.0e9, -7.3e11, 5.5e14])
+    # up to the largest float; 40 fixed digits were 3.6 rad off at 1e300
+    values = np.array([3.0, -2.0, 1.0e9, -7.3e11, 5.5e14,
+                       1e28, 1e40, 1e300, -1e300, sys.float_info.max])
     reduced = reduce_angles(values)
-    with mpmath.workdps(50):
+    # 400 digits resolve the residue of |x| < 1.8e308 to 1e-90
+    with mpmath.workdps(400):
         tau = 2 * mpmath.pi
         for x, r in zip(values, reduced):
             ref = mpmath.fmod(mpmath.mpf(float(x)), tau)
             diff = complex(mpmath.exp(-1j * ref)) - complex(cmath.exp(-1j * float(r)))
-            assert abs(diff) < 1e-12
+            assert abs(diff) < 1e-12, x
+
+
+def test_import_does_not_load_mpmath():
+    # mpmath serves only the reduction of huge angles, so it is imported there
+    src = str(Path(cstates.__file__).resolve().parents[1])
+    code = "import sys, cstates, cstates.cli; sys.exit('mpmath' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_reduce_angles_below_1e20_keep_40_digits():
+    values = np.array([1.0e9, -7.3e11, 5.5e14, 9.9e19])
+    with mpmath.workdps(40):
+        ref = [float(mpmath.fmod(mpmath.mpf(float(x)), 2 * mpmath.pi)) for x in values]
+    assert reduce_angles(values).tolist() == ref
 
 
 @settings(max_examples=40, deadline=None)

@@ -25,7 +25,7 @@ from cstates import (
     variance_curve,
 )
 from cstates.observables import DEFAULT_FIT_CAP, _double_sum_variance, _fit_loglog
-from cstates.weights import _CHUNK
+from cstates.weights import _CHUNK, _FIRST_BLOCK
 
 
 def pairwise_double_sum(w, J, k, omega):
@@ -163,7 +163,7 @@ def fsum_centred_sum(w, J, k, omega):
 def test_double_sum_one_block_is_the_whole_range_sum(s, n_max, grid):
     w = compute_weights(s, n_max)
     for J in grid:
-        for k in sorted({1, 2, 1000, _CHUNK - 1, _CHUNK} & set(range(1, n_max + 2))):
+        for k in sorted({1, 2, 1000, _FIRST_BLOCK - 1, _FIRST_BLOCK} & set(range(1, n_max + 2))):
             assert _double_sum_variance(w, J, k, s.omega) == whole_range_centred_sum(w, J, k, s.omega)
 
 
@@ -179,6 +179,9 @@ def test_double_sum_one_block_is_the_whole_range_sum(s, n_max, grid):
         ("harmonic", 2.0, 300_000, 200_000.0, 300_001),
         ("harmonic", 2.0, 300_000, 150_000.0, _CHUNK + 1),
         ("harmonic", 1.0, 300_000, 50_000.0, 200_000),
+        # k below the cap, on doubling blocks: 4,096, 8,192, 16,384 and the rest
+        ("hydrogen_like", 1.0, 40_000, 0.9999, 40_001),
+        ("harmonic", 2.0, 300_000, 20_000.0, 30_000),
     ],
 )
 def test_double_sum_over_blocks_matches_fsum(model, omega, n_max, J, k):
@@ -369,6 +372,29 @@ def test_near_jstar_coefficient_abel_identity(hydrogen, w_hydrogen):
     lhs = float(((gaps[:-1] - gaps[1:]) / rho).sum())
     rhs = float((gaps[:-1] ** 2 / rho).sum())
     assert lhs == pytest.approx(rhs, rel=5e-9)
+
+
+def whole_table_jstar_coefficient(s, w):
+    """near_jstar_coefficient as one pass over the whole table."""
+    gaps = s.gap_array(w.n_max)
+    terms = gaps * gaps / np.exp(w.log_rho)
+    total = float(terms.sum())
+    head = float(terms[: max(1, int(0.9 * len(terms)))].sum())
+    return float(np.exp(w.log_rho[-1])) * total, (total - head) <= 0.01 * total
+
+
+def test_near_jstar_coefficient_memory_does_not_grow_with_the_table(hydrogen, w_near_jstar):
+    tracemalloc.start()
+    try:
+        coeff = near_jstar_coefficient(hydrogen, w_near_jstar)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole-table pass peaked at 25.0 MiB, three times log rho
+    assert peak <= 2 * 2**20
+    value, converged = whole_table_jstar_coefficient(hydrogen, w_near_jstar)
+    assert coeff.converged == converged
+    assert coeff.value == pytest.approx(value, rel=1e-13, abs=0.0)
 
 
 def test_near_jstar_coefficient_refuses_another_spectrums_table(hydrogen):

@@ -166,6 +166,11 @@ def test_load_rejects_bad_documents():
         load_spectrum({"kind": "mystery", "omega": 1.0})
     with pytest.raises(SpectrumError):
         load_spectrum({"kind": "explicit", "omega": 1.0, "levels": [0, 2, 1]})
+    # the JSON token NaN parses to a float, which exceeds no level
+    with pytest.raises(SpectrumError, match="e_star=nan must exceed"):
+        load_spectrum('{"kind": "explicit", "omega": 1.0, "levels": [0, 2, 5, 9], "e_star": NaN}')
+    with pytest.raises(SpectrumError, match="e_star=nan must exceed"):
+        from_levels("x", 1.0, [0, 2, 5, 9], e_star=math.nan)
 
 
 def test_explicit_refuses_indices_beyond_list():

@@ -290,7 +290,7 @@ def assert_scan_matches_whole_table(w, grid, tols=(1e-12, 1e-6)):
 
 
 # a rule whose levels sit one ulp above 2: at J = 2 the log-terms g_n are flat
-# up to rounding, so a later chunk raises the running maximum and the scan restarts
+# up to rounding, so a later block raises the running maximum and the scan restarts
 ULP_ABOVE_TWO = float(np.nextafter(2.0, 3.0))
 
 
@@ -298,7 +298,47 @@ def flat_top_levels(n):
     return np.where(np.asarray(n) > 0, ULP_ABOVE_TWO, 0.0)
 
 
-CHUNKS = [1, 7, 256, weights._CHUNK]
+# block schedules (first block, cap): fixed blocks of 1, 7 and 256 entries,
+# blocks doubling from 3 up to 256, and the default schedule, named by its cap
+SCHEDULES = [pytest.param((c, c), id=str(c)) for c in (1, 7, 256)] + [
+    pytest.param((3, 256), id="3-256"),
+    pytest.param((weights._FIRST_BLOCK, weights._CHUNK), id=str(weights._CHUNK)),
+]
+
+
+def use_schedule(monkeypatch, schedule):
+    first, cap = schedule
+    monkeypatch.setattr(weights, "_FIRST_BLOCK", first)
+    monkeypatch.setattr(weights, "_CHUNK", cap)
+
+
+def test_schedule_doubles_from_the_first_block_up_to_the_cap():
+    sizes = [hi - lo for lo, hi in weights._blocks(0, 300_000)]
+    assert sizes[:6] == [4_096, 8_192, 16_384, 32_768, 65_536, 65_536]
+    assert sum(sizes) == 300_000 and max(sizes) == weights._CHUNK
+    # a block at lo holds lo + 4,096 entries, so a range that starts at an end
+    # of the scan from 0 keeps its later ends
+    assert list(weights._blocks(4_096, 30_000)) == [(4_096, 12_288), (12_288, 28_672), (28_672, 30_000)]
+
+
+def test_small_sum_reads_only_the_first_block(monkeypatch, w_hydrogen):
+    # 8 terms certify J = 0.01: the scan reads [0, 4096) of the 40,001 entries
+    assert w_hydrogen.n_max + 1 == 40_001
+    ranges = []
+    log_terms = weights._log_terms
+
+    def spy(w, log_j, lo, hi):
+        ranges.append((lo, hi))
+        return log_terms(w, log_j, lo, hi)
+
+    monkeypatch.setattr(weights, "_log_terms", spy)
+    for order in (0, 1, 2):
+        ranges.clear()
+        got = outcome(weights._certified_sums, w_hydrogen, 0.01, 1e-12, order)
+        assert got == outcome(whole_table_sums, w_hydrogen, 0.01, 1e-12, order)
+        assert ranges == [(0, 4_096)], order
+
+
 STEPS = [0.0] + np.cumsum(np.linspace(0.5, 2.0, 400)).tolist()
 
 SMALL_TABLES = [
@@ -310,25 +350,25 @@ SMALL_TABLES = [
 ]
 
 
-@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("schedule", SCHEDULES)
 @pytest.mark.parametrize("s, n_max, grid", SMALL_TABLES, ids=lambda v: getattr(v, "name", None))
-def test_chunked_scan_matches_whole_table(monkeypatch, chunk, s, n_max, grid):
-    monkeypatch.setattr(weights, "_CHUNK", chunk)
+def test_chunked_scan_matches_whole_table(monkeypatch, schedule, s, n_max, grid):
+    use_schedule(monkeypatch, schedule)
     assert_scan_matches_whole_table(compute_weights(s, n_max), grid)
 
 
-@pytest.mark.parametrize("chunk", [256, weights._CHUNK])
-def test_chunked_scan_peak_beyond_first_chunk(monkeypatch, chunk):
-    # e_n = J near n = 160,000: g peaks past two default chunks
-    monkeypatch.setattr(weights, "_CHUNK", chunk)
+@pytest.mark.parametrize("schedule", [SCHEDULES[2], SCHEDULES[-1]])
+def test_chunked_scan_peak_beyond_first_chunk(monkeypatch, schedule):
+    # e_n = J near n = 160,000: g peaks past two blocks of the cap
+    use_schedule(monkeypatch, schedule)
     w = compute_weights(power_gap_spectrum(0.25), 200_000)
     assert whole_table_sums(w, 0.95, 1e-12, 1).terms_used > 2 * weights._CHUNK
     assert_scan_matches_whole_table(w, [0.95], tols=(1e-12,))
 
 
-@pytest.mark.parametrize("chunk", CHUNKS)
-def test_chunked_scan_restarts_on_a_flat_top(monkeypatch, chunk):
-    monkeypatch.setattr(weights, "_CHUNK", chunk)
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_chunked_scan_restarts_on_a_flat_top(monkeypatch, schedule):
+    use_schedule(monkeypatch, schedule)
     w = compute_weights(from_rule("flat_top", 1.0, flat_top_levels), 3_000)
     starts = []
     log_terms = weights._log_terms
@@ -344,8 +384,8 @@ def test_chunked_scan_restarts_on_a_flat_top(monkeypatch, chunk):
                 starts.clear()
                 got = outcome(weights._certified_sums, w, J, tol, order)
                 assert got == outcome(whole_table_sums, w, J, tol, order), (J, tol, order)
-                if J == 2.0 and chunk < w.n_max:
-                    assert starts.count(0) == 2  # one restart, whatever the chunk count
+                if J == 2.0 and schedule[0] < w.n_max:
+                    assert starts.count(0) == 2  # one restart, whatever the block count
 
 
 def test_chunked_scan_cut_on_a_chunk_end(monkeypatch, hydrogen):
@@ -354,11 +394,13 @@ def test_chunked_scan_cut_on_a_chunk_end(monkeypatch, hydrogen):
         terms = whole_table_sums(w, J, 1e-12, 2).terms_used
         d = next(k for k in range(2, terms + 1) if terms % k == 0)
         short = compute_weights(hydrogen, terms - 1)
-        # the cut is the last index of the first chunk, of the d-th chunk, and of the table
-        for chunk, table in ((terms, w), (terms // d, w), (weights._CHUNK, short)):
-            monkeypatch.setattr(weights, "_CHUNK", chunk)
+        # the cut is the last index of the first block, of the d-th block, and of the table
+        cases = [((terms, terms), w), ((terms // d, terms // d), w),
+                 ((weights._FIRST_BLOCK, weights._CHUNK), short)]
+        for schedule, table in cases:
+            use_schedule(monkeypatch, schedule)
             got = outcome(weights._certified_sums, table, J, 1e-12, 2)
-            assert got == outcome(whole_table_sums, table, J, 1e-12, 2), (J, chunk)
+            assert got == outcome(whole_table_sums, table, J, 1e-12, 2), (J, schedule)
             assert got[1] == terms
 
 
@@ -369,14 +411,14 @@ def test_chunked_scan_refusals_match_whole_table(monkeypatch, hydrogen):
         # tie there and the report must name the first of them
         (compute_weights(from_rule("flat_top", 1.0, flat_top_levels), 3_000), 1.5, 1e-320),
     ]
-    for chunk in CHUNKS:
-        monkeypatch.setattr(weights, "_CHUNK", chunk)
+    for schedule in SCHEDULES:
+        use_schedule(monkeypatch, schedule.values[0])
         for w, J, tol in cases:
             for order, absolute in ((0, True), (1, False), (2, False)):
                 ref = outcome(whole_table_sums, w, J, tol, order, absolute=absolute)
                 assert ref[0] in ("TruncationError", "CertificationError")
                 got = outcome(weights._certified_sums, w, J, tol, order, absolute=absolute)
-                assert got == ref, (chunk, w.spectrum.name, order)
+                assert got == ref, (schedule.id, w.spectrum.name, order)
 
 
 def test_series_memory_does_not_grow_with_the_table(hydrogen):
