@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation/range error, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -309,9 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call in a process: building
+    the argparse tree costs more than parsing with it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (TruncationError, CertificationError, QuadratureError, CrossCheckError) as exc:

@@ -78,18 +78,21 @@ def _double_sum_variance(w: WeightTable, J: float, k: int, omega: float) -> floa
     near e*.  The terms t_n = exp(g_n - max g) are recomputed from log rho,
     independently of the moment route and of its scale.
 
-    [0, k) is scanned on the series kernel's block schedule
-    (``weights._blocks``), so working memory does not grow with k.  A first
-    pass finds max g and, when there is more than one block, the x_c at which
-    it is reached.  A second gives each block its weight W_b = sum t, the
-    weighted mean of y = x - x_c and M2_b = sum (y - mean_b)^2 t, and merges
-    the blocks by the pairwise update of Chan, Golub & LeVeque (Amer.
-    Statist. 37, 242 (1983)).  The shift to y keeps the block means, whose
-    difference the update squares, near the spread of the terms rather than
-    near |x|: unshifted, harmonic J = 1.5e5 cut at k = 65,537 into two blocks
-    lost 4e-12 relative.  A block whose terms all underflow adds nothing.  For
-    k <= weights._FIRST_BLOCK there is one block, no shift and no merge, so
-    the result is the whole-range centred sum bit for bit.
+    [0, k) is scanned in the series kernel's fixed blocks
+    (``weights._blocks``), so working memory does not grow with k.  For
+    k <= weights._BLOCK there is one block, no shift and no merge, so the
+    result is the whole-range centred sum bit for bit.  With more blocks,
+    g_{n+1} - g_n = log J - log e_{n+1} and levels do not decrease, so g
+    peaks at the last n below k before the levels reach J.  g there stands in
+    for max g (rounding can leave another g a few ulps above it, which only
+    rescales every term alike), and x_c is x there.  One pass then gives each block
+    its weight W_b = sum t, the weighted mean of y = x - x_c and
+    M2_b = sum (y - mean_b)^2 t, and merges the blocks by the pairwise
+    update of Chan, Golub & LeVeque (Amer. Statist. 37, 242 (1983)).  The
+    shift to y keeps the block means, whose difference the update squares,
+    near the spread of the terms rather than near |x|: unshifted, harmonic
+    J = 1.5e5 cut at k = 65,537 into blocks of 65,536 and 1 entries lost
+    4e-12 relative.  A block whose terms all underflow adds nothing.
     """
     if J == 0:
         return 0.0
@@ -101,18 +104,18 @@ def _double_sum_variance(w: WeightTable, J: float, k: int, omega: float) -> floa
         return s.gap_range(lo, hi) if bounded else w.levels[lo:hi]
 
     blocks = list(_blocks(0, k))
-    top, at = -math.inf, 0
-    for lo, hi in blocks:
-        g = _log_terms(w, log_j, lo, hi)[1]
-        i = int(np.argmax(g))
-        if g[i] > top:
-            top, at = float(g[i]), lo + i
     several = len(blocks) > 1
-    centre = float(gaps(at, at + 1)[0]) if several else 0.0
+    if several:
+        at = int(np.searchsorted(w.levels[:k], J)) - 1  # e_0 = 0 < J
+        top = float(_log_terms(w, log_j, at, at + 1)[1][0])
+        centre = float(gaps(at, at + 1)[0])
+    else:
+        g = _log_terms(w, log_j, 0, k)[1]
+        top, centre = float(g.max()), 0.0
 
     total = mean = m2 = 0.0
     for lo, hi in blocks:
-        if several:  # a single block reuses its g from the first pass
+        if several:  # a single block reuses its g from above
             g = _log_terms(w, log_j, lo, hi)[1]
         g -= top
         t = np.exp(g, out=g)

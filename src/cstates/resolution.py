@@ -7,11 +7,12 @@ model's record holds its document (``Model.measure``) and U = e_star.  They
 are exp(-u) du on [0, inf) for the harmonic rule, and du/2 on [0, 1) plus an
 atom of mass 1/2 at u = 1 for the hydrogen-like rule — the atom is forced by
 rho_n -> 1/2 > 0 while the moments of any integrable density on [0, 1)
-vanish as n grows.  Moments use Gauss-Laguerre nodes when U is infinite and
-Gauss-Legendre nodes on [0, U) otherwise.
+vanish as n grows.  Moments use Gauss-Laguerre nodes (64 or 128) when U is
+infinite and Gauss-Legendre nodes (64 to 1,024) on [0, U) otherwise.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -24,6 +25,9 @@ from .weights import WeightTable, _check_same_spectrum, _log_terms, check_j_rang
 
 _QUAD_START = 64
 _QUAD_DOUBLINGS = 4
+# numpy's Gauss-Laguerre weights break down past 128 nodes (at 256, 161 are
+# NaN and 95 zero), so a rule on [0, inf) is doubled up to there only
+_LAGUERRE_NODES = 128
 _QUAD_RTOL = 1e-12
 _TINY = 1e-300
 
@@ -142,10 +146,20 @@ def load_measure(document: str | Mapping) -> Measure:
     )
 
 
+@functools.cache
+def _gauss_rule(kind: str, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the "laguerre" or "legendre" Gauss rule, computed
+    once per process and read-only, since every caller shares them."""
+    poly = np.polynomial
+    x, wq = (poly.laguerre.laggauss if kind == "laguerre" else poly.legendre.leggauss)(nodes)
+    x.flags.writeable = wq.flags.writeable = False
+    return x, wq
+
+
 def _quad_once(m: Measure, ns: np.ndarray, nodes: int) -> np.ndarray:
     """Moments int u^n rho(u) du at a fixed node count (atoms excluded)."""
     if math.isinf(m.U):
-        x, wq = np.polynomial.laguerre.laggauss(nodes)
+        x, wq = _gauss_rule("laguerre", nodes)
         if m.log_density is not None:
             ld = np.asarray(m.log_density(x), dtype=float)
         else:
@@ -160,7 +174,7 @@ def _quad_once(m: Measure, ns: np.ndarray, nodes: int) -> np.ndarray:
             grid = base[None, :] + ns[:, None] * lx[None, :]
         return np.exp(grid).sum(axis=1)
 
-    x, wq = np.polynomial.legendre.leggauss(nodes)
+    x, wq = _gauss_rule("legendre", nodes)
     u = 0.5 * m.U * (x + 1.0)
     wgt = 0.5 * m.U * wq * np.asarray(m.density(u), dtype=float)
     powers = np.power(u[None, :], ns[:, None])
@@ -170,9 +184,11 @@ def _quad_once(m: Measure, ns: np.ndarray, nodes: int) -> np.ndarray:
 def _measure_moments(m: Measure, n_check: int) -> np.ndarray:
     """Moments for n = 0..n_check via node-doubling quadrature, atoms added exactly."""
     ns = np.arange(n_check + 1)
+    laguerre = math.isinf(m.U)
+    top = _LAGUERRE_NODES if laguerre else _QUAD_START << _QUAD_DOUBLINGS
     nodes = _QUAD_START
     prev = _quad_once(m, ns, nodes)
-    for _ in range(_QUAD_DOUBLINGS):
+    while nodes < top:
         nodes *= 2
         cur = _quad_once(m, ns, nodes)
         scale = np.maximum(np.maximum(np.abs(cur), np.abs(prev)), _TINY)
@@ -181,6 +197,11 @@ def _measure_moments(m: Measure, n_check: int) -> np.ndarray:
             break
         prev = cur
     else:
+        if laguerre:
+            raise QuadratureError(
+                f"moment quadrature did not converge at {nodes} nodes, "
+                "the limit of numpy's Gauss-Laguerre rule"
+            )
         raise QuadratureError(
             f"moment quadrature did not converge after {_QUAD_DOUBLINGS} node doublings "
             f"({nodes} nodes)"

@@ -10,6 +10,11 @@ e_n powers), so a partial sum is a lower bound and a geometric-domination
 argument gives a certified upper bound on the remainder: levels increase,
 hence for every m > n0 the term ratio t_{m+1}/t_m = J/e_{m+1} is at most
 q = J/e_{n0+1} and the tail is at most t_{n0} * q / (1 - q) once q < 1.
+
+Every series scan (the kernel ``_certified_sums``, the variance cross-check
+and ``near_jstar_coefficient``) reads the table in fixed blocks of _BLOCK
+entries, so its work stops near the terms the answer needs and its working
+memory does not grow with n_max.
 """
 from __future__ import annotations
 
@@ -34,13 +39,10 @@ EDGE_GUARD = 1e-6
 
 # keeps reported tail bounds nonzero after term underflow
 _TERM_FLOOR = 1e-300
-# the series scans' block schedule: the first block holds _FIRST_BLOCK
-# entries, and each later one twice the last, up to _CHUNK.  The first
-# block's float64 arrays are 32 KiB, below glibc's 64 KiB free-consolidation
-# threshold, so freeing them does not trim the heap and the next call does
-# not fault its working set back in
-_FIRST_BLOCK = 1 << 12
-_CHUNK = 1 << 16
+# entries per scan block: a block's float64 arrays are 32 KiB, below glibc's
+# 64 KiB free-consolidation threshold, so freeing them does not trim the heap
+# and the next block or call does not fault its working set back in
+_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,12 +185,8 @@ def _log_terms(w: WeightTable, log_j: float, lo: int, hi: int) -> tuple[np.ndarr
 
 
 def _block_end(lo: int, stop: int) -> int:
-    """End of the scan block that starts at lo, cut at stop.
-
-    A block holds lo + _FIRST_BLOCK entries, up to _CHUNK: from n = 0 the
-    blocks hold _FIRST_BLOCK entries, then twice the last block each time.
-    """
-    return min(lo + min(lo + _FIRST_BLOCK, _CHUNK), stop)
+    """End of the scan block that starts at lo: _BLOCK entries on, cut at stop."""
+    return min(lo + _BLOCK, stop)
 
 
 def _blocks(lo: int, stop: int) -> Iterator[tuple[int, int]]:
@@ -217,18 +215,20 @@ def _certified_sums(
     ``absolute``, at most tol once unscaled, compared in log space to survive
     huge scales.  Moments above ``order`` come back NaN.
 
-    The table is scanned left to right in blocks (``_block_end``): 4,096
-    entries first, then each block twice the last, up to _CHUNK = 65,536.
-    So a sum that needs few terms reads few entries, and a call's working
-    memory does not grow with n_max.  The running sums carry from block to
-    block in numpy's sequential order and equal a whole-table cumsum bit for
-    bit.  Levels are nondecreasing, so g rises while e_{n+1} <= J and falls
-    after; the cut needs J < e_{n+1}, so M, the maximum of g over the blocks
-    up to that turn (read ahead of the block being summed), is the
-    whole-table maximum.  Should a later block still raise it (rounding on a
-    flat top), M becomes the whole-table maximum and the scan restarts once
-    from n = 0, with the schedule started over.  A refusal scans the whole
-    table and reports the best relative tail over all blocks.
+    The table is scanned left to right in fixed blocks of _BLOCK = 4,096
+    entries (``_block_end``).  So a sum that needs few terms reads few
+    entries, and a call's working memory does not grow with n_max and causes
+    no page faults.  The running sums carry from block to block in numpy's
+    sequential order and equal a whole-table cumsum bit for bit.  Each block
+    first certifies the zeroth moment; the cut needs every tail, so the
+    higher tails, ratio caps and certificates are built only from the first
+    index where it holds.  Levels are nondecreasing, so g rises while
+    e_{n+1} <= J and falls after; the cut needs J < e_{n+1}, so M, the
+    maximum of g over the blocks up to that turn (read ahead of the block
+    being summed), is the whole-table maximum.  Should a later block still
+    raise it (rounding on a flat top), M becomes the whole-table maximum and
+    the scan restarts once from n = 0.  A refusal scans the whole table and
+    reports the best relative tail over all blocks.
     """
     check_j_range(w, J)
     if not tol > 0:
@@ -237,6 +237,9 @@ def _certified_sums(
         z1 = 0.0 if order >= 1 else math.nan
         z2 = 0.0 if order >= 2 else math.nan
         return PowerSums(0.0, 1, 0.0, 1.0, z1, z2, 0.0, z1, z2)
+    if order >= 2:
+        # a spectrum without a growth cap is refused before any term is read
+        _ratio_caps(w.spectrum, w.levels[:0], w.levels[:0])
 
     def certified(cum: np.ndarray, tail: np.ndarray) -> np.ndarray:
         if absolute:
@@ -268,17 +271,19 @@ def _certified_sums(
             carry = [0.0] * (order + 1)
             best = None
 
-        t = np.exp(g - scale)
+        g -= scale
+        t = np.exp(g, out=g)
         e = w.levels[lo:hi]
         if hi < size:
             e_next = w.levels[lo + 1 : hi + 1]
         else:
             e_next = np.append(w.levels[lo + 1 :], w.next_level_bound)
-        with np.errstate(divide="ignore"):
-            q = J / e_next
-        ok = q < 1.0
         tf = np.maximum(t, _TERM_FLOOR)
-        tail0 = np.where(ok, tf * q / np.where(ok, 1.0 - q, 1.0), np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = J / e_next
+            tail0 = tf * q / (1.0 - q)
+        ok = q < 1.0
+        tail0[~ok] = np.inf
 
         moments = [t]
         if order >= 1:
@@ -286,23 +291,26 @@ def _certified_sums(
         if order >= 2:
             moments.append(e * e * t)
         cums = [_running_sums(m, c) for m, c in zip(moments, carry)]
-        tails = [tail0]
         cond = ok & certified(cums[0], tail0)
-        if order >= 1:
-            tails.append(J * (tf + tail0))
-            cond &= certified(cums[1], tails[1])
-        if order >= 2:
-            caps = _ratio_caps(w.spectrum, e_next, n)
-            tails.append(J * (e_next * tf + caps * J * (tf + tail0)))
-            cond &= certified(cums[2], tails[2])
-
         if cond.any():
-            n0 = int(np.argmax(cond))
-            sums = [float(c[n0]) for c in cums] + [math.nan] * (2 - order)
-            bounds = [float(b[n0]) for b in tails] + [math.nan] * (2 - order)
-            return PowerSums(float(J), lo + n0 + 1, scale, *sums, *bounds)
+            i = int(np.argmax(cond))
+            cut, tfi = cond[i:], tf[i:]
+            tails = [tail0[i:]]
+            if order >= 1:
+                tails.append(J * (tfi + tails[0]))
+                cut &= certified(cums[1][i:], tails[1])
+            if order >= 2:
+                caps = _ratio_caps(w.spectrum, e_next[i:], n[i:])
+                tails.append(J * (e_next[i:] * tfi + caps * J * (tfi + tails[0])))
+                cut &= certified(cums[2][i:], tails[2])
+            if cut.any():
+                n0 = int(np.argmax(cut))
+                sums = [float(c[i + n0]) for c in cums] + [math.nan] * (2 - order)
+                bounds = [float(b[n0]) for b in tails] + [math.nan] * (2 - order)
+                return PowerSums(float(J), lo + i + n0 + 1, scale, *sums, *bounds)
 
-        rel = np.where(ok, tail0 / np.maximum(cums[0], _TERM_FLOOR), np.inf)
+        # tail0 is inf wherever q >= 1, so rel is too
+        rel = tail0 / np.maximum(cums[0], _TERM_FLOOR)
         i = int(np.argmin(rel))
         if best is None or rel[i] < best[0]:
             best = (rel[i], lo + i, tail0[i], cums[0][i], ok[i])

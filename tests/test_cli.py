@@ -177,6 +177,17 @@ def test_variance_deterministic_output(capsys):
     assert first == second
 
 
+def test_usage_error_between_commands_leaves_the_parser_reusable(capsys):
+    # main builds its parser on the first call and reuses it after a usage error
+    argv = ["variance", "--model", "hydrogen_like", "--grid", "0.3,0.9"]
+    _, first, _ = run(capsys, argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["variance", "--nmax", "many"])
+    assert exc.value.code == 2 and "invalid int value" in capsys.readouterr().err
+    _, second, _ = run(capsys, argv)
+    assert first == second
+
+
 def test_evolve_reports_residual(capsys):
     code, out, _ = run(
         capsys, ["evolve", "--model", "hydrogen_like", "--J", "0.5", "--gamma", "0", "--t", "3.7"]
@@ -276,6 +287,15 @@ def test_resolution_refuses_unordered_table_and_string_atoms(tmp_path, capsys, d
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_resolution_stops_laguerre_doubling_at_its_limit(tmp_path, capsys):
+    path = tmp_path / "rate5.json"
+    path.write_text(json.dumps({"U": "inf", "density": {"kind": "exponential", "rate": 5}}))
+    code, out, err = run(capsys, ["resolution", "--model", "harmonic", "--measure", str(path)])
+    assert code == 2 and out == ""
+    assert err == ("numerical failure: moment quadrature did not converge at 128 nodes, "
+                   "the limit of numpy's Gauss-Laguerre rule\n")
 
 
 def test_resolution_custom_needs_measure(tmp_path, capsys):

@@ -25,7 +25,7 @@ from cstates import (
     variance_curve,
 )
 from cstates.observables import DEFAULT_FIT_CAP, _double_sum_variance, _fit_loglog
-from cstates.weights import _CHUNK, _FIRST_BLOCK
+from cstates.weights import _BLOCK
 
 
 def pairwise_double_sum(w, J, k, omega):
@@ -153,9 +153,9 @@ def fsum_centred_sum(w, J, k, omega):
 @pytest.mark.parametrize(
     "s, n_max, grid",
     [
-        (make_builtin("hydrogen_like"), _CHUNK, (0.3, 0.99, 0.9999)),
-        (make_builtin("harmonic", 2.0), _CHUNK, (0.5, 500.0, 60_000.0)),
-        (power_gap_spectrum(0.25), _CHUNK, (0.5, 0.999)),
+        (make_builtin("hydrogen_like"), 65_536, (0.3, 0.99, 0.9999)),
+        (make_builtin("harmonic", 2.0), 65_536, (0.5, 500.0, 60_000.0)),
+        (power_gap_spectrum(0.25), 65_536, (0.5, 0.999)),
         (from_levels("steps", 1.0, [0.0, 2.0, 5.0, 9.0, 11.0, 11.5], e_star=12.0), 5, (0.1, 5.0)),
     ],
     ids=["hydrogen_like", "harmonic_omega2", "power_gap_0.25", "explicit_e_star"],
@@ -163,7 +163,7 @@ def fsum_centred_sum(w, J, k, omega):
 def test_double_sum_one_block_is_the_whole_range_sum(s, n_max, grid):
     w = compute_weights(s, n_max)
     for J in grid:
-        for k in sorted({1, 2, 1000, _FIRST_BLOCK - 1, _FIRST_BLOCK} & set(range(1, n_max + 2))):
+        for k in sorted({1, 2, 1000, _BLOCK - 1, _BLOCK} & set(range(1, n_max + 2))):
             assert _double_sum_variance(w, J, k, s.omega) == whole_range_centred_sum(w, J, k, s.omega)
 
 
@@ -171,15 +171,15 @@ def test_double_sum_one_block_is_the_whole_range_sum(s, n_max, grid):
     "model, omega, n_max, J, k",
     [
         ("hydrogen_like", 1.0, 300_000, 0.99999, 300_001),
-        ("hydrogen_like", 1.0, 300_000, 0.9999, 2 * _CHUNK + 1),
-        # t_n = 0.5^n / rho_n underflows near n = 1,075: blocks 2 to 4 add nothing
-        ("hydrogen_like", 1.0, 300_000, 0.5, 4 * _CHUNK),
+        ("hydrogen_like", 1.0, 300_000, 0.9999, 131_073),
+        # t_n = 0.5^n / rho_n underflows near n = 1,075: every later block adds nothing
+        ("hydrogen_like", 1.0, 300_000, 0.5, 262_144),
         # terms below n ~ 1.5e5 underflow, so the first blocks add nothing; the
         # last term dominates the first 65,537, where x ~ 6.6e4 and the spread ~ 1
         ("harmonic", 2.0, 300_000, 200_000.0, 300_001),
-        ("harmonic", 2.0, 300_000, 150_000.0, _CHUNK + 1),
+        ("harmonic", 2.0, 300_000, 150_000.0, 65_537),
         ("harmonic", 1.0, 300_000, 50_000.0, 200_000),
-        # k below the cap, on doubling blocks: 4,096, 8,192, 16,384 and the rest
+        # ten and eight blocks, the last one short
         ("hydrogen_like", 1.0, 40_000, 0.9999, 40_001),
         ("harmonic", 2.0, 300_000, 20_000.0, 30_000),
     ],

@@ -14,6 +14,7 @@ from cstates import (
     moment_check,
     unity_check,
 )
+from cstates import resolution
 from cstates.resolution import _measure_moments
 from cstates.spectrum import MODELS
 
@@ -224,3 +225,30 @@ def test_quadrature_nonconvergence_raises():
     )
     with pytest.raises(QuadratureError):
         _measure_moments(kinked, 10)
+
+
+def test_laguerre_doubling_stops_at_128_nodes():
+    from cstates import QuadratureError
+
+    # at 256 nodes numpy's Gauss-Laguerre weights are NaN or zero and raise
+    # RuntimeWarnings, which pytest turns into errors
+    steep = load_measure({"U": "inf", "density": {"kind": "exponential", "rate": 5}})
+    with pytest.raises(QuadratureError, match="at 128 nodes, the limit of numpy's Gauss-Laguerre rule"):
+        _measure_moments(steep, 15)
+
+
+def test_quadrature_rules_are_cached_and_read_only(monkeypatch):
+    measures = [builtin_measure(model) for model in MODELS] + [
+        load_measure({"U": 3.0, "density": {"kind": "exponential", "rate": 2.0}}),
+        load_measure({"U": "inf", "density": {"kind": "exponential", "rate": 0.5}}),
+    ]
+    cached = [_measure_moments(m, 20) for m in measures]
+    for kind in ("laguerre", "legendre"):
+        x, wq = resolution._gauss_rule(kind, 64)
+        assert resolution._gauss_rule(kind, 64)[0] is x
+        for array in (x, wq):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+    monkeypatch.setattr(resolution, "_gauss_rule", resolution._gauss_rule.__wrapped__)
+    for m, got in zip(measures, cached):
+        assert np.array_equal(_measure_moments(m, 20), got)

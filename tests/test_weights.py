@@ -17,9 +17,11 @@ from cstates import (
     from_levels,
     from_rule,
     make_builtin,
+    near_jstar_coefficient,
     normalization,
     power_gap_spectrum,
     power_sums,
+    variance,
 )
 from cstates import weights
 from cstates.weights import _TERM_FLOOR, PowerSums, _ratio_caps
@@ -299,26 +301,32 @@ def flat_top_levels(n):
 
 
 # block schedules (first block, cap): fixed blocks of 1, 7 and 256 entries,
-# blocks doubling from 3 up to 256, and the default schedule, named by its cap
+# blocks doubling from 3 up to 256, the default _BLOCK, and fixed blocks of
+# 65,536 entries, more than every table here holds but the peak test's
+WIDE = 1 << 16
 SCHEDULES = [pytest.param((c, c), id=str(c)) for c in (1, 7, 256)] + [
     pytest.param((3, 256), id="3-256"),
-    pytest.param((weights._FIRST_BLOCK, weights._CHUNK), id=str(weights._CHUNK)),
+    pytest.param((weights._BLOCK, weights._BLOCK), id=str(weights._BLOCK)),
+    pytest.param((WIDE, WIDE), id=str(WIDE)),
 ]
 
 
 def use_schedule(monkeypatch, schedule):
+    """Fixed blocks through ``_BLOCK``; blocks of growing length through a
+    substitute ``_block_end``, since no result may depend on where blocks end."""
     first, cap = schedule
-    monkeypatch.setattr(weights, "_FIRST_BLOCK", first)
-    monkeypatch.setattr(weights, "_CHUNK", cap)
+    if first == cap:
+        monkeypatch.setattr(weights, "_BLOCK", first)
+    else:
+        monkeypatch.setattr(weights, "_block_end", lambda lo, stop: min(lo + min(lo + first, cap), stop))
 
 
-def test_schedule_doubles_from_the_first_block_up_to_the_cap():
+def test_blocks_hold_a_fixed_number_of_entries():
     sizes = [hi - lo for lo, hi in weights._blocks(0, 300_000)]
-    assert sizes[:6] == [4_096, 8_192, 16_384, 32_768, 65_536, 65_536]
-    assert sum(sizes) == 300_000 and max(sizes) == weights._CHUNK
-    # a block at lo holds lo + 4,096 entries, so a range that starts at an end
-    # of the scan from 0 keeps its later ends
-    assert list(weights._blocks(4_096, 30_000)) == [(4_096, 12_288), (12_288, 28_672), (28_672, 30_000)]
+    assert sizes == [4_096] * 73 + [300_000 - 73 * 4_096]
+    # a range that starts anywhere is cut every 4,096 entries from its start
+    assert list(weights._blocks(100, 8_500)) == [(100, 4_196), (4_196, 8_292), (8_292, 8_500)]
+    assert list(weights._blocks(5, 5)) == []
 
 
 def test_small_sum_reads_only_the_first_block(monkeypatch, w_hydrogen):
@@ -357,12 +365,12 @@ def test_chunked_scan_matches_whole_table(monkeypatch, schedule, s, n_max, grid)
     assert_scan_matches_whole_table(compute_weights(s, n_max), grid)
 
 
-@pytest.mark.parametrize("schedule", [SCHEDULES[2], SCHEDULES[-1]])
+@pytest.mark.parametrize("schedule", [SCHEDULES[2], *SCHEDULES[-2:]])
 def test_chunked_scan_peak_beyond_first_chunk(monkeypatch, schedule):
-    # e_n = J near n = 160,000: g peaks past two blocks of the cap
+    # e_n = J near n = 160,000: g peaks past two blocks of 65,536 entries
     use_schedule(monkeypatch, schedule)
     w = compute_weights(power_gap_spectrum(0.25), 200_000)
-    assert whole_table_sums(w, 0.95, 1e-12, 1).terms_used > 2 * weights._CHUNK
+    assert whole_table_sums(w, 0.95, 1e-12, 1).terms_used > 2 * WIDE
     assert_scan_matches_whole_table(w, [0.95], tols=(1e-12,))
 
 
@@ -396,7 +404,7 @@ def test_chunked_scan_cut_on_a_chunk_end(monkeypatch, hydrogen):
         short = compute_weights(hydrogen, terms - 1)
         # the cut is the last index of the first block, of the d-th block, and of the table
         cases = [((terms, terms), w), ((terms // d, terms // d), w),
-                 ((weights._FIRST_BLOCK, weights._CHUNK), short)]
+                 ((weights._BLOCK, weights._BLOCK), short)]
         for schedule, table in cases:
             use_schedule(monkeypatch, schedule)
             got = outcome(weights._certified_sums, table, J, 1e-12, 2)
@@ -422,16 +430,23 @@ def test_chunked_scan_refusals_match_whole_table(monkeypatch, hydrogen):
 
 
 def test_series_memory_does_not_grow_with_the_table(hydrogen):
-    # the near-J* fit table for J = 0.99997: a whole-table pass peaked at 126 MiB
+    # the near-J* fit table for J = 0.99997: a whole-table pass peaked at 126
+    # MiB, and blocks doubling up to 65,536 entries at 8.1 MiB
     w = compute_weights(hydrogen, 1_151_276)
-    tracemalloc.start()
-    try:
-        ps = power_sums(w, 0.99997, need_second=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ps.terms_used > 900_000
-    assert peak < 16 * 2**20
+    calls = {
+        "power_sums": lambda: power_sums(w, 0.99997, need_second=True),
+        "variance": lambda: variance(hydrogen, w, 0.99997),
+        "near_jstar_coefficient": lambda: near_jstar_coefficient(hydrogen, w),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, name
+    assert power_sums(w, 0.99997, need_second=True).terms_used > 900_000
 
 
 @pytest.mark.parametrize("model", ["hydrogen_like", "harmonic"])
