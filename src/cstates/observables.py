@@ -179,7 +179,8 @@ def variance_curve(
     s: Spectrum,
     w: WeightTable,
     j_grid: Sequence[float],
-    **kwargs,
+    *,
+    rel_tol: float = DEFAULT_TAIL_TOL,
 ) -> list[VariancePoint]:
     """variance() over a grid; failing points come back flagged, not raised.
 
@@ -189,7 +190,7 @@ def variance_curve(
     out: list[VariancePoint] = []
     for J in j_grid:
         try:
-            out.append(variance(s, w, float(J), **kwargs))
+            out.append(variance(s, w, float(J), rel_tol=rel_tol))
         except CStatesError as exc:
             out.append(
                 VariancePoint(
@@ -205,21 +206,22 @@ def variance_curve(
 
 
 _SLOPE_GRID = (1e-3, 1e-4, 1e-5)
+_SLOPE_TOL = 1e-10
 
 
-def small_j_slope(s: Spectrum, w: WeightTable, *, rel_tol: float = 1e-10) -> float:
+def small_j_slope(s: Spectrum, w: WeightTable) -> float:
     """Dimensionless limit of v(J)/(omega^2 J) as J -> 0, by Richardson extrapolation.
 
     v(J)/J has a regular expansion in J, so two elimination levels over the
     decade-spaced grid remove the J and J^2 terms; the limit equals e_1.
-    The default certificate target is looser than elsewhere because a short
+    The certificate target _SLOPE_TOL is looser than elsewhere because a short
     explicit list cannot push relative tails below ~J^L/rho_L; 1e-10 on the
     moments leaves the extrapolated slope far inside its 1e-4 contract.
     """
     om2 = s.omega * s.omega
     u = []
     for J in _SLOPE_GRID:
-        u.append(variance(s, w, J, rel_tol=rel_tol).variance / (om2 * J))
+        u.append(variance(s, w, J, rel_tol=_SLOPE_TOL).variance / (om2 * J))
     r1 = (10.0 * u[1] - u[0]) / 9.0
     r2 = (10.0 * u[2] - u[1]) / 9.0
     out = (100.0 * r2 - r1) / 99.0
@@ -258,9 +260,9 @@ def _check_near_jstar(s: Spectrum, w: WeightTable) -> None:
         )
 
 
-def _certified_variance(s: Spectrum, w: WeightTable, J: float, rel_tol: float) -> VariancePoint | None:
+def _certified_variance(s: Spectrum, w: WeightTable, J: float) -> VariancePoint | None:
     try:
-        return variance(s, w, J, rel_tol=rel_tol)
+        return variance(s, w, J)
     except TruncationError:
         return None
 
@@ -271,7 +273,6 @@ def near_jstar_exponent(
     fit_window: Sequence[float] | None = None,
     *,
     n_cap: int = DEFAULT_FIT_CAP,
-    rel_tol: float = DEFAULT_TAIL_TOL,
 ) -> float:
     """Least-squares slope of log v(J) against log(1-J) on a window near J* = 1.
 
@@ -294,22 +295,22 @@ def near_jstar_exponent(
     big: WeightTable | None = None
     points: list[tuple[float, float]] = []
     for J in window:
-        need = _min_certified_terms(J, w.j_star, rel_tol)
+        need = _min_certified_terms(J, w.j_star, DEFAULT_TAIL_TOL)
         if need > (top + 1) * (1.0 + _TERM_BOUND_MARGIN):
             continue
         vp = None
         if need <= (w.n_max + 1) * (1.0 + _TERM_BOUND_MARGIN):
-            vp = _certified_variance(s, w, J, rel_tol)
+            vp = _certified_variance(s, w, J)
         if vp is None and n_cap > w.n_max:
             size = math.ceil(_FIT_TABLE_SLACK * need)
             if not w.n_max < size < n_cap:
                 size = n_cap
             if big is None or big.n_max < size:
                 big = compute_weights(s, size)
-            vp = _certified_variance(s, big, J, rel_tol)
+            vp = _certified_variance(s, big, J)
             if vp is None and big.n_max < n_cap:
                 big = compute_weights(s, n_cap)
-                vp = _certified_variance(s, big, J, rel_tol)
+                vp = _certified_variance(s, big, J)
         if vp is not None and vp.variance > 0:
             points.append((J, vp.variance))
     if len(points) < 3:

@@ -1,9 +1,8 @@
-"""Unit phase factors with safe argument reduction for huge angles.
+"""Unit phase factors with exact argument reduction for huge angles.
 
 Plain float arithmetic keeps ~16 digits of the phase argument; once
 |x| grows past ~1e8 the residue mod 2*pi carries fewer than 8 reliable
-digits, so those arguments are reduced in extended precision first.
-Only such arguments need mpmath, so it is imported on first use.
+digits, so those arguments are reduced exactly in integer arithmetic.
 """
 from __future__ import annotations
 
@@ -12,31 +11,38 @@ import math
 import numpy as np
 
 REDUCE_THRESHOLD = 1.0e8
-# working digits while max |x| < 1e20; each further decade adds one, so the
-# reduced angles keep about 20 correct decimals after the point
-_REDUCE_DPS = 40
+# _SCALE = 2^K with K = 1200 >= 1074 makes x _SCALE an integer for every finite
+# float x.  Its floored remainder mod floor(2 pi 2^K) errs by < |x| 2^-K/(2 pi)
+# < 2^(1022-K) = 2^-178 rad before the one rounding back to a float, far below
+# the 4.7e-19 rad that the nearest finite double lies from a multiple of pi/2.
+_SCALE = 1 << 1200
+_TWO_PI = int(  # floor(2 pi 2^1200): the first 301 hex digits of 2 pi
+    "6487ed5110b4611a62633145c06e0e6894812704453"
+    "3e63a0105df531d89cd9128a5043cc71a026ef7ca8c"
+    "d9e69d218d98158536f92f8a1ba7f09ab6b6a8e122f"
+    "242dabb312f3f637a262174d31bf6b585ffae5b7a03"
+    "5bf6f71c35fdad44cfd2d74f9208be258ff32494332"
+    "8f6722d9ee1003e5c50b1df82cc6d241b0e2ae9cd34"
+    "8b1fd47e9267afc1b2ae91ee51d6cb0e3179ab1042a",
+    16,
+)
 
 
 def reduce_angles(x: np.ndarray) -> np.ndarray:
     """Return angles congruent to ``x`` mod 2*pi, reduced where |x| is huge.
 
-    Angles with |x| > REDUCE_THRESHOLD are reduced by mpmath.fmod at
-    _REDUCE_DPS digits plus one per decade of max |x| beyond 1e20, so the
-    results are accurate up to the largest float; while max |x| < 1e20 the
-    precision is the fixed _REDUCE_DPS.
+    Each angle with |x| > REDUCE_THRESHOLD becomes its residue in [0, 2*pi),
+    rounded once to the nearest float; +-inf gives NaN.
     """
     out = np.array(x, dtype=float, copy=True)
-    big = np.abs(out) > REDUCE_THRESHOLD
-    if big.any():
-        import mpmath
-
-        top = float(np.abs(out[big & np.isfinite(out)]).max(initial=1.0))
-        extra = max(0, int(math.log10(top)) - 20)
-        with mpmath.workdps(_REDUCE_DPS + extra):
-            tau = 2 * mpmath.pi
-            flat = out.reshape(-1)
-            for i in np.nonzero(big.reshape(-1))[0]:
-                flat[i] = float(mpmath.fmod(mpmath.mpf(float(flat[i])), tau))
+    flat = out.reshape(-1)
+    for i in np.nonzero(np.abs(flat) > REDUCE_THRESHOLD)[0].tolist():
+        v = float(flat[i])
+        if math.isinf(v):
+            flat[i] = math.nan
+        else:
+            num, den = v.as_integer_ratio()  # den: a power of two <= 2^1074
+            flat[i] = (num * _SCALE // den) % _TWO_PI / _SCALE
     return out
 
 

@@ -25,7 +25,8 @@ from .observables import (
 from .resolution import Measure, gamma_averaged_projector, moment_check, unity_check
 from .spectrum import Spectrum
 from .state import StateLabel, _states, _zero_padded, coefficients, norm_deficit
-from .weights import WeightTable, _check_same_spectrum, compute_weights, normalization, power_sums
+from .weights import DEFAULT_TAIL_TOL, WeightTable, _check_same_spectrum, compute_weights
+from .weights import normalization, power_sums
 
 DEFAULT_SEED = 1234
 
@@ -38,7 +39,8 @@ class CheckResult:
 
 
 def _probe_usable_j(w: WeightTable, start: float, tol: float, need_second: bool) -> float:
-    """Largest J (down a 0.7-geometric ladder) whose tails certify at tol.
+    """Largest J (down a 0.7-geometric ladder) whose tails certify at tol and at
+    DEFAULT_TAIL_TOL, where energy_mean, variance and normalization certify.
 
     Short explicit lists cannot push relative tail bounds arbitrarily low at
     large J, so sampled checks stay inside the certifiable range.  A
@@ -50,7 +52,7 @@ def _probe_usable_j(w: WeightTable, start: float, tol: float, need_second: bool)
         if J <= 1e-12:
             return 0.0
         try:
-            power_sums(w, J, rel_tol=tol, need_second=need_second)
+            power_sums(w, J, rel_tol=min(tol, DEFAULT_TAIL_TOL), need_second=need_second)
             return J
         except TruncationError:
             J *= 0.7
@@ -65,7 +67,7 @@ def run_suite(
     measure: Measure | None,
     *,
     seed: int = DEFAULT_SEED,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TAIL_TOL,
 ) -> list[CheckResult]:
     """Every check of the suite on s, in order; a table of another spectrum is
     refused before any check runs."""

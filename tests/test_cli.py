@@ -465,6 +465,18 @@ def test_verify_check_sequence(tmp_path, capsys, source, skipped):
     assert got == [(name, "skipped" if name in skipped else "pass") for name in VERIFY_CHECKS]
 
 
+@pytest.mark.parametrize("tol", ["1e-12", "1e-9", "1e-6", "1e-4"])
+def test_verify_tol_fails_no_check_it_does_not_loosen(tmp_path, capsys, tol):
+    # energy_mean, variance and the projector certify at the default 1e-12,
+    # so a looser --tol must not sample J where they cannot
+    path = tmp_path / "steps.json"
+    path.write_text(json.dumps({**STEPS, "e_star": 12.0}))
+    code, out, _ = run(capsys, ["verify", "--file", str(path), "--tol", tol, "--format", "json"])
+    assert code == 0, out
+    got = [(c["name"], c["status"]) for c in json.loads(out)["checks"]]
+    assert got == [(name, "skipped" if name in CUSTOM_SKIPS else "pass") for name in VERIFY_CHECKS]
+
+
 def test_verify_hydrogen_specifics(capsys):
     code, out, _ = run(capsys, ["verify", "--model", "hydrogen_like", "--format", "json"])
     assert code == 0

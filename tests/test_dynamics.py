@@ -22,6 +22,7 @@ from cstates import (
     moments_from_state,
     temporal_stability_residual,
 )
+from cstates import phase
 from cstates.phase import phase_factor, reduce_angles
 
 
@@ -152,6 +153,45 @@ def test_reduce_angles_below_1e20_keep_40_digits():
     with mpmath.workdps(40):
         ref = [float(mpmath.fmod(mpmath.mpf(float(x)), 2 * mpmath.pi)) for x in values]
     assert reduce_angles(values).tolist() == ref
+
+
+def test_reduce_angles_are_correctly_rounded():
+    # every binary exponent from 2^27 up, both signs, the largest float, and
+    # 6381956970095103 2^797, which lies 4.7e-19 from a multiple of pi/2
+    rng = np.random.default_rng(16)
+    values = np.ldexp(rng.uniform(0.5, 1.0, 300), rng.integers(28, 1025, 300))
+    values *= rng.choice([-1.0, 1.0], 300)
+    values = np.append(values, [sys.float_info.max, -sys.float_info.max,
+                                math.ldexp(6381956970095103, 797)])
+    with mpmath.workdps(600):
+        tau = 2 * mpmath.pi
+        ref = [float(mpmath.fmod(mpmath.mpf(float(x)), tau)) for x in values]
+    assert reduce_angles(values).tolist() == ref
+
+
+def test_reduce_angles_of_infinities_are_nan():
+    out = reduce_angles(np.array([math.inf, -math.inf, 2e9]))
+    assert np.isnan(out[:2]).all()
+    assert 0.0 <= out[2] < 2 * math.pi
+
+
+def test_two_pi_constant_is_the_floor_of_scaled_two_pi():
+    with mpmath.workdps(400):
+        ref = int(mpmath.floor(2 * mpmath.pi * phase._SCALE))
+    assert phase._TWO_PI == ref
+
+
+def test_package_runs_without_mpmath():
+    # huge angles are reduced in integers, so no code path needs mpmath
+    src = str(Path(cstates.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.modules['mpmath'] = None; import cstates, cstates.cli; "
+        "from cstates.phase import reduce_angles; print(repr(float(reduce_angles([1e300])[0])))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True, check=True).stdout
+    assert float(out) == reduce_angles(np.array([1e300]))[0]
 
 
 @settings(max_examples=40, deadline=None)

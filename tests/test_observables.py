@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -103,6 +104,37 @@ def test_variance_nonnegative_up_to_tail(hydrogen, w_hydrogen):
     for J in np.linspace(0.0, 0.95, 15):
         vp = variance(hydrogen, w_hydrogen, float(J))
         assert vp.variance >= -vp.tail_bound
+
+
+def hydrogen_variance_exact(J):
+    """v(J) = J S+/N - J^2 for hydrogen_like at omega = 1, at 40 digits.
+
+    S+ = sum e_{n+1} J^n/rho_n.  With m = n + 2, J^n/rho_n = 2(1 - 1/m) J^n
+    and e_{n+1} = 1 - 1/m^2, so N and S+ are sums of J^m/m^k: polylogarithms.
+    """
+    with mpmath.workdps(40):
+        J = mpmath.mpf(J)
+        li1, li2, li3 = (mpmath.polylog(k, J) - J for k in (1, 2, 3))
+        geo = J * J / (1 - J)
+        n = 2 * (geo - li1) / (J * J)
+        s_plus = 2 * (geo - li1 - li2 + li3) / (J * J)
+        return float(J * s_plus / n - J * J)
+
+
+def test_hydrogen_variance_encloses_the_polylog_closed_form(hydrogen, w_hydrogen):
+    # the closest call is J = 0.05, at 0.76 of the tail bound
+    for J in (0.05, 0.3, 0.5, 0.9, 0.99, 0.999):
+        vp = variance(hydrogen, w_hydrogen, J)
+        assert abs(vp.variance - hydrogen_variance_exact(J)) <= vp.tail_bound, J
+
+
+def test_harmonic_variance_encloses_omega_squared_j():
+    # the closest call is J = 0.5, at 0.86 of the tail bound
+    s = make_builtin("harmonic", 1.5)
+    w = compute_weights(s, 2_000)
+    for J in (0.5, 2.0, 5.0, 60.0, 300.0, 600.0):
+        vp = variance(s, w, J)
+        assert abs(vp.variance - 2.25 * J) <= vp.tail_bound, J
 
 
 @pytest.mark.parametrize(
@@ -362,6 +394,20 @@ def test_near_jstar_coefficient_matches_intercept(hydrogen, w_hydrogen):
     vp = variance(hydrogen, w_hydrogen, 0.999)
     intercept = vp.variance / (1.0 - 0.999)
     assert abs(intercept / coeff.value - 1.0) <= 0.2
+
+
+def test_near_jstar_coefficient_is_off_by_rho_n_max_over_rho_inf(hydrogen):
+    # The limit is rho_inf sum gap_m^2/rho_m = 1 + zeta(3) - zeta(2), but the sum
+    # is scaled by rho_{n_max} = (1 + 1/(n_max + 1))/2, not rho_inf = 1/2: the
+    # rho_{n_max} != rho_inf defect open in ROADMAP.md.  Cutting the series at
+    # n_max moves the value by about 1e-13 more.
+    n_max = 20_000
+    coeff = near_jstar_coefficient(hydrogen, compute_weights(hydrogen, n_max))
+    with mpmath.workdps(40):
+        exact = float(1 + mpmath.zeta(3) - mpmath.zeta(2))
+    offset = coeff.value / exact - 1.0
+    defect = 1.0 / (n_max + 1)
+    assert abs(offset - defect) <= 1e-6 * defect
 
 
 def test_near_jstar_coefficient_abel_identity(hydrogen, w_hydrogen):
