@@ -14,6 +14,7 @@ from .weights import (
     DEFAULT_TAIL_TOL,
     EDGE_GUARD,
     WeightTable,
+    _BLOCK,
     _blocks,
     _check_same_spectrum,
     _log_terms,
@@ -26,11 +27,9 @@ AGREEMENT_RTOL = 1e-8
 
 DEFAULT_FIT_CAP = 2_000_000
 
-# near-J* fits size their tables from the certificate's term bound: the
-# bound is only trusted up to this relative rounding margin, and the first
-# table built for a point holds this multiple of it
+# near-J* fits size their tables from the certificate's term bound, which is
+# only trusted up to this relative rounding margin
 _TERM_BOUND_MARGIN = 1e-9
-_FIT_TABLE_SLACK = 1.25
 
 
 @dataclass(frozen=True)
@@ -267,6 +266,26 @@ def _certified_variance(s: Spectrum, w: WeightTable, J: float) -> VariancePoint 
         return None
 
 
+def _window_bounds(w: WeightTable, window: Sequence[float] | None) -> list[tuple[float, float]]:
+    """(J, term bound less its rounding margin) per window point inside the edge guard, by J."""
+    if window is None:
+        window = [1.0 - 10.0 ** (-1.5 * k) for k in range(1, 6)]
+    return [(J, _min_certified_terms(J, w.j_star, DEFAULT_TAIL_TOL) / (1.0 + _TERM_BOUND_MARGIN))
+            for J in sorted(J for J in window if 0.0 < J <= 1.0 - EDGE_GUARD)]
+
+
+def _fit_table(s: Spectrum, w: WeightTable, fit_window: Sequence[float] | None = None,
+               n_cap: int = DEFAULT_FIT_CAP) -> WeightTable:
+    """w if it holds the term bound of each window point that max(n_cap, w.n_max)
+    entries hold, else one table a block past the largest of them, capped there.
+    A sum reads only the entries up to its cut, and a longer table begins with a
+    shorter one's entries bit for bit, so any table holding a cut gives one value."""
+    _check_near_jstar(s, w)
+    top = max(n_cap, w.n_max)
+    need = max((b for _, b in _window_bounds(w, fit_window) if b <= top + 1), default=0.0)
+    return w if need <= w.n_max + 1 else compute_weights(s, min(top, math.ceil(need) + _BLOCK))
+
+
 def near_jstar_exponent(
     s: Spectrum,
     w: WeightTable,
@@ -280,48 +299,28 @@ def near_jstar_exponent(
     guard and by truncation feasibility (points whose series do not converge
     within n_cap terms are dropped).  Requires a declared J* equal to 1.
 
-    A point is tried on w only when the term bound of
-    ``_min_certified_terms`` fits in it.  A point that w cannot certify is
-    evaluated on a larger table sized from that bound, then on one of n_cap
-    entries if that still falls short; a point whose bound exceeds every
-    allowed table is dropped without building one.
+    A point runs on w when its ``_min_certified_terms`` bound fits in w, else
+    on ``_fit_table``'s table, or is dropped if it fits in neither; a point
+    its table cannot certify is retried on one n_cap table, built once.
     """
-    _check_near_jstar(s, w)
-    if fit_window is None:
-        fit_window = [1.0 - 10.0 ** (-1.5 * k) for k in range(1, 6)]
-    window = sorted(J for J in fit_window if 0.0 < J <= 1.0 - EDGE_GUARD)
-
-    top = max(n_cap, w.n_max)
-    big: WeightTable | None = None
+    fit = _fit_table(s, w, fit_window, n_cap)
+    window = _window_bounds(w, fit_window)
+    cap: WeightTable | None = None
     points: list[tuple[float, float]] = []
-    for J in window:
-        need = _min_certified_terms(J, w.j_star, DEFAULT_TAIL_TOL)
-        if need > (top + 1) * (1.0 + _TERM_BOUND_MARGIN):
-            continue
-        vp = None
-        if need <= (w.n_max + 1) * (1.0 + _TERM_BOUND_MARGIN):
-            vp = _certified_variance(s, w, J)
-        if vp is None and n_cap > w.n_max:
-            size = math.ceil(_FIT_TABLE_SLACK * need)
-            if not w.n_max < size < n_cap:
-                size = n_cap
-            if big is None or big.n_max < size:
-                big = compute_weights(s, size)
-            vp = _certified_variance(s, big, J)
-            if vp is None and big.n_max < n_cap:
-                big = compute_weights(s, n_cap)
-                vp = _certified_variance(s, big, J)
+    for J, need in [(J, b) for J, b in window if b <= fit.n_max + 1]:
+        table = w if need <= w.n_max + 1 else fit
+        vp = _certified_variance(s, table, J)
+        if vp is None and table.n_max < n_cap:
+            cap = cap or compute_weights(s, n_cap)
+            vp = _certified_variance(s, cap, J)
         if vp is not None and vp.variance > 0:
             points.append((J, vp.variance))
     if len(points) < 3:
         raise TruncationError(
             f"only {len(points)} of {len(window)} window points were feasible within "
-            f"{top} terms; supply a window farther from J*"
+            f"{max(n_cap, w.n_max)} terms; supply a window farther from J*"
         )
-    js = np.array([p[0] for p in points])
-    vs = np.array([p[1] for p in points])
-    slope, _ = _fit_loglog(js, vs)
-    return slope
+    return _fit_loglog(*np.array(points).T)[0]
 
 
 class JstarCoefficient(NamedTuple):

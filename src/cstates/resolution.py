@@ -211,13 +211,16 @@ def _measure_moments(m: Measure, n_check: int) -> np.ndarray:
     return moments
 
 
+def _moment_ratios(m: Measure, w: WeightTable, n_check: int) -> np.ndarray:
+    """The measure's moments over rho_n for n <= n_check; each equals 1."""
+    return _measure_moments(m, n_check) / np.exp(w.log_rho[: n_check + 1])
+
+
 def moment_check(m: Measure, w: WeightTable, n_check: int) -> float:
     """Max relative error of the measure's moments against rho_n for n <= n_check."""
     if n_check > w.n_max:
         raise ValueError(f"n_check={n_check} exceeds the weight table range {w.n_max}")
-    moments = _measure_moments(m, n_check)
-    rho = np.exp(w.log_rho[: n_check + 1])
-    return float(np.abs(moments / rho - 1.0).max())
+    return float(np.abs(_moment_ratios(m, w, n_check) - 1.0).max())
 
 
 def unity_check(m: Measure, w: WeightTable, s: Spectrum, n_check: int) -> np.ndarray:
@@ -233,8 +236,7 @@ def unity_check(m: Measure, w: WeightTable, s: Spectrum, n_check: int) -> np.nda
         raise LabelRangeError(
             f"measure support U={m.U} must equal the convergence radius J*={w.j_star}"
         )
-    moments = _measure_moments(m, n_check)
-    return moments / np.exp(w.log_rho[: n_check + 1])
+    return _moment_ratios(m, w, n_check)
 
 
 def gamma_averaged_projector(

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from cstates import compute_weights, make_builtin
@@ -43,3 +45,21 @@ def series_calls(monkeypatch):
 
     monkeypatch.setattr(weights, "_certified_sums", spy)
     return calls
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """n_max of every weight table that package code builds during a test."""
+    from cstates import weights
+
+    built = []
+    original = weights.compute_weights
+
+    def spy(s, n_max=weights.DEFAULT_NMAX):
+        built.append(n_max)
+        return original(s, n_max)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cstates.") and getattr(module, "compute_weights", None) is original:
+            monkeypatch.setattr(module, "compute_weights", spy)
+    return built

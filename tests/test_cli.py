@@ -477,6 +477,20 @@ def test_verify_tol_fails_no_check_it_does_not_loosen(tmp_path, capsys, tol):
     assert got == [(name, "skipped" if name in CUSTOM_SKIPS else "pass") for name in VERIFY_CHECKS]
 
 
+@pytest.mark.parametrize("model, nmax", [("hydrogen_like", "8"), ("hydrogen_like", "25"),
+                                         ("harmonic", "10")])
+def test_verify_small_nmax_reports_every_check(capsys, model, nmax):
+    # the projector and measure checks clamp their sizes to the table, so a
+    # short table fails the checks it cannot certify, each in its own row
+    code, out, err = run(capsys, ["verify", "--model", model, "--nmax", nmax, "--format", "json"])
+    assert code == 3, err
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == list(VERIFY_CHECKS)
+    status = {c["name"]: c["status"] for c in checks}
+    assert status["measure-moments"] == status["unity-diagonals"] == "pass"
+    assert not any("weight table range" in c["detail"] for c in checks)
+
+
 def test_verify_hydrogen_specifics(capsys):
     code, out, _ = run(capsys, ["verify", "--model", "hydrogen_like", "--format", "json"])
     assert code == 0

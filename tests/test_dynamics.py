@@ -141,7 +141,7 @@ def test_reduce_angles_against_mpmath():
 
 
 def test_import_does_not_load_mpmath():
-    # mpmath serves only the reduction of huge angles, so it is imported there
+    # mpmath is only a test oracle: the package reduces huge angles without it
     src = str(Path(cstates.__file__).resolve().parents[1])
     code = "import sys, cstates, cstates.cli; sys.exit('mpmath' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}

@@ -25,7 +25,7 @@ from cstates import (
     variance,
     variance_curve,
 )
-from cstates.observables import DEFAULT_FIT_CAP, _double_sum_variance, _fit_loglog
+from cstates.observables import DEFAULT_FIT_CAP, _double_sum_variance, _fit_loglog, _fit_table
 from cstates.weights import _BLOCK
 
 
@@ -379,6 +379,27 @@ def test_near_jstar_exponent_undersized_table_retried_at_cap():
     ref, used = full_table_slope(s, window, 1_200_000)
     assert used == 4
     assert got == ref
+
+
+def test_near_jstar_exponent_builds_at_most_one_cap_table(table_builds):
+    # every point of the window fails on its table and is retried at n_cap
+    s = power_gap_spectrum(0.25)
+    w = compute_weights(s, 500)
+    near_jstar_exponent(s, w, [0.90, 0.92, 0.94, 0.96], n_cap=1_200_000)
+    assert table_builds.count(1_200_000) == 1
+    assert len(table_builds) <= 2
+
+
+def test_fit_table_variance_equals_shorter_tables(hydrogen, w_hydrogen, w_near_jstar):
+    # a sum reads only the entries up to its cut, and a longer table begins
+    # with a shorter one's entries, so the fit table moves no VariancePoint
+    w = compute_weights(hydrogen, 20_000)
+    fit = _fit_table(hydrogen, w)
+    assert fit.n_max == 877_852
+    near, mid, far = (1.0 - 10.0 ** (-1.5 * k) for k in (1, 2, 3))
+    for J, table in [(near, w), (near, w_hydrogen), (mid, compute_weights(hydrogen, 34_522)),
+                     (mid, w_hydrogen), (far, w_near_jstar)]:
+        assert variance(hydrogen, fit, J) == variance(hydrogen, table, J)
 
 
 def test_near_jstar_exponent_too_few_points(hydrogen):

@@ -20,6 +20,16 @@ def test_run_suite_series_calls_capped(model, cap, series_calls):
     assert len(series_calls) <= cap
 
 
+def test_run_suite_builds_one_near_jstar_table(table_builds):
+    # the fit and the J = 0.999 intercept share one table, a block past the
+    # term bound of J = 1 - 10^-4.5 (873,755.8, rounded up to 873,756)
+    s = make_builtin("hydrogen_like", 1.0)
+    w = compute_weights(s, 20_000)
+    results = run_suite(s, w, builtin_measure("hydrogen_like"))
+    assert {r.name: r.status for r in results}["near-jstar-exponent"] == "pass"
+    assert table_builds == [873_756 + 4_096]
+
+
 STEPS = from_levels("steps", 1.0, [0.0, 2.0, 5.0, 9.0])
 
 
