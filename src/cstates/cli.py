@@ -57,11 +57,13 @@ def _resolve_spectrum(args) -> Spectrum:
     raise SpectrumError("a spectrum is required: pass --model or --file")
 
 
-def _table_for(args, s: Spectrum):
+def _spectrum_and_table(args):
+    """The spectrum of --model or --file, and its table up to --nmax or its last level."""
+    s = _resolve_spectrum(args)
     n_max = args.nmax
     if s.max_index is not None:
         n_max = min(n_max, s.max_index)
-    return compute_weights(s, max(1, n_max))
+    return s, compute_weights(s, max(1, n_max))
 
 
 def g17(x) -> str:
@@ -130,8 +132,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    s = _resolve_spectrum(args)
-    w = _table_for(args, s)
+    s, w = _spectrum_and_table(args)
     top = min(args.count - 1, w.n_max)
     rows = [[int(n), float(w.log_rho[n]), float(np.exp(w.log_rho[n]))] for n in range(top + 1)]
     obj = {
@@ -159,8 +160,7 @@ def cmd_weights(args) -> int:
 
 
 def cmd_state(args) -> int:
-    s = _resolve_spectrum(args)
-    w = _table_for(args, s)
+    s, w = _spectrum_and_table(args)
     state = coefficients(s, w, StateLabel(args.J, args.gamma), tol=args.tol)
     rows = [[int(n), float(state.c[n].real), float(state.c[n].imag)] for n in range(len(state.c))]
     obj = {
@@ -188,8 +188,7 @@ def _parse_grid(args) -> list[float]:
 
 
 def cmd_variance(args) -> int:
-    s = _resolve_spectrum(args)
-    w = _table_for(args, s)
+    s, w = _spectrum_and_table(args)
     grid = _parse_grid(args)
     points = variance_curve(s, w, grid, rel_tol=args.tol)
     bound = s.model.variance_bound if s.model else None
@@ -205,8 +204,7 @@ def cmd_variance(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    s = _resolve_spectrum(args)
-    w = _table_for(args, s)
+    s, w = _spectrum_and_table(args)
     label = StateLabel(args.J, args.gamma)
     residual, state = _stability(s, w, label, args.t, args.tol)
     bound = 2.0 * 2.0 * math.sqrt(state.tail_mass_bound) if state.tail_mass_bound else 0.0
@@ -221,8 +219,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_resolution(args) -> int:
-    s = _resolve_spectrum(args)
-    w = _table_for(args, s)
+    s, w = _spectrum_and_table(args)
     if args.measure:
         measure = load_measure(Path(args.measure).read_text())
     elif s.model:
@@ -240,8 +237,7 @@ def cmd_resolution(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    s = _resolve_spectrum(args)
-    w = _table_for(args, s)
+    s, w = _spectrum_and_table(args)
     measure = builtin_measure(s.model.name) if s.model else None
     results = run_suite(s, w, measure, seed=args.seed, tol=args.tol)
     rows = [[r.name, r.status, r.detail] for r in results]
@@ -257,7 +253,10 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call in a process: building
+    the argparse tree costs more than parsing with it."""
     parser = argparse.ArgumentParser(
         prog="cstates",
         description="Coherent states over discrete spectra: construction and checks.",
@@ -310,15 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of ``main``, built on its first call in a process: building
-    the argparse tree costs more than parsing with it."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (TruncationError, CertificationError, QuadratureError, CrossCheckError) as exc:

@@ -88,10 +88,7 @@ class Spectrum:
 
     def e(self, n: int) -> float:
         """Dimensionless level e_n."""
-        self._check_index(n)
-        if self.levels is not None:
-            return self.levels[n]
-        return float(np.asarray(self.level_rule(np.asarray([n], dtype=float)))[0])
+        return float(self.e_range(n, n + 1)[0])
 
     def e_array(self, n_max: int) -> np.ndarray:
         """Levels e_0..e_{n_max} as a float array."""
@@ -263,8 +260,7 @@ def from_levels(
     built = Spectrum(name=name, omega=omega, e_star=e_star, shift_applied=float(shift), levels=e)
     if e_star is not None and not e_star > e[-1]:  # NaN exceeds nothing
         raise SpectrumError(f"declared e_star={e_star} must exceed the last level e={e[-1]}")
-    if len(e) > 1:
-        _refuse_invalid(validate(built, len(e) - 1), "invalid explicit levels")
+    _refuse_invalid(_check_levels(built, np.asarray(e)), "invalid explicit levels")
     return built
 
 

@@ -52,6 +52,16 @@ def test_file_with_nan_e_star_is_refused(tmp_path, capsys, command):
     assert "declared e_star=nan must exceed the last level" in err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "weights", "verify"])
+def test_file_with_one_nan_level_is_refused_on_load(tmp_path, capsys, command):
+    # one level is validated like any other list, before a row is written
+    path = tmp_path / "one.json"
+    path.write_text('{"name": "one", "omega": 1.0, "kind": "explicit", "levels": [NaN]}')
+    code, out, err = run(capsys, [command, "--file", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid explicit levels: n=0: e_0 must be 0")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -168,6 +178,19 @@ def test_variance_empty_grid(capsys):
     assert code == 0
     header, rows = csv_rows(out)
     assert rows == []
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--grid", "0.5", "--range", "0.1", "0.9", "3"], "give either --grid or --range, not both"),
+        ([], "a J grid is required: pass --grid or --range"),
+    ],
+    ids=["both", "neither"],
+)
+def test_variance_needs_exactly_one_grid(capsys, flags, message):
+    code, out, err = run(capsys, ["variance", "--model", "harmonic", *flags])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_variance_deterministic_output(capsys):
@@ -326,6 +349,20 @@ def test_omega_override(capsys):
     assert code == 0
     _, rows = csv_rows(out)
     assert [float(r[2]) for r in rows] == [0.0, 2.0, 4.0]
+
+
+def test_omega_override_reaches_a_file_document(tmp_path, capsys):
+    # the document's energies are divided by the overriding omega, not by its
+    # own; e_star is dimensionless and stays as declared
+    path = tmp_path / "steps.json"
+    path.write_text(json.dumps({**STEPS, "e_star": 12.0}))
+    code, out, _ = run(capsys, ["spectrum", "--file", str(path), "--omega", "2", "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["omega"], doc["e_star"]) == (2.0, 12.0)
+    assert [(r["e_n"], r["E_n"]) for r in doc["levels"]] == [
+        (0.0, 0.0), (1.0, 2.0), (2.5, 5.0), (4.5, 9.0)
+    ]
 
 
 def test_nmax_floor_rejected(capsys):
@@ -542,6 +579,21 @@ def test_model_and_file_conflict(tmp_path, capsys):
 def test_missing_spectrum_source(capsys):
     code, _, err = run(capsys, ["variance", "--grid", "0.1"])
     assert code == 1
+
+
+def test_verify_failed_assertion_is_a_fail_row(capsys, monkeypatch):
+    # a check that fails by its own assertion reports that assertion's message
+    import cstates.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "energy_mean", lambda s, w, J, **kw: s.omega * (J + 1.0))
+    code, out, err = run(capsys, ["verify", "--model", "harmonic", "--format", "json"])
+    assert code == 3
+    detail = "max |mean/omega - J| = 1.000e+00 > 1e-8"
+    checks = json.loads(out)["checks"]
+    assert [c for c in checks if c["status"] == "fail"] == [
+        {"name": "action-identity", "status": "fail", "detail": detail}
+    ]
+    assert err == f"FAIL action-identity: {detail}\n"
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):

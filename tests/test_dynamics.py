@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import cstates
 from cstates import (
+    LabelRangeError,
     SpectrumMismatchError,
     StateLabel,
     coefficients,
@@ -45,6 +46,14 @@ def test_evolve_coefficients_refuses_another_spectrum(hydrogen, w_hydrogen, harm
     state = coefficients(hydrogen, w_hydrogen, StateLabel(0.5, 0.0))
     with pytest.raises(SpectrumMismatchError):
         evolve_coefficients(state, harmonic, 1.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_evolve_coefficients_refuses_nonfinite_time(hydrogen, w_hydrogen, t):
+    state = coefficients(hydrogen, w_hydrogen, StateLabel(0.5, 0.0))
+    for x in (state, state.c):
+        with pytest.raises(LabelRangeError, match="^t must be a finite number"):
+            evolve_coefficients(x, hydrogen, t)
 
 
 def test_eigenstate_gets_pure_phase(hydrogen):

@@ -224,7 +224,8 @@ def test_double_sum_over_blocks_matches_fsum(model, omega, n_max, J, k):
 
 @pytest.fixture(scope="module")
 def w_near_jstar(hydrogen):
-    # the near-J* fit table for J = 1 - 10^-4.5, 1.25 times its term bound
+    # 1.25 times the term bound of J = 1 - 10^-4.5, so longer than the near-J*
+    # fit table for that J (n_max 877,852, a block past the bound)
     return compute_weights(hydrogen, 1_092_195)
 
 

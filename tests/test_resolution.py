@@ -78,6 +78,11 @@ def test_unity_check_harmonic(harmonic, w_harmonic):
     check_unity("harmonic", harmonic, w_harmonic)
 
 
+def test_unity_check_range_guard(hydrogen, w_hydrogen):
+    with pytest.raises(ValueError, match="exceeds the weight table range"):
+        unity_check(builtin_measure("hydrogen_like"), w_hydrogen, hydrogen, w_hydrogen.n_max + 1)
+
+
 def test_unity_check_support_mismatch(hydrogen, w_hydrogen):
     small = Measure(name="short", U=0.8, density=lambda u: np.full_like(np.asarray(u, float), 0.5))
     with pytest.raises(LabelRangeError):
@@ -95,6 +100,14 @@ def test_projector_infinite_gamma_diagonal(hydrogen, w_hydrogen):
     expected = 0.5**n / rho
     expected /= np.sum(0.5 ** np.arange(200) / np.exp(w_hydrogen.log_rho[:200]))
     np.testing.assert_allclose(diag, expected, rtol=1e-10)
+
+
+@pytest.mark.parametrize("Gamma", [2.0, math.inf])
+def test_projector_at_zero_is_the_ground_state(hydrogen, w_hydrogen, Gamma):
+    proj = gamma_averaged_projector(hydrogen, w_hydrogen, 0.0, Gamma, 6)
+    expected = np.zeros((7, 7))
+    expected[0, 0] = 1.0
+    assert np.array_equal(proj.entries, expected)
 
 
 def test_projector_hermitian_psd(hydrogen, w_hydrogen):
@@ -201,6 +214,17 @@ def test_load_measure_rejects_bad_documents():
         {"U": 1.0, "density": constant, "atoms": [{"u": 1.0, "w": "0.5"}]},
         {"U": "inf", "density": {"kind": "constant", "value": 0}, "atoms": [{"u": "inf", "w": 1}]},
         {"U": 1.0, "density": constant, "atoms": {"u": 1.0, "w": 0.5}},
+        {"U": "inf", "density": {"kind": "exponential", "rate": 0}},
+        {"U": "inf", "density": {"kind": "exponential", "rate": "inf"}},
+        {"U": "inf", "density": {"kind": "exponential", "amplitude": 0}},
+        {"U": "inf", "density": {"kind": "exponential", "amplitude": "inf"}},
+        {"U": 1.0, "density": {"kind": "constant", "value": -0.5}},
+        {"U": 1.0, "density": {"kind": "table", "u": 0.5, "rho": [1, 1]}},
+        {"U": 1.0, "density": {"kind": "table", "u": [0, 1], "rho": 1.0}},
+        {"U": 1.0, "density": {"kind": "table", "u": [0, 0.5, 1], "rho": [1, 1]}},
+        {"U": 1.0, "density": {"kind": "table", "u": [0.5], "rho": [1]}},
+        {"U": 1.0, "density": {"kind": "table", "u": [0, 1], "rho": [1, -1]}},
+        {"U": 1.0, "density": {"kind": "table", "u": [0, 1], "rho": [1, "inf"]}},
     ):
         with pytest.raises(SpectrumError):
             load_measure(bad)

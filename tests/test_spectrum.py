@@ -171,6 +171,42 @@ def test_load_rejects_bad_documents():
         load_spectrum('{"kind": "explicit", "omega": 1.0, "levels": [0, 2, 5, 9], "e_star": NaN}')
     with pytest.raises(SpectrumError, match="e_star=nan must exceed"):
         from_levels("x", 1.0, [0, 2, 5, 9], e_star=math.nan)
+    with pytest.raises(SpectrumError, match="^explicit spectrum needs a 'levels' array$"):
+        load_spectrum({"kind": "explicit", "omega": 1.0})
+    with pytest.raises(SpectrumError, match="^levels must be numbers"):
+        load_spectrum({"kind": "explicit", "omega": 1.0, "levels": [0, "two"]})
+    # a single level is validated too: NaN - NaN leaves e_0 = NaN
+    with pytest.raises(SpectrumError, match="^invalid explicit levels: n=0: e_0 must be 0"):
+        load_spectrum('{"kind": "explicit", "omega": 1.0, "levels": [NaN]}')
+
+
+def test_load_builtin_name_override():
+    s = load_spectrum({"name": "oscillator", "omega": 2.0, "kind": "builtin", "model": "harmonic"})
+    assert s.name == "oscillator"
+    assert s.model is make_builtin("harmonic").model
+    assert (s.omega, s.e(3), s.energy(3)) == (2.0, 3.0, 6.0)
+
+
+@pytest.mark.parametrize(
+    "energies, message",
+    [
+        ([math.nan], "^invalid explicit levels: n=0: e_0 must be 0"),
+        ([math.inf], "^invalid explicit levels: n=0: e_0 must be 0"),
+        ([0, math.inf, 2], "^invalid explicit levels: n=1: level is not finite$"),
+        ([0, "two"], "^levels must be numbers"),
+        ([0, None], "^levels must be numbers"),
+    ],
+    ids=["one-nan", "one-inf", "inf-inside", "string", "none"],
+)
+def test_from_levels_refuses_lists_of_any_length(energies, message):
+    with pytest.raises(SpectrumError, match=message):
+        from_levels("x", 1.0, energies)
+
+
+def test_one_finite_level_is_shifted_to_zero():
+    s = from_levels("x", 1.0, [5.0])
+    assert s.levels == (0.0,)
+    assert (s.shift_applied, s.e(0), s.max_index) == (5.0, 0.0, 0)
 
 
 def test_explicit_refuses_indices_beyond_list():
@@ -184,6 +220,11 @@ def test_explicit_refuses_indices_beyond_list():
 def test_validate_builtins():
     assert validate(make_builtin("harmonic", 1.0), 100).ok
     assert validate(make_builtin("hydrogen_like", 1.0), 100).ok
+
+
+def test_validate_needs_n_max_of_at_least_one():
+    with pytest.raises(ValueError, match="^n_max must be >= 1$"):
+        validate(make_builtin("harmonic", 1.0), 0)
 
 
 def test_validate_degenerate_explicit_levels():
@@ -237,6 +278,22 @@ def test_power_gap_spectrum():
     n = np.arange(50, dtype=float)
     np.testing.assert_allclose(s.gap_array(49), (n + 1.0) ** -0.25, rtol=0, atol=0)
     assert validate(s, 1000).ok
+
+
+@pytest.mark.parametrize("p", [0, -0.5, math.nan])
+def test_power_gap_spectrum_refuses_nonpositive_exponents(p):
+    with pytest.raises(SpectrumError, match="^gap exponent must be positive$"):
+        power_gap_spectrum(p)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [make_builtin("harmonic"), from_rule("open", 1.0, lambda n: np.asarray(n, float))],
+    ids=["infinite-e_star", "no-e_star"],
+)
+def test_gap_needs_a_finite_e_star(s):
+    with pytest.raises(SpectrumError, match="^gap to the accumulation point needs a finite e_star$"):
+        s.gap_array(3)
 
 
 def test_rule_requires_gap_and_star_together():

@@ -159,6 +159,12 @@ def test_two_pi_shift_of_one_label_is_harmonic_symmetry_only(
     assert abs(overlap(a1, b0) - overlap(a0, b0)) > 1e-6
 
 
+def test_coefficients_need_a_positive_tolerance(hydrogen, w_hydrogen):
+    for tol in (0.0, -1e-12, math.nan):
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            coefficients(hydrogen, w_hydrogen, StateLabel(0.5, 0.0), tol=tol)
+
+
 def test_spectrum_mismatch_rejected(hydrogen, w_hydrogen, harmonic, w_harmonic):
     a = coefficients(hydrogen, w_hydrogen, StateLabel(0.5, 0.0))
     b = coefficients(harmonic, w_harmonic, StateLabel(0.5, 0.0))

@@ -41,7 +41,8 @@ def test_probe_ladder_stops_at_the_first_certification_error(series_calls):
 
 
 def test_run_suite_refused_series_calls_capped(series_calls):
-    # the second-moment probe walked all 80 rungs of its ladder, each refused
+    # 27 refused calls: 26 first-order TruncationErrors down the J ladder and
+    # one CertificationError, which ends the second-moment probe at once
     results = run_suite(STEPS, compute_weights(STEPS, 3), None)
     assert [r.name for r in results if r.status == "fail"] == []
     assert {r.name: r.status for r in results}["small-j-slope"] == "skipped"

@@ -182,6 +182,32 @@ def test_compute_weights_needs_valid_spectrum():
         compute_weights(bad, 2)
 
 
+def test_compute_weights_needs_n_max_of_at_least_one(hydrogen):
+    with pytest.raises(ValueError, match="^n_max must be >= 1$"):
+        compute_weights(hydrogen, 0)
+
+
+@pytest.mark.parametrize(
+    "level_rule, e_star, message",
+    [
+        # a rule tolerates ties, so e_1 = e_0 = 0 passes validation and stops here
+        (lambda n: np.maximum(np.asarray(n, float) - 1.0, 0.0), None, "^e_1 must be positive$"),
+        (lambda n: np.asarray(n, float), 2.0, "n=2: level .* is not below e_star=2.0$"),
+    ],
+    ids=["zero-e_1", "level-at-e_star"],
+)
+def test_compute_weights_refuses_bad_rules(level_rule, e_star, message):
+    s = from_rule("bad", 1.0, level_rule, e_star=e_star)
+    with pytest.raises(SpectrumError, match=message):
+        compute_weights(s, 5)
+
+
+def test_power_sums_needs_a_positive_tolerance(w_hydrogen):
+    for tol in (0.0, -1e-12, math.nan):
+        with pytest.raises(ValueError, match="^tolerance must be positive"):
+            power_sums(w_hydrogen, 0.5, rel_tol=tol)
+
+
 def test_compute_weights_beyond_explicit_list():
     from cstates import LevelRangeError
 
