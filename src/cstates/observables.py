@@ -303,10 +303,16 @@ def near_jstar_exponent(
     on ``_fit_table``'s table, or is dropped if it fits in neither; a point
     its table cannot certify is retried on one n_cap table, built once.
     """
+    return _near_jstar_fit(s, w, fit_window, n_cap)[0]
+
+
+def _near_jstar_fit(s: Spectrum, w: WeightTable, fit_window: Sequence[float] | None = None,
+                    n_cap: int = DEFAULT_FIT_CAP) -> tuple[float, list[VariancePoint]]:
+    """``near_jstar_exponent``'s slope and the window points it was fitted to."""
     fit = _fit_table(s, w, fit_window, n_cap)
     window = _window_bounds(w, fit_window)
     cap: WeightTable | None = None
-    points: list[tuple[float, float]] = []
+    points: list[VariancePoint] = []
     for J, need in [(J, b) for J, b in window if b <= fit.n_max + 1]:
         table = w if need <= w.n_max + 1 else fit
         vp = _certified_variance(s, table, J)
@@ -314,13 +320,13 @@ def near_jstar_exponent(
             cap = cap or compute_weights(s, n_cap)
             vp = _certified_variance(s, cap, J)
         if vp is not None and vp.variance > 0:
-            points.append((J, vp.variance))
+            points.append(vp)
     if len(points) < 3:
         raise TruncationError(
             f"only {len(points)} of {len(window)} window points were feasible within "
             f"{max(n_cap, w.n_max)} terms; supply a window farther from J*"
         )
-    return _fit_loglog(*np.array(points).T)[0]
+    return _fit_loglog(*np.array([(p.J, p.variance) for p in points]).T)[0], points
 
 
 class JstarCoefficient(NamedTuple):

@@ -14,7 +14,10 @@ q = J/e_{n0+1} and the tail is at most t_{n0} * q / (1 - q) once q < 1.
 Every series scan (the kernel ``_certified_sums``, the variance cross-check
 and ``near_jstar_coefficient``) reads the table in fixed blocks of _BLOCK
 entries, so its work stops near the terms the answer needs and its working
-memory does not grow with n_max.
+memory does not grow with n_max.  The kernel sizes its first block before
+reading it: ``_first_block_end`` probes the log-terms at a few candidate ends
+of 256 to 2,896 entries and stops at the first where the zeroth tail would
+already be certified, so a short sum reads a short block.
 """
 from __future__ import annotations
 
@@ -43,6 +46,10 @@ _TERM_FLOOR = 1e-300
 # 64 KiB free-consolidation threshold, so freeing them does not trim the heap
 # and the next block or call does not fault its working set back in
 _BLOCK = 1 << 12
+# ends of the shorter first blocks the kernel may take, about 256 * 2^(k/2):
+# steps below 2x leave the probe room to misjudge the cut by a few terms and
+# still read at most twice the terms a sum of 128 to 2,048 terms uses
+_PROBE_ENDS = (256, 362, 512, 724, 1_024, 1_448, 2_048, 2_896)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,6 +196,33 @@ def _block_end(lo: int, stop: int) -> int:
     return min(lo + _BLOCK, stop)
 
 
+def _first_block_end(w: WeightTable, J: float, tol: float, absolute: bool) -> int:
+    """End of the kernel's first scan block, sized to the sum before it is read.
+
+    The first m of _PROBE_ENDS below ``_block_end(0, size)`` at which the
+    zeroth tail would already be certified: J < e_m and
+    g_{m-1} + log(J/(e_m - J)) <= log tol + top.  Here top is the largest of
+    0 = g_0, g_127 and the g_{m-1} probed so far, a lower bound on the log of
+    the zeroth partial sum; it is dropped when ``absolute``.  If no m passes,
+    the first block is a full one.  Only where blocks end depends on this.
+    """
+    stop = _block_end(0, w.n_max + 1)
+    if stop <= _PROBE_ENDS[0]:
+        return stop
+    log_j, log_tol = math.log(J), math.log(tol)
+    top = 0.0 if absolute else max(0.0, 127 * log_j - float(w.log_rho[127]))
+    for m in _PROBE_ENDS:
+        if m >= stop:
+            break
+        g = (m - 1) * log_j - float(w.log_rho[m - 1])
+        if not absolute:
+            top = max(top, g)
+        e = float(w.levels[m])
+        if J < e and g + log_j - math.log(e - J) <= log_tol + top:
+            return m
+    return stop
+
+
 def _blocks(lo: int, stop: int) -> Iterator[tuple[int, int]]:
     """The scan blocks (lo, hi) that cover [lo, stop), by ``_block_end``."""
     while lo < stop:
@@ -204,6 +238,9 @@ def _running_sums(block: np.ndarray, carry: float) -> np.ndarray:
     return np.cumsum(block, out=block)
 
 
+# q = J/e_next >= 1 divides by 1 - q <= 0 and a zero tail's log is -inf;
+# both are masked or compared after, so the kernel runs without those warnings
+@np.errstate(divide="ignore", invalid="ignore")
 def _certified_sums(
     w: WeightTable, J: float, tol: float, order: int, *, absolute: bool = False
 ) -> PowerSums:
@@ -216,19 +253,24 @@ def _certified_sums(
     huge scales.  Moments above ``order`` come back NaN.
 
     The table is scanned left to right in fixed blocks of _BLOCK = 4,096
-    entries (``_block_end``).  So a sum that needs few terms reads few
-    entries, and a call's working memory does not grow with n_max and causes
-    no page faults.  The running sums carry from block to block in numpy's
-    sequential order and equal a whole-table cumsum bit for bit.  Each block
-    first certifies the zeroth moment; the cut needs every tail, so the
-    higher tails, ratio caps and certificates are built only from the first
-    index where it holds.  Levels are nondecreasing, so g rises while
-    e_{n+1} <= J and falls after; the cut needs J < e_{n+1}, so M, the
-    maximum of g over the blocks up to that turn (read ahead of the block
-    being summed), is the whole-table maximum.  Should a later block still
-    raise it (rounding on a flat top), M becomes the whole-table maximum and
-    the scan restarts once from n = 0.  A refusal scans the whole table and
-    reports the best relative tail over all blocks.
+    entries (``_block_end``) after a first block whose end
+    ``_first_block_end`` picks before it is read, from 256 to 2,896 entries
+    where a probe of the log-terms finds the zeroth tail already certified,
+    else a full block.  So a sum that needs few terms reads few entries (a
+    sum of at most 2,048 terms at most twice its terms, and 256 at least),
+    and a call's working memory does not grow with n_max and causes no page
+    faults.  Where blocks end changes no result: the running sums carry from
+    block to block in numpy's sequential order and equal a whole-table
+    cumsum bit for bit.  Each block first certifies the zeroth moment; the
+    cut needs every tail, so the higher tails, ratio caps and certificates
+    are built only from the first index where it holds.  Levels are
+    nondecreasing, so g rises while e_{n+1} <= J and falls after; the cut
+    needs J < e_{n+1}, so M, the maximum of g over the blocks up to that
+    turn (read ahead of the block being summed), is the whole-table maximum.
+    Should a later block still raise it (rounding on a flat top), M becomes
+    the whole-table maximum and the scan restarts once from n = 0.  A
+    refusal scans the whole table and reports the best relative tail over
+    all blocks.
     """
     check_j_range(w, J)
     if not tol > 0:
@@ -243,16 +285,16 @@ def _certified_sums(
 
     def certified(cum: np.ndarray, tail: np.ndarray) -> np.ndarray:
         if absolute:
-            with np.errstate(divide="ignore"):
-                return scale + np.log(tail) <= math.log(tol)
+            return scale + np.log(tail) <= math.log(tol)
         return tail <= tol * np.maximum(cum, _TERM_FLOOR)
 
     log_j = math.log(J)
     size = w.n_max + 1
+    first = _first_block_end(w, J, tol, absolute)
     scale = -math.inf
     lo = 0
     while lo < size:
-        hi = _block_end(lo, size)
+        hi = _block_end(lo, size) if lo else first
         n, g = _log_terms(w, log_j, lo, hi)
         top = float(g.max())
         if top > scale:
@@ -279,9 +321,8 @@ def _certified_sums(
         else:
             e_next = np.append(w.levels[lo + 1 :], w.next_level_bound)
         tf = np.maximum(t, _TERM_FLOOR)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = J / e_next
-            tail0 = tf * q / (1.0 - q)
+        q = J / e_next
+        tail0 = tf * q / (1.0 - q)
         ok = q < 1.0
         tail0[~ok] = np.inf
 
@@ -292,8 +333,8 @@ def _certified_sums(
             moments.append(e * e * t)
         cums = [_running_sums(m, c) for m, c in zip(moments, carry)]
         cond = ok & certified(cums[0], tail0)
-        if cond.any():
-            i = int(np.argmax(cond))
+        i = int(np.argmax(cond))
+        if cond[i]:
             cut, tfi = cond[i:], tf[i:]
             tails = [tail0[i:]]
             if order >= 1:
@@ -303,8 +344,8 @@ def _certified_sums(
                 caps = _ratio_caps(w.spectrum, e_next[i:], n[i:])
                 tails.append(J * (e_next[i:] * tfi + caps * J * (tfi + tails[0])))
                 cut &= certified(cums[2][i:], tails[2])
-            if cut.any():
-                n0 = int(np.argmax(cut))
+            n0 = int(np.argmax(cut))
+            if cut[n0]:
                 sums = [float(c[i + n0]) for c in cums] + [math.nan] * (2 - order)
                 bounds = [float(b[n0]) for b in tails] + [math.nan] * (2 - order)
                 return PowerSums(float(J), lo + i + n0 + 1, scale, *sums, *bounds)

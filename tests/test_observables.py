@@ -128,6 +128,15 @@ def test_hydrogen_variance_encloses_the_polylog_closed_form(hydrogen, w_hydrogen
         assert abs(vp.variance - hydrogen_variance_exact(J)) <= vp.tail_bound, J
 
 
+def test_near_jstar_hydrogen_variance_encloses_the_polylog_closed_form(hydrogen):
+    # 27,625 to ~921,000 terms; the relative errors (4.1e-10 and 3.6e-10) sit
+    # at 0.004 and 0.001 of the tail bound
+    w = compute_weights(hydrogen, 1_200_000)
+    for J in (0.9999, 0.99997):
+        vp = variance(hydrogen, w, J)
+        assert abs(vp.variance - hydrogen_variance_exact(J)) <= vp.tail_bound, J
+
+
 def test_harmonic_variance_encloses_omega_squared_j():
     # the closest call is J = 0.5, at 0.86 of the tail bound
     s = make_builtin("harmonic", 1.5)

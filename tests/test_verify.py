@@ -30,6 +30,16 @@ def test_run_suite_builds_one_near_jstar_table(table_builds):
     assert table_builds == [873_756 + 4_096]
 
 
+def test_run_suite_sums_the_intercept_once(series_calls):
+    # J = 0.999 is a window point of the exponent fit, and the v/(1-J)
+    # intercept reuses that point rather than summing it again
+    s = make_builtin("hydrogen_like", 1.0)
+    w = compute_weights(s, 20_000)
+    results = run_suite(s, w, builtin_measure("hydrogen_like"))
+    assert {r.name: r.status for r in results}["near-jstar-exponent"] == "pass"
+    assert [J for table, J, _ in series_calls if table is not w and J == 0.999] == [0.999]
+
+
 STEPS = from_levels("steps", 1.0, [0.0, 2.0, 5.0, 9.0])
 
 

@@ -308,12 +308,23 @@ def outcome(fn, *args, **kwargs):
     return tuple("nan" if isinstance(v, float) and math.isnan(v) else v for v in fields)
 
 
+# terms_used of the last whole-table reference, for a first block forced to end at the cut
+CUT = [0]
+
+
+def scan_outcomes(w, J, tol, order, absolute=False):
+    """Outcomes of the kernel and of the whole-table reference, the reference
+    first, so that its terms_used is in CUT when the kernel runs."""
+    ref = outcome(whole_table_sums, w, J, tol, order, absolute=absolute)
+    CUT[0] = ref[1] if isinstance(ref[1], int) else w.n_max + 1
+    return outcome(weights._certified_sums, w, J, tol, order, absolute=absolute), ref
+
+
 def assert_scan_matches_whole_table(w, grid, tols=(1e-12, 1e-6)):
     for J in grid:
         for tol in tols:
             for order, absolute in ((0, True), (0, False), (1, False), (2, False)):
-                got = outcome(weights._certified_sums, w, J, tol, order, absolute=absolute)
-                ref = outcome(whole_table_sums, w, J, tol, order, absolute=absolute)
+                got, ref = scan_outcomes(w, J, tol, order, absolute)
                 assert got == ref, (w.spectrum.name, w.n_max, J, tol, order, absolute)
 
 
@@ -329,22 +340,41 @@ def flat_top_levels(n):
 # block schedules (first block, cap): fixed blocks of 1, 7 and 256 entries,
 # blocks doubling from 3 up to 256, the default _BLOCK, and fixed blocks of
 # 65,536 entries, more than every table here holds but the peak test's
+BLOCK, BLOCK_END, FIRST_BLOCK_END = weights._BLOCK, weights._block_end, weights._first_block_end
 WIDE = 1 << 16
 SCHEDULES = [pytest.param((c, c), id=str(c)) for c in (1, 7, 256)] + [
     pytest.param((3, 256), id="3-256"),
-    pytest.param((weights._BLOCK, weights._BLOCK), id=str(weights._BLOCK)),
+    pytest.param((BLOCK, BLOCK), id=str(BLOCK)),
     pytest.param((WIDE, WIDE), id=str(WIDE)),
+]
+# fixed blocks of _BLOCK and 7 entries after a first block forced to end
+# short, one before the cut, at the cut, or long: the probe's guesses
+FIRST_ENDS = [
+    pytest.param((c, c, end), id=f"{c}-first-{end}")
+    for c in (BLOCK, 7) for end in (1, 7, "cut-1", "cut", BLOCK, "table")
 ]
 
 
 def use_schedule(monkeypatch, schedule):
     """Fixed blocks through ``_BLOCK``; blocks of growing length through a
-    substitute ``_block_end``, since no result may depend on where blocks end."""
-    first, cap = schedule
-    if first == cap:
-        monkeypatch.setattr(weights, "_BLOCK", first)
-    else:
-        monkeypatch.setattr(weights, "_block_end", lambda lo, stop: min(lo + min(lo + first, cap), stop))
+    substitute ``_block_end``, since no result may depend on where blocks end.
+
+    A third entry forces the first block's end in place of the probe: a
+    length, "table", or "cut" and "cut-1" for the reference's terms_used in
+    CUT and one fewer.
+    """
+    first, cap, *forced = schedule
+    fixed = first == cap
+    monkeypatch.setattr(weights, "_BLOCK", first if fixed else BLOCK)
+    monkeypatch.setattr(weights, "_block_end", BLOCK_END if fixed else
+                        lambda lo, stop: min(lo + min(lo + first, cap), stop))
+    probe = FIRST_BLOCK_END
+    if forced:
+        def probe(w, J, tol, absolute, end=forced[0]):
+            size = w.n_max + 1
+            end = {"table": size, "cut": CUT[0], "cut-1": CUT[0] - 1}.get(end, end)
+            return max(1, min(end, size))
+    monkeypatch.setattr(weights, "_first_block_end", probe)
 
 
 def test_blocks_hold_a_fixed_number_of_entries():
@@ -356,7 +386,8 @@ def test_blocks_hold_a_fixed_number_of_entries():
 
 
 def test_small_sum_reads_only_the_first_block(monkeypatch, w_hydrogen):
-    # 8 terms certify J = 0.01: the scan reads [0, 4096) of the 40,001 entries
+    # 8 terms certify J = 0.01: the probe sizes the first block to 256 of the
+    # 40,001 entries, and the scan reads no other
     assert w_hydrogen.n_max + 1 == 40_001
     ranges = []
     log_terms = weights._log_terms
@@ -370,7 +401,34 @@ def test_small_sum_reads_only_the_first_block(monkeypatch, w_hydrogen):
         ranges.clear()
         got = outcome(weights._certified_sums, w_hydrogen, 0.01, 1e-12, order)
         assert got == outcome(whole_table_sums, w_hydrogen, 0.01, 1e-12, order)
-        assert ranges == [(0, 4_096)], order
+        assert ranges == [(0, 256)], order
+
+
+@pytest.mark.parametrize("model, j_lo, j_hi", [("hydrogen_like", 1e-3, 0.999), ("harmonic", 1e-2, 1e3)])
+def test_first_block_is_sized_to_the_sum(monkeypatch, model, j_lo, j_hi):
+    # a sum of at most 2,048 terms reads at most twice its terms (256 at
+    # least); a longer one reads at most one block more than fixed blocks do
+    w = compute_weights(make_builtin(model), 40_000)
+    ranges = []
+    log_terms = weights._log_terms
+
+    def spy(w, log_j, lo, hi):
+        ranges.append((lo, hi))
+        return log_terms(w, log_j, lo, hi)
+
+    monkeypatch.setattr(weights, "_log_terms", spy)
+    for J in np.geomspace(j_lo, j_hi, 150):
+        for order, absolute in ((0, True), (1, False), (2, False)):
+            ranges.clear()
+            try:
+                ps = weights._certified_sums(w, float(J), 1e-12, order, absolute=absolute)
+            except TruncationError:  # harmonic N(J) past J ~ 670, below float spacing
+                continue
+            terms = ps.terms_used
+            read = sum(b - a for a, b in ranges)
+            if terms <= 2_048:
+                assert read <= max(256, 2 * terms), (J, order, terms, ranges)
+            assert len(ranges) <= -(-terms // BLOCK) + 1, (J, order, terms, ranges)
 
 
 STEPS = [0.0] + np.cumsum(np.linspace(0.5, 2.0, 400)).tolist()
@@ -384,7 +442,7 @@ SMALL_TABLES = [
 ]
 
 
-@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("schedule", SCHEDULES + FIRST_ENDS)
 @pytest.mark.parametrize("s, n_max, grid", SMALL_TABLES, ids=lambda v: getattr(v, "name", None))
 def test_chunked_scan_matches_whole_table(monkeypatch, schedule, s, n_max, grid):
     use_schedule(monkeypatch, schedule)
@@ -400,7 +458,7 @@ def test_chunked_scan_peak_beyond_first_chunk(monkeypatch, schedule):
     assert_scan_matches_whole_table(w, [0.95], tols=(1e-12,))
 
 
-@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("schedule", SCHEDULES + FIRST_ENDS)
 def test_chunked_scan_restarts_on_a_flat_top(monkeypatch, schedule):
     use_schedule(monkeypatch, schedule)
     w = compute_weights(from_rule("flat_top", 1.0, flat_top_levels), 3_000)
@@ -414,28 +472,32 @@ def test_chunked_scan_restarts_on_a_flat_top(monkeypatch, schedule):
     monkeypatch.setattr(weights, "_log_terms", spy)
     for J in (2.0, 1.5):
         for tol in (1e-12, 0.3):
-            for order in (0, 1):
+            for order, absolute in ((0, True), (0, False), (1, False)):
                 starts.clear()
-                got = outcome(weights._certified_sums, w, J, tol, order)
-                assert got == outcome(whole_table_sums, w, J, tol, order), (J, tol, order)
-                if J == 2.0 and schedule[0] < w.n_max:
+                got, ref = scan_outcomes(w, J, tol, order, absolute)
+                assert got == ref, (J, tol, order, absolute)
+                assert starts.count(0) <= 2  # at most one restart
+                if J == 2.0 and not absolute and len(schedule) == 2 and schedule[0] < w.n_max:
                     assert starts.count(0) == 2  # one restart, whatever the block count
 
 
 def test_chunked_scan_cut_on_a_chunk_end(monkeypatch, hydrogen):
     w = compute_weights(hydrogen, 3_000)
     for J in (0.3, 0.9):
-        terms = whole_table_sums(w, J, 1e-12, 2).terms_used
-        d = next(k for k in range(2, terms + 1) if terms % k == 0)
-        short = compute_weights(hydrogen, terms - 1)
-        # the cut is the last index of the first block, of the d-th block, and of the table
-        cases = [((terms, terms), w), ((terms // d, terms // d), w),
-                 ((weights._BLOCK, weights._BLOCK), short)]
-        for schedule, table in cases:
-            use_schedule(monkeypatch, schedule)
-            got = outcome(weights._certified_sums, table, J, 1e-12, 2)
-            assert got == outcome(whole_table_sums, table, J, 1e-12, 2), (J, schedule)
-            assert got[1] == terms
+        for order, absolute in ((2, False), (0, True)):
+            terms = whole_table_sums(w, J, 1e-12, order, absolute).terms_used
+            d = next(k for k in range(2, terms + 1) if terms % k == 0)
+            short = compute_weights(hydrogen, terms - 1)
+            # the cut is the last index of the first block, of the d-th block, and
+            # of the table; then the first block is forced to end at the cut or
+            # one short of it, so the cut is the first index of the second block
+            cases = [((terms, terms), w), ((terms // d, terms // d), w), ((BLOCK, BLOCK), short),
+                     ((BLOCK, BLOCK, "cut"), w), ((BLOCK, BLOCK, "cut-1"), w), ((7, 7, "cut-1"), w)]
+            for schedule, table in cases:
+                use_schedule(monkeypatch, schedule)
+                got, ref = scan_outcomes(table, J, 1e-12, order, absolute)
+                assert got == ref, (J, order, schedule)
+                assert got[1] == terms
 
 
 def test_chunked_scan_refusals_match_whole_table(monkeypatch, hydrogen):
