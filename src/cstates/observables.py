@@ -352,7 +352,8 @@ def near_jstar_coefficient(s: Spectrum, w: WeightTable) -> JstarCoefficient:
     def blocked_sum(lo: int, stop: int) -> float:
         out = 0.0
         for a, b in _blocks(lo, stop):
-            terms = np.square(s.gap_range(a, b))
+            terms = s.gap_range(a, b)
+            terms *= terms
             terms /= np.exp(w.log_rho[a:b])
             out += float(terms.sum())
         return out

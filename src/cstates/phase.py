@@ -28,6 +28,14 @@ _TWO_PI = int(  # floor(2 pi 2^1200): the first 301 hex digits of 2 pi
 )
 
 
+def _residue(v: float) -> float:
+    """v mod 2*pi in [0, 2*pi), rounded once; NaN for +-inf."""
+    if math.isinf(v):
+        return math.nan
+    num, den = v.as_integer_ratio()  # den = 2^d with d <= 1074
+    return (num << (1201 - den.bit_length())) % _TWO_PI / _SCALE  # num 2^1200 / 2^d
+
+
 def reduce_angles(x: np.ndarray) -> np.ndarray:
     """Return angles congruent to ``x`` mod 2*pi, reduced where |x| is huge.
 
@@ -36,17 +44,14 @@ def reduce_angles(x: np.ndarray) -> np.ndarray:
     """
     out = np.array(x, dtype=float, copy=True)
     flat = out.reshape(-1)
-    for i in np.nonzero(np.abs(flat) > REDUCE_THRESHOLD)[0].tolist():
-        v = float(flat[i])
-        if math.isinf(v):
-            flat[i] = math.nan
-        else:
-            num, den = v.as_integer_ratio()  # den: a power of two <= 2^1074
-            flat[i] = (num * _SCALE // den) % _TWO_PI / _SCALE
+    huge = np.flatnonzero(np.abs(flat) > REDUCE_THRESHOLD)
+    flat[huge] = [_residue(v) for v in flat[huge].tolist()]
     return out
 
 
 def phase_factor(x) -> np.ndarray:
     """exp(-i x) elementwise, accurate for every finite x."""
     arr = np.asarray(x, dtype=float)
-    return np.exp(-1j * reduce_angles(arr))
+    if (np.abs(arr) > REDUCE_THRESHOLD).any():
+        arr = reduce_angles(arr)
+    return np.exp(-1j * arr)

@@ -22,8 +22,7 @@ def _omega(value) -> float:
 
 def _hydrogen_gap(n: np.ndarray) -> np.ndarray:
     """1/(n+1)^2, squared and divided in place in one new array."""
-    gap = np.array(n, dtype=float)
-    gap += 1.0
+    gap = np.add(n, 1.0, dtype=float)
     gap *= gap
     return np.divide(1.0, gap, out=gap)
 

@@ -17,7 +17,10 @@ entries, so its work stops near the terms the answer needs and its working
 memory does not grow with n_max.  The kernel sizes its first block before
 reading it: ``_first_block_end`` probes the log-terms at a few candidate ends
 of 256 to 2,896 entries and stops at the first where the zeroth tail would
-already be certified, so a short sum reads a short block.
+already be certified, so a short sum reads a short block.  Within a block the
+kernel forms tails only on the suffix where q < 1, and a block whose moments
+fit one array of at most _BLOCK floats holds them as its rows and certifies
+them in one comparison; no temporary of a scan is larger than 32 KiB.
 """
 from __future__ import annotations
 
@@ -231,16 +234,21 @@ def _blocks(lo: int, stop: int) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-def _running_sums(block: np.ndarray, carry: float) -> np.ndarray:
-    """Cumulative sums of block continued from carry, in place, in numpy's
-    sequential order, so block after block they equal one whole-table cumsum."""
-    block[0] += carry
-    return np.cumsum(block, out=block)
+def _higher_tails(s: Spectrum, J: float, tf: np.ndarray, tail0: np.ndarray, e_next: np.ndarray,
+                  n: np.ndarray, out: np.ndarray | list[np.ndarray]) -> None:
+    """Tails of the first moment, J (tf + tail0), into out[0] and, if out has
+    a second row, of the second, J (e_next tf + caps J (tf + tail0)), with
+    the ratio caps of s at n."""
+    first = np.add(tf, tail0, out=out[0])
+    if len(out) > 1:
+        caps = _ratio_caps(s, e_next, n)
+        caps *= J
+        second = np.multiply(caps, first, out=out[1])
+        second += e_next * tf
+        second *= J
+    first *= J
 
 
-# q = J/e_next >= 1 divides by 1 - q <= 0 and a zero tail's log is -inf;
-# both are masked or compared after, so the kernel runs without those warnings
-@np.errstate(divide="ignore", invalid="ignore")
 def _certified_sums(
     w: WeightTable, J: float, tol: float, order: int, *, absolute: bool = False
 ) -> PowerSums:
@@ -259,17 +267,23 @@ def _certified_sums(
     else a full block.  So a sum that needs few terms reads few entries (a
     sum of at most 2,048 terms at most twice its terms, and 256 at least),
     and a call's working memory does not grow with n_max and causes no page
-    faults.  Where blocks end changes no result: the running sums carry from
-    block to block in numpy's sequential order and equal a whole-table
-    cumsum bit for bit.  Each block first certifies the zeroth moment; the
-    cut needs every tail, so the higher tails, ratio caps and certificates
-    are built only from the first index where it holds.  Levels are
-    nondecreasing, so g rises while e_{n+1} <= J and falls after; the cut
-    needs J < e_{n+1}, so M, the maximum of g over the blocks up to that
-    turn (read ahead of the block being summed), is the whole-table maximum.
-    Should a later block still raise it (rounding on a flat top), M becomes
-    the whole-table maximum and the scan restarts once from n = 0.  A
-    refusal scans the whole table and reports the best relative tail over
+    faults: no temporary is larger than one 32 KiB block row.  Where blocks
+    end changes no result: the running sums carry from block to block in
+    numpy's sequential order and equal a whole-table cumsum bit for bit.
+
+    Levels are nondecreasing, so q = J/e_{n+1} < 1, which every tail bound
+    needs, holds on a suffix of each block; tails are formed there only.  A
+    block whose moments fit one array of at most _BLOCK floats (a first block
+    of up to 2,048 entries for order 1, 1,365 for order 2) holds them as its
+    rows and certifies every tail in one comparison.  A longer block
+    certifies the zeroth moment first and builds the higher tails, ratio
+    caps and certificates only from the first index where it holds, since
+    the cut needs every tail.  g rises while e_{n+1} <= J and falls after;
+    the cut needs J < e_{n+1}, so M, the maximum of g over the blocks up to
+    that turn (read ahead of the block being summed), is the whole-table
+    maximum.  Should a later block still raise it (rounding on a flat top),
+    M becomes the whole-table maximum and the scan restarts once from n = 0.
+    A refusal scans the whole table and reports the best relative tail over
     all blocks.
     """
     check_j_range(w, J)
@@ -285,10 +299,16 @@ def _certified_sums(
 
     def certified(cum: np.ndarray, tail: np.ndarray) -> np.ndarray:
         if absolute:
-            return scale + np.log(tail) <= math.log(tol)
-        return tail <= tol * np.maximum(cum, _TERM_FLOOR)
+            with np.errstate(divide="ignore"):  # a tail can underflow to 0
+                log_tail = np.log(tail)
+            log_tail += scale
+            return log_tail <= log_tol
+        bound = np.maximum(cum, _TERM_FLOOR)
+        bound *= tol
+        return tail <= bound
 
-    log_j = math.log(J)
+    rows = order + 1
+    log_j, log_tol = math.log(J), math.log(tol)
     size = w.n_max + 1
     first = _first_block_end(w, J, tol, absolute)
     scale = -math.inf
@@ -296,7 +316,7 @@ def _certified_sums(
     while lo < size:
         hi = _block_end(lo, size) if lo else first
         n, g = _log_terms(w, log_j, lo, hi)
-        top = float(g.max())
+        top = float(np.maximum.reduce(g))
         if top > scale:
             # g rises until J < e_{n+1}: take its maximum up to that turn, or
             # over the whole table after a rounding slip past it, so that the
@@ -304,64 +324,95 @@ def _certified_sums(
             scale, ahead = top, hi
             while ahead < size and (lo > 0 or not J < w.levels[ahead]):
                 nxt = _block_end(ahead, size)
-                scale = max(scale, float(_log_terms(w, log_j, ahead, nxt)[1].max()))
+                scale = max(scale, float(np.maximum.reduce(_log_terms(w, log_j, ahead, nxt)[1])))
                 ahead = nxt
             if lo > 0:
                 lo = 0
                 continue
         if lo == 0:
-            carry = [0.0] * (order + 1)
-            best = None
+            carry = None
+            # (relative tail, n, tail, partial sum): inf until an index has q < 1
+            best = (math.inf, 0, math.inf, 1.0)
 
         g -= scale
-        t = np.exp(g, out=g)
-        e = w.levels[lo:hi]
-        if hi < size:
-            e_next = w.levels[lo + 1 : hi + 1]
+        # several moments as the rows of one array, if it is no larger than a
+        # full block's row: bigger temporaries let frees trim the heap
+        stacked = order >= 1 and rows * (hi - lo) <= _BLOCK
+        if stacked:
+            cums = np.empty((rows, hi - lo))
         else:
-            e_next = np.append(w.levels[lo + 1 :], w.next_level_bound)
-        tf = np.maximum(t, _TERM_FLOOR)
-        q = J / e_next
-        tail0 = tf * q / (1.0 - q)
-        ok = q < 1.0
-        tail0[~ok] = np.inf
-
-        moments = [t]
+            cums = [g, *(np.empty(hi - lo) for _ in range(order))]
+        t = np.exp(g, out=cums[0])
+        # past the table, e_next is next_level_bound, kept only if it exceeds
+        # J; levels rise, so q = J/e_next < 1 exactly on [i0, k)
+        e_next = w.levels[lo + 1 : hi + 1]
+        if hi == size and J < w.next_level_bound:
+            e_next = np.append(e_next, w.next_level_bound)
+        i0, k = int(e_next.searchsorted(J, "right")), len(e_next)
+        tf = np.maximum(t[i0:k], _TERM_FLOOR)
+        e = w.levels[lo:hi]
         if order >= 1:
-            moments.append(e * t)
+            np.multiply(e, t, out=cums[1])
         if order >= 2:
-            moments.append(e * e * t)
-        cums = [_running_sums(m, c) for m, c in zip(moments, carry)]
-        cond = ok & certified(cums[0], tail0)
-        i = int(np.argmax(cond))
-        if cond[i]:
-            cut, tfi = cond[i:], tf[i:]
-            tails = [tail0[i:]]
-            if order >= 1:
-                tails.append(J * (tfi + tails[0]))
-                cut &= certified(cums[1][i:], tails[1])
-            if order >= 2:
-                caps = _ratio_caps(w.spectrum, e_next[i:], n[i:])
-                tails.append(J * (e_next[i:] * tfi + caps * J * (tfi + tails[0])))
-                cut &= certified(cums[2][i:], tails[2])
-            n0 = int(np.argmax(cut))
-            if cut[n0]:
-                sums = [float(c[i + n0]) for c in cums] + [math.nan] * (2 - order)
-                bounds = [float(b[n0]) for b in tails] + [math.nan] * (2 - order)
-                return PowerSums(float(J), lo + i + n0 + 1, scale, *sums, *bounds)
+            np.multiply(e, e, out=cums[2])
+            cums[2] *= t
+        # running sums in numpy's sequential order, carried on from the last block
+        if stacked:
+            if carry is not None:
+                cums[:, 0] += carry
+            np.add.accumulate(cums, axis=1, out=cums)
+        else:
+            for r, c in enumerate(cums):
+                if carry is not None:
+                    c[0] += carry[r]
+                np.add.accumulate(c, out=c)
+        if i0 == k:
+            carry = [c[-1] for c in cums]
+            lo = hi
+            continue
 
-        # tail0 is inf wherever q >= 1, so rel is too
-        rel = tail0 / np.maximum(cums[0], _TERM_FLOOR)
-        i = int(np.argmin(rel))
-        if best is None or rel[i] < best[0]:
-            best = (rel[i], lo + i, tail0[i], cums[0][i], ok[i])
-        carry = [float(c[-1]) for c in cums]
+        tails = np.empty((rows, k - i0)) if stacked else [np.empty(k - i0)]
+        q = np.divide(J, e_next[i0:])
+        tail0 = np.multiply(tf, q, out=tails[0])
+        tail0 /= np.subtract(1.0, q, out=q)
+        base = i0  # the block index of cut[0] and of every tail's first entry
+        if stacked:
+            _higher_tails(w.spectrum, J, tf, tail0, e_next[i0:], n[i0:k], tails[1:])
+            cut = np.logical_and.reduce(certified(cums[:, i0:k], tails))
+            at = int(cut.argmax())
+        else:
+            cut = certified(cums[0][i0:k], tail0)
+            at = int(cut.argmax())
+            if cut[at] and order >= 1:
+                # the higher tails from the zeroth moment's cut on
+                base += at
+                tails = [tail0[at:], *(np.empty(k - base) for _ in range(order))]
+                _higher_tails(w.spectrum, J, tf[at:], tails[0], e_next[base:], n[base:k], tails[1:])
+                cut = cut[at:]
+                for c, tail in zip(cums[1:], tails[1:]):
+                    cut &= certified(c[base:k], tail)
+                at = int(cut.argmax())
+        if cut[at]:
+            n0 = base + at
+            nan = [math.nan] * (2 - order)
+            if stacked:
+                sums, bounds = cums[:, n0].tolist() + nan, tails[:, at].tolist() + nan
+            else:
+                sums = [float(c[n0]) for c in cums] + nan
+                bounds = [float(b[at]) for b in tails] + nan
+            return PowerSums(float(J), lo + n0 + 1, scale, *sums, *bounds)
+
+        rel = tail0 / np.maximum(cums[0][i0:k], _TERM_FLOOR)
+        i = int(rel.argmin())
+        if rel[i] < best[0]:
+            best = (rel[i], lo + i0 + i, tail0[i], cums[0][i0 + i])
+        carry = [c[-1] for c in cums]
         lo = hi
 
-    _, at, tail, cum, tail_ok = best
+    _, at, tail, cum = best
     with np.errstate(over="ignore"):
         partial = float(np.exp(scale) * carry[0])
-        bound = float(np.exp(scale) * tail) if tail_ok else math.inf
+        bound = float(np.exp(scale) * tail)  # scale >= g_0 = 0, so inf stays inf
     raise TruncationError(
         f"tail bound not reached within n_max={w.n_max} for J={J} "
         f"(best relative tail {tail / cum:.3e} at n={at})",
@@ -397,8 +448,7 @@ def normalization(
     """Normalization series N(J) = sum J^n/rho_n with absolute tail bound <= tol."""
     _check_same_spectrum(w, s)
     ps = _certified_sums(w, J, tol, 0, absolute=True)
-    with np.errstate(divide="ignore"):
-        tail = np.exp(ps.log_scale + np.log(ps.t0))
+    tail = np.exp(ps.log_scale + np.log(ps.t0)) if ps.t0 > 0 else 0.0
     return SeriesValue(
         value=float(np.exp(ps.log_scale) * ps.s0),
         tail_bound=float(tail),

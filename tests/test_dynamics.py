@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -210,6 +211,17 @@ def test_phase_factor_accuracy_property(x):
     with mpmath.workdps(50):
         ref = mpmath.exp(-1j * mpmath.fmod(mpmath.mpf(x), 2 * mpmath.pi))
         assert abs(complex(ref) - got) < 1e-12
+
+
+@pytest.mark.parametrize("x", [[0.5, math.inf, math.nan, 3e9, -1e300],
+                               [0.5, -2.0, 1e8, -1e8, 0.0, math.nan]])
+def test_phase_factor_matches_its_reduced_reference(x):
+    # reduce_angles runs only when some |x| > 1e8; the all-small vector skips it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = phase_factor(x)
+        ref = np.exp(-1j * reduce_angles(np.asarray(x)))
+    assert np.array_equal(got, ref, equal_nan=True)
 
 
 @settings(max_examples=40, deadline=None)

@@ -434,8 +434,9 @@ def test_first_block_is_sized_to_the_sum(monkeypatch, model, j_lo, j_hi):
 STEPS = [0.0] + np.cumsum(np.linspace(0.5, 2.0, 400)).tolist()
 
 SMALL_TABLES = [
-    (make_builtin("hydrogen_like"), 1_200, [1e-3, 0.3, 0.9, 0.99, 0.999]),
-    (make_builtin("harmonic"), 1_200, [0.01, 1.0, 60.0, 700.0, 1_000.0, 1_190.0]),
+    # 5e-324 and 1e-300: the tails underflow to 0, whose log is -inf
+    (make_builtin("hydrogen_like"), 1_200, [5e-324, 1e-300, 1e-3, 0.3, 0.9, 0.99, 0.999]),
+    (make_builtin("harmonic"), 1_200, [5e-324, 1e-300, 0.01, 1.0, 60.0, 700.0, 1_000.0, 1_190.0]),
     (power_gap_spectrum(0.25), 1_200, [0.2, 0.5, 0.75, 0.8]),
     (from_levels("steps", 1.0, STEPS), 400, [0.5, 30.0, 350.0]),
     (from_levels("steps_star", 1.0, STEPS, e_star=600.0), 400, [0.5, 30.0, 350.0]),
