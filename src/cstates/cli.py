@@ -206,7 +206,7 @@ def cmd_variance(args) -> int:
 def cmd_evolve(args) -> int:
     s, w = _spectrum_and_table(args)
     label = StateLabel(args.J, args.gamma)
-    residual, state = _stability(s, w, label, args.t, args.tol)
+    (residual,), (state,) = _stability(s, w, [(label, args.t)], args.tol)
     bound = 2.0 * 2.0 * math.sqrt(state.tail_mass_bound) if state.tail_mass_bound else 0.0
     # rounding the phase arguments e_n gamma, omega e_n t and e_n (gamma + omega t)
     # moves component n by at most UNIT_ROUNDOFF (3|gamma| + 5|omega t|) e_n radians

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import LabelRangeError
 from .phase import phase_factor
 from .spectrum import Spectrum
-from .state import StateCoefficients, StateLabel, _states, _zero_padded
+from .state import StateCoefficients, StateLabel, _phased, _states, _zero_padded
 from .weights import DEFAULT_TAIL_TOL, WeightTable, _check_same_spectrum
 from dataclasses import dataclass
 
@@ -58,16 +58,19 @@ def temporal_stability_residual(
     share the truncation picked for J, and the residual measures only the
     phase identity, not mismatched supports.
     """
-    return _stability(s, w, l, t, tol)[0]
+    return _stability(s, w, [(l, t)], tol)[0][0]
 
 
 def _stability(
-    s: Spectrum, w: WeightTable, l: StateLabel, t: float, tol: float
-) -> tuple[float, StateCoefficients]:
-    """The temporal-stability residual at (l, t), and the state at l it evolved."""
-    start, relabeled = _states(s, w, [l, evolve_label(l, t, s.omega)], tol)
-    evolved = evolve_coefficients(start, s, t)
-    return float(np.linalg.norm(evolved.c - relabeled.c)), start
+    s: Spectrum, w: WeightTable, samples: list[tuple[StateLabel, float]], tol: float
+) -> tuple[list[float], list[StateCoefficients]]:
+    """The temporal-stability residual at each (l, t) of samples, and the
+    states at the l they evolved, from one batched series over their J."""
+    states = _states(s, w, [x for l, t in samples for x in (l, evolve_label(l, t, s.omega))], tol)
+    starts = states[::2]
+    e = s.omega * w.levels[: max((len(x.c) for x in starts), default=0)]
+    moved = _phased([x.c for x in starts], e, [t for _, t in samples])
+    return [float(np.linalg.norm(m - x.c)) for m, x in zip(moved, states[1::2])], starts
 
 
 def kinematic_representation_check(
@@ -82,8 +85,19 @@ def kinematic_representation_check(
 
     l and l(-t) share J, so both bras come from one certified series.
     """
-    psi = np.asarray(psi, dtype=complex)
-    bra, bra_back = _states(s, w, [l, evolve_label(l, -t, s.omega)], tol)
-    lhs = complex(np.vdot(*_zero_padded(bra.c, evolve_coefficients(psi, s, t).c)))
-    rhs = complex(np.vdot(*_zero_padded(bra_back.c, psi)))
-    return lhs, rhs
+    return _kinematics(s, w, [np.asarray(psi, dtype=complex)], [(l, t)], tol)[0]
+
+
+def _kinematics(
+    s: Spectrum, w: WeightTable, psis: list[np.ndarray],
+    samples: list[tuple[StateLabel, float]], tol: float,
+) -> list[tuple[complex, complex]]:
+    """kinematic_representation_check for each psi of psis with its (l, t)
+    of samples, from one batched series and one batched evolution."""
+    states = _states(s, w, [x for l, t in samples for x in (l, evolve_label(l, -t, s.omega))], tol)
+    width = max(len(psi) for psi in psis)
+    e = s.omega * (w.levels[:width] if width <= len(w.levels) else s.e_array(width - 1))
+    moved = _phased(psis, e, [t for _, t in samples])
+    return [(complex(np.vdot(*_zero_padded(bra.c, psi_t))),
+             complex(np.vdot(*_zero_padded(back.c, psi))))
+            for bra, back, psi_t, psi in zip(states[::2], states[1::2], moved, psis)]

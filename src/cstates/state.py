@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -11,8 +11,10 @@ from .errors import LabelRangeError
 from .phase import phase_factor
 from .spectrum import Spectrum
 from .weights import (
+    _BLOCK,
     DEFAULT_TAIL_TOL,
     WeightTable,
+    _batch_sums,
     _check_same_spectrum,
     _log_terms,
     power_sums,
@@ -65,30 +67,47 @@ def _states(
     labels: Sequence[StateLabel],
     tol: float,
 ) -> list[StateCoefficients]:
-    """coefficients() of each label, with one certified series per distinct J.
-
-    The truncation, the magnitudes |c_n| and the tail mass depend on J alone,
-    so labels that differ only in gamma share them and differ in phases only.
-    """
+    """coefficients() of each label, bit for bit, with one batched series
+    over their distinct J (``weights._batch_sums``) and a kernel call for
+    each J it leaves out.  Truncation, |c_n| and tail mass depend on J alone."""
     _check_same_spectrum(w, s)
     if not tol > 0:
         raise ValueError("tol must be positive")
-
+    nonzero = [label for label in labels if label.J != 0]
+    sums = _batch_sums(w, [label.J for label in nonzero], tol, 1) if len(nonzero) > 1 else {}
     parts: dict[float, tuple[np.ndarray, float]] = {}
+    for label in nonzero:
+        if label.J not in parts:
+            ps = sums.get(label.J) or power_sums(w, label.J, rel_tol=tol)
+            g = _log_terms(w, math.log(label.J), 0, ps.terms_used)[1]
+            log_norm = ps.log_scale + math.log(ps.s0 + ps.t0)
+            parts[label.J] = (np.exp(0.5 * (g - log_norm)), float(ps.t0 / (ps.s0 + ps.t0)))
+    vectors = iter(_phased([parts[x.J][0] for x in nonzero], w.levels, [x.gamma for x in nonzero]))
     out = []
     for label in labels:
         if label.J == 0:
             c, tail_mass = np.ones(1, dtype=complex), 0.0
         else:
-            if label.J not in parts:
-                ps = power_sums(w, label.J, rel_tol=tol)
-                k = ps.terms_used
-                g = _log_terms(w, math.log(label.J), 0, k)[1]
-                log_norm = ps.log_scale + math.log(ps.s0 + ps.t0)
-                parts[label.J] = (np.exp(0.5 * (g - log_norm)), float(ps.t0 / (ps.s0 + ps.t0)))
-            magnitudes, tail_mass = parts[label.J]
-            c = magnitudes * phase_factor(w.levels[: len(magnitudes)] * label.gamma)
+            c, tail_mass = next(vectors), parts[label.J][1]
         out.append(StateCoefficients(c=c, tail_mass_bound=tail_mass, label=label, spectrum=s))
+    return out
+
+
+def _phased(vectors: Sequence[np.ndarray], e: np.ndarray, xs: Sequence[float]) -> list[np.ndarray]:
+    """v_n exp(-i e_n x) for each v of vectors and its x of xs (a state: e the
+    levels, x = gamma; an evolution: e = omega levels, x = t), one
+    ``phase_factor`` call per run of at most _BLOCK / 2 amplitudes."""
+    if len(vectors) == 1:  # no run to lay out
+        return [vectors[0] * phase_factor(e[: len(vectors[0])] * xs[0])]
+    out = []
+    step = max(1, _BLOCK // 2 // max((len(v) for v in vectors), default=1))
+    for a in range(0, len(vectors), step):
+        args = [e[: len(v)] * x for v, x in zip(vectors[a : a + step], xs[a : a + step])]
+        phases = phase_factor(np.concatenate(args) if len(args) > 1 else args[0])
+        end = 0
+        for v in vectors[a : a + step]:
+            out.append(v * phases[end : end + len(v)])
+            end += len(v)
     return out
 
 

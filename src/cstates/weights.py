@@ -21,6 +21,11 @@ already be certified, so a short sum reads a short block.  Within a block the
 kernel forms tails only on the suffix where q < 1, and a block whose moments
 fit one array of at most _BLOCK floats holds them as its rows and certifies
 them in one comparison; no temporary of a scan is larger than 32 KiB.
+
+``_batch_sums`` serves many labels at once, bit for bit as the kernel does
+one by one: the short first blocks of their distinct J are summed as the rows
+of one array per probed width, at most _BLOCK floats per chunk of rows.  A J
+that does not cut there, or is refused, is left to the caller's kernel call.
 """
 from __future__ import annotations
 
@@ -32,6 +37,7 @@ import numpy as np
 
 from .errors import (
     CertificationError,
+    CStatesError,
     LabelRangeError,
     SpectrumError,
     SpectrumMismatchError,
@@ -234,58 +240,51 @@ def _blocks(lo: int, stop: int) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-def _higher_tails(s: Spectrum, J: float, tf: np.ndarray, tail0: np.ndarray, e_next: np.ndarray,
-                  n: np.ndarray, out: np.ndarray | list[np.ndarray]) -> None:
-    """Tails of the first moment, J (tf + tail0), into out[0] and, if out has
-    a second row, of the second, J (e_next tf + caps J (tf + tail0)), with
-    the ratio caps of s at n."""
-    first = np.add(tf, tail0, out=out[0])
+def _tails(s: Spectrum, J, tf: np.ndarray, q: np.ndarray | None, e_next: np.ndarray,
+           n: np.ndarray, out: np.ndarray | list[np.ndarray]) -> np.ndarray:
+    """Tail bounds at the terms tf, one row of out per moment; J may be a
+    column.  The zeroth is tail0 = tf q / (1 - q) with q = J/e_next, which
+    overwrites q (or is already in out[0] when q is None), the first
+    J (tf + tail0), the second J (e_next tf + caps J (tf + tail0)), caps at n."""
+    tail0 = out[0]
+    if q is not None:
+        np.multiply(tf, q, out=tail0)
+        tail0 /= np.subtract(1.0, q, out=q)
     if len(out) > 1:
-        caps = _ratio_caps(s, e_next, n)
-        caps *= J
-        second = np.multiply(caps, first, out=out[1])
-        second += e_next * tf
-        second *= J
-    first *= J
+        first = np.add(tf, tail0, out=out[1])
+        if len(out) > 2:
+            second = np.multiply(_ratio_caps(s, e_next, n), J, out=out[2])
+            second *= first
+            second += e_next * tf
+            second *= J
+        first *= J
+    return tail0
 
 
-def _certified_sums(
-    w: WeightTable, J: float, tol: float, order: int, *, absolute: bool = False
-) -> PowerSums:
-    """The series kernel: S_k = sum e_n^k t_n for k <= order, cut at the first
-    index where every tail is certified.
+def _powers(e: np.ndarray, cums, order: int) -> None:
+    """e t into cums[1] and e e t into cums[2], up to order, from t in cums[0]."""
+    if order >= 1:
+        np.multiply(e, cums[0], out=cums[1])
+    if order >= 2:
+        np.multiply(e, e, out=cums[2])
+        cums[2] *= cums[0]
 
-    Terms are scaled, t_n = exp(g_n - M) with g_n = n log J - log rho_n.  The
-    cut needs each tail at most tol times its partial sum or, when
-    ``absolute``, at most tol once unscaled, compared in log space to survive
-    huge scales.  Moments above ``order`` come back NaN.
 
-    The table is scanned left to right in fixed blocks of _BLOCK = 4,096
-    entries (``_block_end``) after a first block whose end
-    ``_first_block_end`` picks before it is read, from 256 to 2,896 entries
-    where a probe of the log-terms finds the zeroth tail already certified,
-    else a full block.  So a sum that needs few terms reads few entries (a
-    sum of at most 2,048 terms at most twice its terms, and 256 at least),
-    and a call's working memory does not grow with n_max and causes no page
-    faults: no temporary is larger than one 32 KiB block row.  Where blocks
-    end changes no result: the running sums carry from block to block in
-    numpy's sequential order and equal a whole-table cumsum bit for bit.
+def _certified(cum: np.ndarray, tail: np.ndarray, tol: float, scale, absolute: bool) -> np.ndarray:
+    """Where a tail is at most tol times its partial sum or, if ``absolute``,
+    at most tol unscaled by exp(scale), in log space; never where it is NaN."""
+    if absolute:
+        with np.errstate(divide="ignore"):  # a tail can underflow to 0
+            log_tail = np.log(tail)
+        log_tail += scale
+        return log_tail <= math.log(tol)
+    bound = np.maximum(cum, _TERM_FLOOR)
+    bound *= tol
+    return tail <= bound
 
-    Levels are nondecreasing, so q = J/e_{n+1} < 1, which every tail bound
-    needs, holds on a suffix of each block; tails are formed there only.  A
-    block whose moments fit one array of at most _BLOCK floats (a first block
-    of up to 2,048 entries for order 1, 1,365 for order 2) holds them as its
-    rows and certifies every tail in one comparison.  A longer block
-    certifies the zeroth moment first and builds the higher tails, ratio
-    caps and certificates only from the first index where it holds, since
-    the cut needs every tail.  g rises while e_{n+1} <= J and falls after;
-    the cut needs J < e_{n+1}, so M, the maximum of g over the blocks up to
-    that turn (read ahead of the block being summed), is the whole-table
-    maximum.  Should a later block still raise it (rounding on a flat top),
-    M becomes the whole-table maximum and the scan restarts once from n = 0.
-    A refusal scans the whole table and reports the best relative tail over
-    all blocks.
-    """
+
+def _settled(w: WeightTable, J: float, tol: float, order: int) -> PowerSums | None:
+    """Refuse a kernel call that no scan can answer; the sums at J = 0, else None."""
     check_j_range(w, J)
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
@@ -296,19 +295,39 @@ def _certified_sums(
     if order >= 2:
         # a spectrum without a growth cap is refused before any term is read
         _ratio_caps(w.spectrum, w.levels[:0], w.levels[:0])
+    return None
 
-    def certified(cum: np.ndarray, tail: np.ndarray) -> np.ndarray:
-        if absolute:
-            with np.errstate(divide="ignore"):  # a tail can underflow to 0
-                log_tail = np.log(tail)
-            log_tail += scale
-            return log_tail <= log_tol
-        bound = np.maximum(cum, _TERM_FLOOR)
-        bound *= tol
-        return tail <= bound
 
+def _certified_sums(
+    w: WeightTable, J: float, tol: float, order: int, *, absolute: bool = False
+) -> PowerSums:
+    """The series kernel: S_k = sum e_n^k t_n for k <= order, cut at the first
+    index where every tail is certified (``_certified``).
+
+    Terms are scaled, t_n = exp(g_n - M) with g_n = n log J - log rho_n.
+    Moments above ``order`` come back NaN.  Blocks end where ``_block_end``
+    and ``_first_block_end`` put them, which changes no result: the running
+    sums carry from block to block in numpy's sequential order and equal a
+    whole-table cumsum bit for bit.
+
+    A block whose moments fit one array of at most _BLOCK floats (a first
+    block of up to 2,048 entries for order 1, 1,365 for order 2) holds them
+    as its rows and certifies every tail in one comparison.  A longer block
+    certifies the zeroth moment first and builds the higher tails, ratio
+    caps and certificates only from the first index where it holds, since
+    the cut needs every tail.  g rises while e_{n+1} <= J and falls after;
+    the cut needs J < e_{n+1}, so M, the maximum of g over the blocks up to
+    that turn (read ahead of the block being summed), is the whole-table
+    maximum.  Should a later block still raise it (rounding on a flat top),
+    M becomes the whole-table maximum and the scan restarts once from n = 0.
+    A refusal scans the whole table and reports the best relative tail over
+    all blocks.
+    """
+    settled = _settled(w, J, tol, order)
+    if settled is not None:
+        return settled
     rows = order + 1
-    log_j, log_tol = math.log(J), math.log(tol)
+    log_j = math.log(J)
     size = w.n_max + 1
     first = _first_block_end(w, J, tol, absolute)
     scale = -math.inf
@@ -350,12 +369,7 @@ def _certified_sums(
             e_next = np.append(e_next, w.next_level_bound)
         i0, k = int(e_next.searchsorted(J, "right")), len(e_next)
         tf = np.maximum(t[i0:k], _TERM_FLOOR)
-        e = w.levels[lo:hi]
-        if order >= 1:
-            np.multiply(e, t, out=cums[1])
-        if order >= 2:
-            np.multiply(e, e, out=cums[2])
-            cums[2] *= t
+        _powers(w.levels[lo:hi], cums, order)
         # running sums in numpy's sequential order, carried on from the last block
         if stacked:
             if carry is not None:
@@ -372,25 +386,22 @@ def _certified_sums(
             continue
 
         tails = np.empty((rows, k - i0)) if stacked else [np.empty(k - i0)]
-        q = np.divide(J, e_next[i0:])
-        tail0 = np.multiply(tf, q, out=tails[0])
-        tail0 /= np.subtract(1.0, q, out=q)
+        tail0 = _tails(w.spectrum, J, tf, np.divide(J, e_next[i0:]), e_next[i0:], n[i0:k], tails)
         base = i0  # the block index of cut[0] and of every tail's first entry
         if stacked:
-            _higher_tails(w.spectrum, J, tf, tail0, e_next[i0:], n[i0:k], tails[1:])
-            cut = np.logical_and.reduce(certified(cums[:, i0:k], tails))
+            cut = np.logical_and.reduce(_certified(cums[:, i0:k], tails, tol, scale, absolute))
             at = int(cut.argmax())
         else:
-            cut = certified(cums[0][i0:k], tail0)
+            cut = _certified(cums[0][i0:k], tail0, tol, scale, absolute)
             at = int(cut.argmax())
             if cut[at] and order >= 1:
                 # the higher tails from the zeroth moment's cut on
                 base += at
                 tails = [tail0[at:], *(np.empty(k - base) for _ in range(order))]
-                _higher_tails(w.spectrum, J, tf[at:], tails[0], e_next[base:], n[base:k], tails[1:])
+                _tails(w.spectrum, J, tf[at:], None, e_next[base:], n[base:k], tails)
                 cut = cut[at:]
                 for c, tail in zip(cums[1:], tails[1:]):
-                    cut &= certified(c[base:k], tail)
+                    cut &= _certified(c[base:k], tail, tol, scale, absolute)
                 at = int(cut.argmax())
         if cut[at]:
             n0 = base + at
@@ -420,6 +431,58 @@ def _certified_sums(
         tail_bound=bound,
         terms_used=w.n_max + 1,
     )
+
+
+def _batch_sums(w: WeightTable, Js, tol: float, order: int) -> dict[float, PowerSums]:
+    """``_certified_sums(w, J, tol, order)``, bit for bit, at the distinct J of
+    Js (two or more) that cut in a first block the kernel would stack: each
+    is a row of an array of that width, rows sorted by J, chunks of at most
+    _BLOCK floats, tails NaN where J >= e_{n+1}; a cut needs J < e_{n+1}, past
+    the peak of g, so its scale is the kernel's.  The J left out are for the
+    caller's kernel calls, which raise each refusal in turn."""
+    out: dict[float, PowerSums] = {}
+    distinct = dict.fromkeys(Js)
+    if len(distinct) < 2:
+        return out
+    widths: dict[int, list] = {}
+    for J in distinct:
+        try:
+            if _settled(w, J, tol, order) is not None:
+                continue
+        except (CStatesError, ValueError):
+            continue  # the caller's own kernel call raises it
+        first = _first_block_end(w, J, tol, False)
+        if (order + 1) * first <= _BLOCK:
+            widths.setdefault(first, []).append(J)
+    nan = [math.nan] * (2 - order)
+    for width, group in widths.items():
+        group.sort()
+        step = _BLOCK // ((order + 1) * width)
+        for chunk in (group[i : i + step] for i in range(0, len(group), step)):
+            column = np.array(chunk, dtype=float)[:, None]
+            n = np.arange(width, dtype=float)
+            # log J by math.log, as the kernel takes it: np.log can differ in the last ulp
+            g = n * np.array([math.log(x) for x in chunk])[:, None] - w.log_rho[:width]
+            scale = np.maximum.reduce(g, axis=1, keepdims=True)
+            g -= scale
+            cums = np.empty((order + 1, len(chunk), width))
+            tf = np.maximum(np.exp(g, out=cums[0]), _TERM_FLOOR)
+            # e_{n+1} for n < width, next_level_bound past the table's end
+            e_next = np.append(w.levels[1 : width + 1], w.next_level_bound)[:width]
+            q = np.divide(column, e_next)
+            q[q >= 1.0] = math.nan
+            _powers(w.levels[:width], cums, order)
+            np.add.accumulate(cums, axis=2, out=cums)
+            tails = np.empty_like(cums)
+            _tails(w.spectrum, column, tf, q, e_next, n, tails)
+            cut = np.logical_and.reduce(_certified(cums, tails, tol, scale, False))
+            rows, at = np.arange(len(chunk)), cut.argmax(axis=1)
+            for x, n0, ok, log_scale, sums, bounds in zip(
+                chunk, at.tolist(), cut[rows, at].tolist(), scale[:, 0].tolist(),
+                cums[:, rows, at].T.tolist(), tails[:, rows, at].T.tolist()):
+                if ok:
+                    out[x] = PowerSums(float(x), n0 + 1, log_scale, *sums, *nan, *bounds, *nan)
+    return out
 
 
 def power_sums(

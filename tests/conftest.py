@@ -28,11 +28,12 @@ def w_harmonic(harmonic):
 @pytest.fixture
 def series_calls(monkeypatch):
     """(table, J, certified) for every certified series call made during a
-    test; a call refused with any CStatesError counts as not certified."""
+    test, each row of a batched call counting as one call; a call refused
+    with any CStatesError counts as not certified."""
     from cstates import CStatesError, weights
 
     calls = []
-    original = weights._certified_sums
+    original, original_batch = weights._certified_sums, weights._batch_sums
 
     def spy(w, J, *args, **kwargs):
         try:
@@ -43,7 +44,15 @@ def series_calls(monkeypatch):
         calls.append((w, J, True))
         return out
 
+    def batch_spy(w, Js, *args, **kwargs):
+        out = original_batch(w, Js, *args, **kwargs)
+        calls.extend((w, J, True) for J in out)
+        return out
+
     monkeypatch.setattr(weights, "_certified_sums", spy)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cstates.") and getattr(module, "_batch_sums", None) is original_batch:
+            monkeypatch.setattr(module, "_batch_sums", batch_spy)
     return calls
 
 

@@ -18,14 +18,20 @@ from cstates import (
     SpectrumMismatchError,
     StateLabel,
     coefficients,
+    compute_weights,
     evolve_coefficients,
     evolve_label,
+    from_levels,
     kinematic_representation_check,
+    make_builtin,
     moments_from_state,
+    power_gap_spectrum,
     temporal_stability_residual,
 )
 from cstates import phase
+from cstates.dynamics import _kinematics, _stability
 from cstates.phase import phase_factor, reduce_angles
+from cstates.state import _phased, _zero_padded
 
 
 def test_evolve_label_examples():
@@ -134,6 +140,55 @@ def test_kinematics_single_eigenstate(hydrogen, w_hydrogen):
     expected = c2.conjugate() * cmath.exp(-1j * hydrogen.energy(2) * t)
     assert lhs == pytest.approx(expected, abs=1e-12)
     assert rhs == pytest.approx(expected, abs=1e-12)
+
+
+LEVEL_RULES = [
+    make_builtin("hydrogen_like"),
+    make_builtin("harmonic", 1.3),
+    power_gap_spectrum(0.25),
+    from_levels("ladder", 0.7, [n + 0.1 * n * n for n in range(60)], e_star=900.0),
+]
+
+
+@pytest.mark.parametrize("s", LEVEL_RULES, ids=lambda s: s.name)
+def test_evolving_with_the_table_levels_matches_evolve_coefficients(s):
+    # callers holding a table phase with its levels, not the level rule
+    w = compute_weights(s, 59)
+    assert w.levels.tobytes() == s.e_array(59).tobytes()
+    rng = np.random.default_rng(3)
+    c = rng.normal(size=60) + 1j * rng.normal(size=60)
+    for k in (1, 17, 60):
+        for t in (0.0, 1.7, -33.0, 3.7e11):
+            ref = evolve_coefficients(c[:k], s, t).c
+            assert ref.tobytes() == (c[:k] * phase_factor(s.omega * s.e_array(k - 1) * t)).tobytes()
+            moved = _phased([c[:k]], s.omega * w.levels[:k], [t])[0]
+            assert moved.tobytes() == ref.tobytes(), (k, t)
+
+
+@pytest.mark.parametrize("s", LEVEL_RULES, ids=lambda s: s.name)
+def test_batched_stability_and_kinematics_match_one_by_one(s):
+    # many samples share one batched series and span several runs of phases;
+    # each result is the one-by-one formula's, bit for bit
+    w = compute_weights(s, 59 if s.max_index else 20_000)
+    rng = np.random.default_rng(11)
+    top = 0.9 * min(w.j_star, 5.0)
+    draws = zip(rng.uniform(0, top, 120), rng.uniform(-9, 9, 120), rng.uniform(-20, 20, 120))
+    samples = [(StateLabel(float(J), float(g)), float(t)) for J, g, t in draws]
+    samples[5] = (StateLabel(0.0, 1.0), 2.0)
+    samples[7] = (samples[3][0], 1e9)  # a repeated label, and a phase past 1e8
+    residuals, starts = _stability(s, w, samples, 1e-12)
+    psis = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in rng.integers(1, 60, len(samples))]
+    pairs = _kinematics(s, w, psis, samples, 1e-12)
+    for (l, t), residual, start, psi, pair in zip(samples, residuals, starts, psis, pairs):
+        a = coefficients(s, w, l)
+        b = coefficients(s, w, evolve_label(l, t, s.omega))
+        back = coefficients(s, w, evolve_label(l, -t, s.omega))
+        moved_a = a.c * phase_factor(s.omega * s.e_array(len(a.c) - 1) * t)
+        moved_psi = psi * phase_factor(s.omega * s.e_array(len(psi) - 1) * t)
+        assert start.c.tobytes() == a.c.tobytes() and start.label == l
+        assert repr(residual) == repr(float(np.linalg.norm(moved_a - b.c)))
+        assert pair == (complex(np.vdot(*_zero_padded(a.c, moved_psi))),
+                        complex(np.vdot(*_zero_padded(back.c, psi))))
 
 
 def test_reduce_angles_against_mpmath():

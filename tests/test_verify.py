@@ -1,11 +1,17 @@
+import contextlib
+import random
+import sys
+
 import pytest
 
 from cstates import (
+    CStatesError,
     SpectrumMismatchError,
     builtin_measure,
     compute_weights,
     from_levels,
     make_builtin,
+    weights,
 )
 from cstates.verify import _probe_usable_j, run_suite
 
@@ -64,3 +70,48 @@ def test_run_suite_refuses_another_spectrums_table(series_calls):
     with pytest.raises(SpectrumMismatchError):
         run_suite(make_builtin("harmonic"), w, builtin_measure("harmonic"))
     assert series_calls == []
+
+
+def benchmark_like_list(seed):
+    """Explicit levels with random count (40 to 400), gaps, offset and omega,
+    e_star declared or not, drawn as the benchmark's verify documents are."""
+    rng = random.Random(seed)
+    energies = [rng.uniform(-5.0, 5.0)]
+    for _ in range(rng.randint(40, 400) - 1):
+        energies.append(energies[-1] + rng.uniform(0.5, 1.5))
+    omega = rng.uniform(0.5, 2.0)
+    e_star = None
+    if rng.random() < 0.5:
+        e_star = (energies[-1] - energies[0]) / omega + rng.uniform(0.5, 5.0)
+    return from_levels(f"explicit-{seed}", omega, energies, e_star=e_star)
+
+
+def per_j_sums(w, Js, tol, order):
+    """The batch entry as one kernel call per distinct J; a refused J is left
+    out, for the caller's own kernel call to raise."""
+    out = {}
+    for J in dict.fromkeys(Js):
+        with contextlib.suppress(CStatesError, ValueError):
+            out[J] = weights._certified_sums(w, J, tol, order)
+    return out
+
+
+@pytest.mark.parametrize("s, seed", [
+    *((make_builtin(model), seed) for model in ("hydrogen_like", "harmonic") for seed in (1234, 7)),
+    (STEPS, 1234),
+    (from_levels("steps", 1.0, [0.0, 2.0, 5.0, 9.0], e_star=12.0), 1234),
+    *((benchmark_like_list(seed), 1234) for seed in (1, 2, 3)),
+], ids=lambda v: getattr(v, "name", v))
+def test_run_suite_rows_match_the_per_j_path(monkeypatch, s, seed):
+    # every row's name, status and detail are the same when the batch entry
+    # is replaced by one kernel call per distinct J
+    w = compute_weights(s, s.max_index or 20_000)
+    measure = builtin_measure(s.model.name) if s.model else None
+    batched = run_suite(s, w, measure, seed=seed)
+    calls, batch = [], weights._batch_sums
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cstates.") and getattr(module, "_batch_sums", None) is batch:
+            monkeypatch.setattr(module, "_batch_sums", lambda *a: calls.append(a) or per_j_sums(*a))
+    assert run_suite(s, w, measure, seed=seed) == batched
+    assert len(calls) >= 3
+    assert [r.status for r in batched].count("pass") >= 10

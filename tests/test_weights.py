@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,8 @@ from cstates import (
     power_sums,
     variance,
 )
-from cstates import weights
+from cstates import StateLabel, weights
+from cstates.state import _states
 from cstates.weights import _TERM_FLOOR, PowerSums, _ratio_caps
 
 
@@ -516,6 +518,118 @@ def test_chunked_scan_refusals_match_whole_table(monkeypatch, hydrogen):
                 assert ref[0] in ("TruncationError", "CertificationError")
                 got = outcome(weights._certified_sums, w, J, tol, order, absolute=absolute)
                 assert got == ref, (schedule.id, w.spectrum.name, order)
+
+
+def refusal(exc):
+    """Type, message and payload of a refusal, the payload by repr."""
+    return (type(exc).__name__, str(exc),
+            *(repr(getattr(exc, a, None)) for a in ("value", "tail_bound", "terms_used")))
+
+
+def kernel_repr(w, J, tol, order):
+    """repr of the kernel's sums at one J, or its refusal: unlike
+    ``outcome``, repr tells signed zeros apart."""
+    try:
+        return repr(weights._certified_sums(w, J, tol, order))
+    except (CStatesError, ValueError) as exc:
+        return refusal(exc)
+
+
+def assert_batch_matches_kernel(w, Js, tol, order):
+    """``_batch_sums`` gives each J of Js it sums the kernel's sums by repr
+    and the whole-table reference's; returns the batch."""
+    got = weights._batch_sums(w, Js, tol, order)
+    assert set(got) <= set(Js)
+    for J, ps in got.items():
+        assert repr(ps) == kernel_repr(w, J, tol, order), (w.spectrum.name, J, tol, order)
+        assert outcome(lambda: ps) == outcome(whole_table_sums, w, J, tol, order)
+    return got
+
+
+BATCH_CASES = [(order, tol) for order in (1, 2) for tol in (1e-12, 1e-26, 1e-6)]
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES + FIRST_ENDS)
+@pytest.mark.parametrize("s, n_max, grid", SMALL_TABLES, ids=lambda v: getattr(v, "name", None))
+def test_batch_matches_kernel_and_whole_table(monkeypatch, schedule, s, n_max, grid):
+    # shuffled, with duplicates, J = 0 and the smallest positive J; a forced
+    # first block ends per J at its own cut, found by the whole-table reference
+    use_schedule(monkeypatch, schedule)
+    w = compute_weights(s, n_max)
+    Js = [*grid, *grid[::2], 0.0, 5e-324]
+    random.Random(n_max).shuffle(Js)
+    cuts = {}
+    if len(schedule) == 3:
+        size, end = w.n_max + 1, schedule[2]
+
+        def probe(w, J, tol, absolute):
+            cut = cuts[J]
+            return max(1, min({"table": size, "cut": cut, "cut-1": cut - 1}.get(end, end), size))
+
+        monkeypatch.setattr(weights, "_first_block_end", probe)
+    summed = set()
+    for order, tol in BATCH_CASES:
+        for J in Js:
+            ref = outcome(whole_table_sums, w, J, tol, order) if J else (0, 1)
+            cuts[J] = ref[1] if isinstance(ref[1], int) else w.n_max + 1
+        summed |= set(assert_batch_matches_kernel(w, Js, tol, order))
+    assert 0.0 not in summed
+    if schedule[0] >= BLOCK and schedule[2:] in ((), ("cut",), ("table",), (BLOCK,)):
+        assert len(summed) >= 2  # first blocks that hold the cut are batched
+
+
+def test_batch_sums_the_rows_of_a_benign_grid(hydrogen):
+    # every row cuts in its first block; one distinct J is left to the kernel
+    w = compute_weights(hydrogen, 3_000)
+    Js = np.linspace(0.01, 0.9, 40).tolist()
+    for order, tol in BATCH_CASES:
+        assert set(assert_batch_matches_kernel(w, Js, tol, order)) == set(Js)
+    assert weights._batch_sums(w, [0.3, 0.3], 1e-12, 1) == {}
+
+
+def test_batch_takes_log_j_as_the_kernel_does(hydrogen):
+    # numpy's vectorized log of these J is one ulp off math.log, which the
+    # kernel takes: rows must match the kernel by repr all the same
+    w = compute_weights(hydrogen, 3_000)
+    Js = [0.1472133497769775, 0.24613884549564533, 0.6062613670814139, 0.7157108995977207,
+          0.7680520948638214, 0.8178849557854342, 0.8978943417984623]
+    for order, tol in BATCH_CASES:
+        assert set(assert_batch_matches_kernel(w, Js, tol, order)) == set(Js)
+
+
+@pytest.mark.parametrize("count", [44, 104])
+@pytest.mark.parametrize("declared", [False, True], ids=["estimated", "e_star"])
+def test_batch_rows_reach_the_table_end(count, declared):
+    # a whole short list is one first block: rows close their tails with
+    # next_level_bound at the table's end; the J past it, and every second
+    # moment without e_star, are refused and left out
+    levels = [0.0] + np.cumsum(np.linspace(0.5, 1.5, count - 1)).tolist()
+    s = from_levels("list", 1.0, levels, e_star=levels[-1] + 2.0 if declared else None)
+    w = compute_weights(s, count - 1)
+    assert weights._first_block_end(w, 1.0, 1e-12, False) == w.n_max + 1
+    Js = (np.linspace(0.0, 1.0, 161)[1:] * levels[-1] * 1.02).tolist()
+    for order, tol in BATCH_CASES:
+        got = assert_batch_matches_kernel(w, Js, tol, order)
+        refused = [kernel_repr(w, J, tol, order)[0] for J in Js if J not in got]
+        if order == 2 and not declared:
+            assert not got and set(refused) == {"CertificationError"}
+        else:
+            assert any(ps.terms_used == count for ps in got.values()), (order, tol)
+            assert "TruncationError" in refused
+            assert set(refused) <= {"TruncationError", "LabelRangeError"}
+
+
+def test_states_raise_the_first_refused_labels_error(hydrogen):
+    # the batch leaves every refusal out, and the states of many labels
+    # raise the kernel's error at the first refused label, in input order
+    w = compute_weights(hydrogen, 16)
+    Js = [0.1, 0.95, -0.5, 0.9, 0.1, 1.0, 0.0, math.nan, 0.05]
+    got = assert_batch_matches_kernel(w, Js, 1e-12, 1)
+    assert set(got) == {0.1, 0.05}
+    for labels, first in (([0.1, 0.95, 0.9], 0.95), ([0.9, 0.95], 0.9), ([0.05, -0.5, 0.95], -0.5)):
+        with pytest.raises(CStatesError) as info:
+            _states(hydrogen, w, [StateLabel(J, 1.0) for J in labels], 1e-12)
+        assert refusal(info.value) == kernel_repr(w, first, 1e-12, 1)
 
 
 def test_series_memory_does_not_grow_with_the_table(hydrogen):
