@@ -39,12 +39,15 @@ UNIT_ROUNDOFF = 2.0**-53
 
 
 def _resolve_spectrum(args) -> Spectrum:
-    """The spectrum of --model or --file, after the --tol and --nmax checks
-    every command shares."""
+    """The spectrum of --model or --file, after the checks of --tol, --nmax
+    and the commands' --count and --ncheck."""
     if not args.tol > 0:
         raise SpectrumError(f"tolerance must be positive, got {args.tol}")
     if args.nmax < 8:
         raise SpectrumError(f"n_max must be at least 8, got {args.nmax}")
+    for option, least in (("count", 1), ("ncheck", 0)):
+        if getattr(args, option, least) < least:
+            raise SpectrumError(f"--{option} must be at least {least}, got {vars(args)[option]}")
     if args.model and args.file:
         raise SpectrumError("give either --model or --file, not both")
     if args.model:
@@ -105,8 +108,7 @@ def _emit_object(obj: dict, header: list[str], rows: list[list], args) -> None:
 
 def cmd_spectrum(args) -> int:
     s = _resolve_spectrum(args)
-    count = args.count
-    top = count - 1
+    top = args.count - 1
     if s.max_index is not None:
         top = min(top, s.max_index)
     report = validate(s, max(1, top))

@@ -299,9 +299,9 @@ def near_jstar_exponent(
     guard and by truncation feasibility (points whose series do not converge
     within n_cap terms are dropped).  Requires a declared J* equal to 1.
 
-    A point runs on w when its ``_min_certified_terms`` bound fits in w, else
-    on ``_fit_table``'s table, or is dropped if it fits in neither; a point
-    its table cannot certify is retried on one n_cap table, built once.
+    Every point runs on ``_fit_table``'s table if its ``_min_certified_terms``
+    bound fits there, else is dropped; a point that table cannot certify is
+    retried on one n_cap table, built once.
     """
     return _near_jstar_fit(s, w, fit_window, n_cap)[0]
 
@@ -313,10 +313,9 @@ def _near_jstar_fit(s: Spectrum, w: WeightTable, fit_window: Sequence[float] | N
     window = _window_bounds(w, fit_window)
     cap: WeightTable | None = None
     points: list[VariancePoint] = []
-    for J, need in [(J, b) for J, b in window if b <= fit.n_max + 1]:
-        table = w if need <= w.n_max + 1 else fit
-        vp = _certified_variance(s, table, J)
-        if vp is None and table.n_max < n_cap:
+    for J in [J for J, b in window if b <= fit.n_max + 1]:
+        vp = _certified_variance(s, fit, J)
+        if vp is None and fit.n_max < n_cap:
             cap = cap or compute_weights(s, n_cap)
             vp = _certified_variance(s, cap, J)
         if vp is not None and vp.variance > 0:

@@ -17,7 +17,6 @@ from .weights import (
     _batch_sums,
     _check_same_spectrum,
     _log_terms,
-    power_sums,
 )
 
 
@@ -67,21 +66,18 @@ def _states(
     labels: Sequence[StateLabel],
     tol: float,
 ) -> list[StateCoefficients]:
-    """coefficients() of each label, bit for bit, with one batched series
-    over their distinct J (``weights._batch_sums``) and a kernel call for
-    each J it leaves out.  Truncation, |c_n| and tail mass depend on J alone."""
+    """coefficients() of each label, bit for bit, from the series of their
+    distinct nonzero J (``weights._batch_sums``), which raises the first
+    refused label's error.  Truncation, |c_n| and tail mass depend on J alone."""
     _check_same_spectrum(w, s)
     if not tol > 0:
         raise ValueError("tol must be positive")
     nonzero = [label for label in labels if label.J != 0]
-    sums = _batch_sums(w, [label.J for label in nonzero], tol, 1) if len(nonzero) > 1 else {}
     parts: dict[float, tuple[np.ndarray, float]] = {}
-    for label in nonzero:
-        if label.J not in parts:
-            ps = sums.get(label.J) or power_sums(w, label.J, rel_tol=tol)
-            g = _log_terms(w, math.log(label.J), 0, ps.terms_used)[1]
-            log_norm = ps.log_scale + math.log(ps.s0 + ps.t0)
-            parts[label.J] = (np.exp(0.5 * (g - log_norm)), float(ps.t0 / (ps.s0 + ps.t0)))
+    for J, ps in _batch_sums(w, [label.J for label in nonzero], tol, 1).items():
+        g = _log_terms(w, math.log(J), 0, ps.terms_used)[1]
+        log_norm = ps.log_scale + math.log(ps.s0 + ps.t0)
+        parts[J] = (np.exp(0.5 * (g - log_norm)), float(ps.t0 / (ps.s0 + ps.t0)))
     vectors = iter(_phased([parts[x.J][0] for x in nonzero], w.levels, [x.gamma for x in nonzero]))
     out = []
     for label in labels:

@@ -22,10 +22,10 @@ kernel forms tails only on the suffix where q < 1, and a block whose moments
 fit one array of at most _BLOCK floats holds them as its rows and certifies
 them in one comparison; no temporary of a scan is larger than 32 KiB.
 
-``_batch_sums`` serves many labels at once, bit for bit as the kernel does
-one by one: the short first blocks of their distinct J are summed as the rows
-of one array per probed width, at most _BLOCK floats per chunk of rows.  A J
-that does not cut there, or is refused, is left to the caller's kernel call.
+``_batch_sums`` answers many labels at once, bit for bit as the kernel does
+one by one: one block body, ``_block``, sums a kernel block at one J and the
+short first blocks of many J as the rows of one array of at most _BLOCK
+floats; the kernel sums the J that do not cut there and raises refusals.
 """
 from __future__ import annotations
 
@@ -194,8 +194,8 @@ class PowerSums:
     t2: float
 
 
-def _log_terms(w: WeightTable, log_j: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """n and g_n = n log J - log rho_n for n in [lo, hi)."""
+def _log_terms(w: WeightTable, log_j, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """n and g_n = n log J - log rho_n for n in [lo, hi), a row per log J of a column."""
     n = np.arange(lo, hi, dtype=float)
     return n, n * log_j - w.log_rho[lo:hi]
 
@@ -261,15 +261,6 @@ def _tails(s: Spectrum, J, tf: np.ndarray, q: np.ndarray | None, e_next: np.ndar
     return tail0
 
 
-def _powers(e: np.ndarray, cums, order: int) -> None:
-    """e t into cums[1] and e e t into cums[2], up to order, from t in cums[0]."""
-    if order >= 1:
-        np.multiply(e, cums[0], out=cums[1])
-    if order >= 2:
-        np.multiply(e, e, out=cums[2])
-        cums[2] *= cums[0]
-
-
 def _certified(cum: np.ndarray, tail: np.ndarray, tol: float, scale, absolute: bool) -> np.ndarray:
     """Where a tail is at most tol times its partial sum or, if ``absolute``,
     at most tol unscaled by exp(scale), in log space; never where it is NaN."""
@@ -298,6 +289,101 @@ def _settled(w: WeightTable, J: float, tol: float, order: int) -> PowerSums | No
     return None
 
 
+def _block(w: WeightTable, J, lo: int, hi: int, n: np.ndarray, g: np.ndarray, scale, carry,
+           best, tol: float, order: int, absolute: bool):
+    """Sum and certify the scan block [lo, hi) at J, one J or a column of J
+    sorted ascending, from the log-terms g at n (a row per J; g -= scale in
+    place), the running sums carried on from ``carry``.  i0 is the smallest
+    J's, so a larger J's tails are NaN, never certified, where its q >= 1.
+    Moments that fit one array of at most _BLOCK floats are its rows, all
+    certified in one comparison; otherwise (one J) the zeroth moment is
+    certified first, and the higher tails and caps are built only from where
+    it holds.  Returns (found, carry, best): the PowerSums where the block
+    holds the cut (for a column, a list with None where it does not); for one
+    J without a cut, the running sums at the block's end and the least of
+    ``best`` and the block's best (relative tail, n, tail, partial sum).
+    """
+    column = g.ndim > 1
+    rows = order + 1
+    nan = [math.nan] * (2 - order)
+    g -= scale
+    # several moments as the rows of one array, if it is no larger than a
+    # full block's row: bigger temporaries let frees trim the heap
+    stacked = order >= 1 and rows * g.size <= _BLOCK
+    if stacked:
+        cums = np.empty((rows,) + g.shape)
+    else:
+        cums = [g, *(np.empty(hi - lo) for _ in range(order))]
+    t = np.exp(g, out=cums[0])
+    least = J[0, 0] if column else J
+    # past the table, e_next is next_level_bound, kept only if it exceeds
+    # J; levels rise, so q = J/e_next < 1 exactly on [i0, k)
+    e_next = w.levels[lo + 1 : hi + 1]
+    if hi == w.n_max + 1 and least < w.next_level_bound:
+        e_next = np.append(e_next, w.next_level_bound)
+    i0, k = int(e_next.searchsorted(least, "right")), len(e_next)
+    tf = np.maximum(t[..., i0:k], _TERM_FLOOR)
+    # e t and e e t, up to order, from t
+    e = w.levels[lo:hi]
+    if order >= 1:
+        np.multiply(e, cums[0], out=cums[1])
+    if order >= 2:
+        np.multiply(e, e, out=cums[2])
+        cums[2] *= cums[0]
+    # running sums in numpy's sequential order, carried on from the last block
+    if carry is not None:
+        for c, x in zip(cums, carry):
+            c[0] += x
+    if stacked:
+        np.add.accumulate(cums, axis=-1, out=cums)
+    else:
+        for c in cums:
+            np.add.accumulate(c, out=c)
+    if i0 == k:
+        return None, [c[-1] for c in cums], best
+
+    q = np.divide(J, e_next[i0:])
+    if column:
+        q[q >= 1.0] = math.nan
+    tails = np.empty((rows,) + tf.shape) if stacked else [np.empty(k - i0)]
+    tail0 = _tails(w.spectrum, J, tf, q, e_next[i0:], n[i0:k], tails)
+    base = i0  # the block index of cut[0] and of every tail's first entry
+    if stacked:
+        cut = np.logical_and.reduce(_certified(cums[..., i0:k], tails, tol, scale, absolute))
+        if column:
+            at = cut.argmax(axis=1)
+            r = np.arange(len(at))
+            return [PowerSums(x, lo + i0 + a + 1, s, *sums, *nan, *bounds, *nan) if ok else None
+                    for x, a, ok, s, sums, bounds in zip(
+                        J[:, 0].tolist(), at.tolist(), cut[r, at].tolist(), scale[:, 0].tolist(),
+                        cums[:, r, i0 + at].T.tolist(), tails[:, r, at].T.tolist())], None, None
+        at = int(cut.argmax())
+    else:
+        cut = _certified(cums[0][i0:k], tail0, tol, scale, absolute)
+        at = int(cut.argmax())
+        if cut[at] and order >= 1:
+            # the higher tails from the zeroth moment's cut on
+            base += at
+            tails = [tail0[at:], *(np.empty(k - base) for _ in range(order))]
+            _tails(w.spectrum, J, tf[at:], None, e_next[base:], n[base:k], tails)
+            cut = cut[at:]
+            for c, tail in zip(cums[1:], tails[1:]):
+                cut &= _certified(c[base:k], tail, tol, scale, absolute)
+            at = int(cut.argmax())
+    if not cut[at]:
+        rel = tail0 / np.maximum(cums[0][i0:k], _TERM_FLOOR)
+        i = int(rel.argmin())
+        best = min(best, (rel[i], lo + i0 + i, tail0[i], cums[0][i0 + i]))
+        return None, [c[-1] for c in cums], best
+    n0 = base + at
+    if stacked:
+        sums, bounds = cums[:, n0].tolist() + nan, tails[:, at].tolist() + nan
+    else:
+        sums = [float(c[n0]) for c in cums] + nan
+        bounds = [float(b[at]) for b in tails] + nan
+    return PowerSums(float(J), lo + n0 + 1, scale, *sums, *bounds), None, None
+
+
 def _certified_sums(
     w: WeightTable, J: float, tol: float, order: int, *, absolute: bool = False
 ) -> PowerSums:
@@ -306,27 +392,20 @@ def _certified_sums(
 
     Terms are scaled, t_n = exp(g_n - M) with g_n = n log J - log rho_n.
     Moments above ``order`` come back NaN.  Blocks end where ``_block_end``
-    and ``_first_block_end`` put them, which changes no result: the running
-    sums carry from block to block in numpy's sequential order and equal a
-    whole-table cumsum bit for bit.
+    and ``_first_block_end`` put them, and ``_block`` sums each, which changes
+    no result: the running sums carry from block to block in numpy's
+    sequential order and equal a whole-table cumsum bit for bit.
 
-    A block whose moments fit one array of at most _BLOCK floats (a first
-    block of up to 2,048 entries for order 1, 1,365 for order 2) holds them
-    as its rows and certifies every tail in one comparison.  A longer block
-    certifies the zeroth moment first and builds the higher tails, ratio
-    caps and certificates only from the first index where it holds, since
-    the cut needs every tail.  g rises while e_{n+1} <= J and falls after;
-    the cut needs J < e_{n+1}, so M, the maximum of g over the blocks up to
-    that turn (read ahead of the block being summed), is the whole-table
-    maximum.  Should a later block still raise it (rounding on a flat top),
-    M becomes the whole-table maximum and the scan restarts once from n = 0.
-    A refusal scans the whole table and reports the best relative tail over
-    all blocks.
+    g rises while e_{n+1} <= J and falls after; the cut needs J < e_{n+1}, so
+    M, the maximum of g over the blocks up to that turn (read ahead of the
+    block being summed), is the whole-table maximum.  Should a later block
+    still raise it (rounding on a flat top), M becomes the whole-table maximum
+    and the scan restarts once from n = 0.  A refusal scans the whole table
+    and reports the best relative tail over all blocks.
     """
     settled = _settled(w, J, tol, order)
     if settled is not None:
         return settled
-    rows = order + 1
     log_j = math.log(J)
     size = w.n_max + 1
     first = _first_block_end(w, J, tol, absolute)
@@ -353,71 +432,9 @@ def _certified_sums(
             # (relative tail, n, tail, partial sum): inf until an index has q < 1
             best = (math.inf, 0, math.inf, 1.0)
 
-        g -= scale
-        # several moments as the rows of one array, if it is no larger than a
-        # full block's row: bigger temporaries let frees trim the heap
-        stacked = order >= 1 and rows * (hi - lo) <= _BLOCK
-        if stacked:
-            cums = np.empty((rows, hi - lo))
-        else:
-            cums = [g, *(np.empty(hi - lo) for _ in range(order))]
-        t = np.exp(g, out=cums[0])
-        # past the table, e_next is next_level_bound, kept only if it exceeds
-        # J; levels rise, so q = J/e_next < 1 exactly on [i0, k)
-        e_next = w.levels[lo + 1 : hi + 1]
-        if hi == size and J < w.next_level_bound:
-            e_next = np.append(e_next, w.next_level_bound)
-        i0, k = int(e_next.searchsorted(J, "right")), len(e_next)
-        tf = np.maximum(t[i0:k], _TERM_FLOOR)
-        _powers(w.levels[lo:hi], cums, order)
-        # running sums in numpy's sequential order, carried on from the last block
-        if stacked:
-            if carry is not None:
-                cums[:, 0] += carry
-            np.add.accumulate(cums, axis=1, out=cums)
-        else:
-            for r, c in enumerate(cums):
-                if carry is not None:
-                    c[0] += carry[r]
-                np.add.accumulate(c, out=c)
-        if i0 == k:
-            carry = [c[-1] for c in cums]
-            lo = hi
-            continue
-
-        tails = np.empty((rows, k - i0)) if stacked else [np.empty(k - i0)]
-        tail0 = _tails(w.spectrum, J, tf, np.divide(J, e_next[i0:]), e_next[i0:], n[i0:k], tails)
-        base = i0  # the block index of cut[0] and of every tail's first entry
-        if stacked:
-            cut = np.logical_and.reduce(_certified(cums[:, i0:k], tails, tol, scale, absolute))
-            at = int(cut.argmax())
-        else:
-            cut = _certified(cums[0][i0:k], tail0, tol, scale, absolute)
-            at = int(cut.argmax())
-            if cut[at] and order >= 1:
-                # the higher tails from the zeroth moment's cut on
-                base += at
-                tails = [tail0[at:], *(np.empty(k - base) for _ in range(order))]
-                _tails(w.spectrum, J, tf[at:], None, e_next[base:], n[base:k], tails)
-                cut = cut[at:]
-                for c, tail in zip(cums[1:], tails[1:]):
-                    cut &= _certified(c[base:k], tail, tol, scale, absolute)
-                at = int(cut.argmax())
-        if cut[at]:
-            n0 = base + at
-            nan = [math.nan] * (2 - order)
-            if stacked:
-                sums, bounds = cums[:, n0].tolist() + nan, tails[:, at].tolist() + nan
-            else:
-                sums = [float(c[n0]) for c in cums] + nan
-                bounds = [float(b[at]) for b in tails] + nan
-            return PowerSums(float(J), lo + n0 + 1, scale, *sums, *bounds)
-
-        rel = tail0 / np.maximum(cums[0][i0:k], _TERM_FLOOR)
-        i = int(rel.argmin())
-        if rel[i] < best[0]:
-            best = (rel[i], lo + i0 + i, tail0[i], cums[0][i0 + i])
-        carry = [c[-1] for c in cums]
+        found, carry, best = _block(w, J, lo, hi, n, g, scale, carry, best, tol, order, absolute)
+        if found is not None:
+            return found
         lo = hi
 
     _, at, tail, cum = best
@@ -434,55 +451,37 @@ def _certified_sums(
 
 
 def _batch_sums(w: WeightTable, Js, tol: float, order: int) -> dict[float, PowerSums]:
-    """``_certified_sums(w, J, tol, order)``, bit for bit, at the distinct J of
-    Js (two or more) that cut in a first block the kernel would stack: each
-    is a row of an array of that width, rows sorted by J, chunks of at most
-    _BLOCK floats, tails NaN where J >= e_{n+1}; a cut needs J < e_{n+1}, past
-    the peak of g, so its scale is the kernel's.  The J left out are for the
-    caller's kernel calls, which raise each refusal in turn."""
-    out: dict[float, PowerSums] = {}
+    """``_certified_sums(w, J, tol, order)`` at each distinct J of Js, bit for
+    bit, order 1 or 2: J whose first block the kernel would stack are the rows
+    of one ``_block`` per chunk of that width, J ascending; a cut there is past
+    the peak of g, so the block's maximum of g is the kernel's scale.  The
+    kernel sums the other J, or a single one, and raises the first refusal in
+    the order of Js."""
     distinct = dict.fromkeys(Js)
-    if len(distinct) < 2:
-        return out
     widths: dict[int, list] = {}
-    for J in distinct:
+    # a single distinct J goes straight to the kernel
+    for J in distinct if len(distinct) > 1 else ():
         try:
             if _settled(w, J, tol, order) is not None:
                 continue
         except (CStatesError, ValueError):
-            continue  # the caller's own kernel call raises it
+            continue  # the kernel call below raises it
         first = _first_block_end(w, J, tol, False)
         if (order + 1) * first <= _BLOCK:
             widths.setdefault(first, []).append(J)
-    nan = [math.nan] * (2 - order)
     for width, group in widths.items():
         group.sort()
         step = _BLOCK // ((order + 1) * width)
         for chunk in (group[i : i + step] for i in range(0, len(group), step)):
-            column = np.array(chunk, dtype=float)[:, None]
-            n = np.arange(width, dtype=float)
             # log J by math.log, as the kernel takes it: np.log can differ in the last ulp
-            g = n * np.array([math.log(x) for x in chunk])[:, None] - w.log_rho[:width]
+            n, g = _log_terms(w, np.array([math.log(x) for x in chunk])[:, None], 0, width)
             scale = np.maximum.reduce(g, axis=1, keepdims=True)
-            g -= scale
-            cums = np.empty((order + 1, len(chunk), width))
-            tf = np.maximum(np.exp(g, out=cums[0]), _TERM_FLOOR)
-            # e_{n+1} for n < width, next_level_bound past the table's end
-            e_next = np.append(w.levels[1 : width + 1], w.next_level_bound)[:width]
-            q = np.divide(column, e_next)
-            q[q >= 1.0] = math.nan
-            _powers(w.levels[:width], cums, order)
-            np.add.accumulate(cums, axis=2, out=cums)
-            tails = np.empty_like(cums)
-            _tails(w.spectrum, column, tf, q, e_next, n, tails)
-            cut = np.logical_and.reduce(_certified(cums, tails, tol, scale, False))
-            rows, at = np.arange(len(chunk)), cut.argmax(axis=1)
-            for x, n0, ok, log_scale, sums, bounds in zip(
-                chunk, at.tolist(), cut[rows, at].tolist(), scale[:, 0].tolist(),
-                cums[:, rows, at].T.tolist(), tails[:, rows, at].T.tolist()):
-                if ok:
-                    out[x] = PowerSums(float(x), n0 + 1, log_scale, *sums, *nan, *bounds, *nan)
-    return out
+            column = np.array(chunk, dtype=float)[:, None]
+            found = _block(w, column, 0, width, n, g, scale, None, None, tol, order, False)[0]
+            distinct.update(zip(chunk, found or ()))
+    # the kernel, through its public name that a tracer wraps, sums the rest
+    return {J: ps or power_sums(w, J, rel_tol=tol, need_second=order > 1)
+            for J, ps in distinct.items()}
 
 
 def power_sums(

@@ -402,6 +402,40 @@ def test_every_command_checks_tol_then_nmax_first(capsys, argv, flags, message):
         assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--count", "0"],
+        ["spectrum", "--count", "-3"],
+        ["weights", "--count", "0"],
+        ["weights", "--count", "-3", "--J", "1.0"],
+        ["resolution", "--ncheck", "-1"],
+    ],
+    ids=lambda argv: "".join(argv[:3]),
+)
+def test_counts_below_their_least_are_refused(capsys, argv):
+    # an empty --count table, or --ncheck -1, is refused by name with the
+    # shared checks, before the spectrum source is looked at
+    option, value = argv[1], argv[2]
+    least = {"--count": 1, "--ncheck": 0}[option]
+    for source in (["--model", "harmonic"], []):
+        code, out, err = run(capsys, argv + source)
+        assert (code, out) == (1, "")
+        assert err == f"error: {option} must be at least {least}, got {value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--count", "1"], ["weights", "--count", "1"], ["resolution", "--ncheck", "0"]],
+    ids=lambda argv: argv[0],
+)
+def test_least_counts_are_served(capsys, argv):
+    # one row each: n = 0
+    code, out, _ = run(capsys, argv + ["--model", "harmonic"])
+    assert code == 0
+    assert len(csv_rows(out)[1]) == 1
+
+
 def test_file_with_boolean_omega_is_refused(tmp_path, capsys):
     path = tmp_path / "bool.json"
     path.write_text(json.dumps({"name": "b", "omega": True, "kind": "explicit", "levels": [0, 2, 5]}))

@@ -372,12 +372,13 @@ def test_near_jstar_exponent_sized_tables_match_full_table(hydrogen):
 
 
 def test_near_jstar_exponent_skips_tables_the_term_bound_rules_out(hydrogen, series_calls):
-    # J = 0.999 and 0.99997 need more terms than 20k entries hold: they go
-    # straight to sized tables, and w is never swept for a refusal
+    # J = 0.999 and 0.99997 need more terms than 20k entries hold: every
+    # point runs once, certified, on the one table sized from the term bound
+    # (n_max 877,852), and w is never swept for a refusal
     w = compute_weights(hydrogen, 20_000)
     near_jstar_exponent(hydrogen, w)
-    assert [J for table, J, ok in series_calls if table is w and not ok] == []
-    assert [J for table, J, _ in series_calls if table is w] == [1.0 - 10.0**-1.5]
+    window = [1.0 - 10.0 ** (-1.5 * k) for k in (1, 2, 3)]
+    assert [(table.n_max, J, ok) for table, J, ok in series_calls] == [(877_852, J, True) for J in window]
 
 
 def test_near_jstar_exponent_undersized_table_retried_at_cap():

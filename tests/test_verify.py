@@ -1,11 +1,9 @@
-import contextlib
 import random
 import sys
 
 import pytest
 
 from cstates import (
-    CStatesError,
     SpectrumMismatchError,
     builtin_measure,
     compute_weights,
@@ -87,13 +85,9 @@ def benchmark_like_list(seed):
 
 
 def per_j_sums(w, Js, tol, order):
-    """The batch entry as one kernel call per distinct J; a refused J is left
-    out, for the caller's own kernel call to raise."""
-    out = {}
-    for J in dict.fromkeys(Js):
-        with contextlib.suppress(CStatesError, ValueError):
-            out[J] = weights._certified_sums(w, J, tol, order)
-    return out
+    """The batch entry as one kernel call per distinct J, in order, so the
+    first refused J raises."""
+    return {J: weights._certified_sums(w, J, tol, order) for J in dict.fromkeys(Js)}
 
 
 @pytest.mark.parametrize("s, seed", [

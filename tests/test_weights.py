@@ -536,14 +536,29 @@ def kernel_repr(w, J, tol, order):
 
 
 def assert_batch_matches_kernel(w, Js, tol, order):
-    """``_batch_sums`` gives each J of Js it sums the kernel's sums by repr
-    and the whole-table reference's; returns the batch."""
-    got = weights._batch_sums(w, Js, tol, order)
-    assert set(got) <= set(Js)
+    """``_batch_sums`` on Js raises the kernel's refusal of the first refused
+    J, if any; on the J of Js the kernel certifies, it gives every distinct
+    one, in order, the kernel's sums by repr and (J > 0) the whole-table
+    reference's.  Returns the sums of the second call that it did not leave
+    to a kernel call: the rows it summed as a batch."""
+    refs = {J: kernel_repr(w, J, tol, order) for J in Js}
+    refused = [ref for ref in refs.values() if isinstance(ref, tuple)]
+    if refused:
+        with pytest.raises((CStatesError, ValueError)) as info:
+            weights._batch_sums(w, Js, tol, order)
+        assert refusal(info.value) == refused[0], (w.spectrum.name, tol, order)
+    certified = [J for J in Js if not isinstance(refs[J], tuple)]
+    kernel, called = weights._certified_sums, []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(weights, "_certified_sums", lambda w, J, *a, **k: called.append(J) or kernel(w, J, *a, **k))
+        got = weights._batch_sums(w, certified, tol, order)
+    assert list(got) == list(dict.fromkeys(certified))
+    assert len(called) == len(set(called))
     for J, ps in got.items():
-        assert repr(ps) == kernel_repr(w, J, tol, order), (w.spectrum.name, J, tol, order)
-        assert outcome(lambda: ps) == outcome(whole_table_sums, w, J, tol, order)
-    return got
+        assert repr(ps) == refs[J], (w.spectrum.name, J, tol, order)
+        if J:
+            assert outcome(lambda: ps) == outcome(whole_table_sums, w, J, tol, order)
+    return {J: ps for J, ps in got.items() if J not in called}
 
 
 BATCH_CASES = [(order, tol) for order in (1, 2) for tol in (1e-12, 1e-26, 1e-6)]
@@ -579,12 +594,12 @@ def test_batch_matches_kernel_and_whole_table(monkeypatch, schedule, s, n_max, g
 
 
 def test_batch_sums_the_rows_of_a_benign_grid(hydrogen):
-    # every row cuts in its first block; one distinct J is left to the kernel
+    # every row cuts in its first block; one distinct J goes to the kernel
     w = compute_weights(hydrogen, 3_000)
     Js = np.linspace(0.01, 0.9, 40).tolist()
     for order, tol in BATCH_CASES:
         assert set(assert_batch_matches_kernel(w, Js, tol, order)) == set(Js)
-    assert weights._batch_sums(w, [0.3, 0.3], 1e-12, 1) == {}
+        assert assert_batch_matches_kernel(w, [0.3, 0.3], tol, order) == {}
 
 
 def test_batch_takes_log_j_as_the_kernel_does(hydrogen):
@@ -602,7 +617,7 @@ def test_batch_takes_log_j_as_the_kernel_does(hydrogen):
 def test_batch_rows_reach_the_table_end(count, declared):
     # a whole short list is one first block: rows close their tails with
     # next_level_bound at the table's end; the J past it, and every second
-    # moment without e_star, are refused and left out
+    # moment without e_star, are refused by the kernel
     levels = [0.0] + np.cumsum(np.linspace(0.5, 1.5, count - 1)).tolist()
     s = from_levels("list", 1.0, levels, e_star=levels[-1] + 2.0 if declared else None)
     w = compute_weights(s, count - 1)
@@ -620,8 +635,8 @@ def test_batch_rows_reach_the_table_end(count, declared):
 
 
 def test_states_raise_the_first_refused_labels_error(hydrogen):
-    # the batch leaves every refusal out, and the states of many labels
-    # raise the kernel's error at the first refused label, in input order
+    # the batch, and the states of many labels, raise the kernel's error at
+    # the first refused label, in input order
     w = compute_weights(hydrogen, 16)
     Js = [0.1, 0.95, -0.5, 0.9, 0.1, 1.0, 0.0, math.nan, 0.05]
     got = assert_batch_matches_kernel(w, Js, 1e-12, 1)
