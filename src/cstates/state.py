@@ -17,6 +17,7 @@ from .weights import (
     _batch_sums,
     _check_same_spectrum,
     _log_terms,
+    power_sums,
 )
 
 
@@ -68,13 +69,16 @@ def _states(
 ) -> list[StateCoefficients]:
     """coefficients() of each label, bit for bit, from the series of their
     distinct nonzero J (``weights._batch_sums``), which raises the first
-    refused label's error.  Truncation, |c_n| and tail mass depend on J alone."""
+    refused label's error; a single label calls the kernel without the
+    batch's grouping.  Truncation, |c_n| and tail mass depend on J alone."""
     _check_same_spectrum(w, s)
     if not tol > 0:
         raise ValueError("tol must be positive")
     nonzero = [label for label in labels if label.J != 0]
+    Js = [label.J for label in nonzero]
+    sums = _batch_sums(w, Js, tol, 1) if len(Js) > 1 else {J: power_sums(w, J, rel_tol=tol) for J in Js}
     parts: dict[float, tuple[np.ndarray, float]] = {}
-    for J, ps in _batch_sums(w, [label.J for label in nonzero], tol, 1).items():
+    for J, ps in sums.items():
         g = _log_terms(w, math.log(J), 0, ps.terms_used)[1]
         log_norm = ps.log_scale + math.log(ps.s0 + ps.t0)
         parts[J] = (np.exp(0.5 * (g - log_norm)), float(ps.t0 / (ps.s0 + ps.t0)))

@@ -641,7 +641,10 @@ def test_states_raise_the_first_refused_labels_error(hydrogen):
     Js = [0.1, 0.95, -0.5, 0.9, 0.1, 1.0, 0.0, math.nan, 0.05]
     got = assert_batch_matches_kernel(w, Js, 1e-12, 1)
     assert set(got) == {0.1, 0.05}
-    for labels, first in (([0.1, 0.95, 0.9], 0.95), ([0.9, 0.95], 0.9), ([0.05, -0.5, 0.95], -0.5)):
+    # a single nonzero label takes the kernel directly and raises the same
+    cases = (([0.1, 0.95, 0.9], 0.95), ([0.9, 0.95], 0.9), ([0.05, -0.5, 0.95], -0.5),
+             ([0.95], 0.95), ([0.0, -0.5], -0.5))
+    for labels, first in cases:
         with pytest.raises(CStatesError) as info:
             _states(hydrogen, w, [StateLabel(J, 1.0) for J in labels], 1e-12)
         assert refusal(info.value) == kernel_repr(w, first, 1e-12, 1)
