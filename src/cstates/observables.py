@@ -99,32 +99,35 @@ def _double_sum_variance(w: WeightTable, J: float, k: int, omega: float) -> floa
     s = w.spectrum
     bounded = s.e_star is not None and math.isfinite(s.e_star)
 
-    def gaps(lo: int, hi: int) -> np.ndarray:
+    def gaps(n: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        if bounded and s.gap_rule is not None:  # on _log_terms' n, as gap_range would
+            return np.asarray(s.gap_rule(n), dtype=float)
         return s.gap_range(lo, hi) if bounded else w.levels[lo:hi]
 
     blocks = list(_blocks(0, k))
     several = len(blocks) > 1
     if several:
         at = int(np.searchsorted(w.levels[:k], J)) - 1  # e_0 = 0 < J
-        top = float(_log_terms(w, log_j, at, at + 1)[1][0])
-        centre = float(gaps(at, at + 1)[0])
+        n, g = _log_terms(w, log_j, at, at + 1)
+        top, centre = float(g[0]), float(gaps(n, at, at + 1)[0])
     else:
-        g = _log_terms(w, log_j, 0, k)[1]
+        n, g = _log_terms(w, log_j, 0, k)
         top, centre = float(g.max()), 0.0
 
     total = mean = m2 = 0.0
     for lo, hi in blocks:
-        if several:  # a single block reuses its g from above
-            g = _log_terms(w, log_j, lo, hi)[1]
+        if several:  # a single block reuses its n and g from above
+            n, g = _log_terms(w, log_j, lo, hi)
         g -= top
         t = np.exp(g, out=g)
         weight = t.sum()
         if weight == 0:
             continue
-        y = gaps(lo, hi) - centre if several else gaps(lo, hi)
+        y = gaps(n, lo, hi) - centre if several else gaps(n, lo, hi)
         block_mean = (y * t).sum() / weight
         d = y - block_mean
-        block_m2 = (d * d * t).sum()
+        d *= d
+        block_m2 = np.multiply(d, t, out=d).sum()
         if total == 0:
             total, mean, m2 = weight, block_mean, block_m2
             continue

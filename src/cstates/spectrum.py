@@ -340,7 +340,17 @@ def _refuse_invalid(report: ValidationReport, what: str) -> None:
 
 
 def _check_levels(s: Spectrum, e: np.ndarray) -> ValidationReport:
-    """The checks of ``validate`` on levels e_0..e_k already evaluated."""
+    """The checks of ``validate`` on levels e_0..e_k already evaluated.
+
+    Valid levels pass in two passes: e_0 = 0, e_k finite and below e_star, and
+    a least step >= 0 (> 0 for a list; NaN fails) put every e_n in [0, e_k].
+    Other levels take the full checks, which report every violation.
+    """
+    star = s.e_star if s.e_star is not None else math.inf
+    if e[0] == 0.0 and math.isfinite(e[-1]) and not e[-1] >= star:
+        least = np.diff(e).min(initial=math.inf)
+        if least > 0 or (least == 0 and s.levels is None):
+            return ValidationReport(ok=True, violations=(), shift_applied=s.shift_applied)
     violations: list[tuple[int, str]] = []
     if not np.isfinite(e[0]) or e[0] != 0.0:
         violations.append((0, f"e_0 must be 0, got {e[0]!r}"))

@@ -21,6 +21,9 @@ already be certified, so a short sum reads a short block.  Within a block the
 kernel forms tails only on the suffix where q < 1, and a block whose moments
 fit one array of at most _BLOCK floats holds them as its rows and certifies
 them in one comparison; no temporary of a scan is larger than 32 KiB.
+A later block that ends before the table and provably cannot hold the cut
+forms no tails; a refusal sums again, from its carry, each such block that
+may hold a relative tail as small as the best found, and reports the best.
 
 ``_batch_sums`` answers many labels at once, bit for bit as the kernel does
 one by one: one block body, ``_block``, sums a kernel block at one J and the
@@ -290,7 +293,7 @@ def _settled(w: WeightTable, J: float, tol: float, order: int) -> PowerSums | No
 
 
 def _block(w: WeightTable, J, lo: int, hi: int, n: np.ndarray, g: np.ndarray, scale, carry,
-           best, tol: float, order: int, absolute: bool):
+           best, skipped: list | None, tol: float, order: int, absolute: bool):
     """Sum and certify the scan block [lo, hi) at J, one J or a column of J
     sorted ascending, from the log-terms g at n (a row per J; g -= scale in
     place), the running sums carried on from ``carry``.  i0 is the smallest
@@ -302,6 +305,10 @@ def _block(w: WeightTable, J, lo: int, hi: int, n: np.ndarray, g: np.ndarray, sc
     holds the cut (for a column, a list with None where it does not); for one
     J without a cut, the running sums at the block's end and the least of
     ``best`` and the block's best (relative tail, n, tail, partial sum).
+    Given a list ``skipped``, a block that ends before the table forms no
+    tail if low = min(tf) q_min / (1 - q_min), q_min = J/e_hi, proves no cut:
+    by monotone rounding, every zeroth tail is at least low and every partial
+    sum at most the last.  It appends (low / that sum, lo, hi, carry).
     """
     column = g.ndim > 1
     rows = order + 1
@@ -341,6 +348,19 @@ def _block(w: WeightTable, J, lo: int, hi: int, n: np.ndarray, g: np.ndarray, sc
             np.add.accumulate(c, out=c)
     if i0 == k:
         return None, [c[-1] for c in cums], best
+    if skipped is not None and hi <= w.n_max:
+        q_min = J / float(w.levels[hi])
+        low = float(np.minimum.reduce(tf)) * q_min / (1.0 - q_min)
+        top = max(float(cums[0][-1]), _TERM_FLOOR)
+        if absolute:
+            # by far more than the few ulps np.log and math.log may differ by
+            slack = 2.0**-40 * (1.0 + abs(scale) + abs(math.log(tol)))
+            cannot = low > 0 and math.log(low) + scale > math.log(tol) + slack
+        else:
+            cannot = low > top * tol
+        if cannot:
+            skipped.append((low / top, lo, hi, carry))
+            return None, [c[-1] for c in cums], best
 
     q = np.divide(J, e_next[i0:])
     if column:
@@ -400,8 +420,10 @@ def _certified_sums(
     M, the maximum of g over the blocks up to that turn (read ahead of the
     block being summed), is the whole-table maximum.  Should a later block
     still raise it (rounding on a flat top), M becomes the whole-table maximum
-    and the scan restarts once from n = 0.  A refusal scans the whole table
-    and reports the best relative tail over all blocks.
+    and the scan restarts once from n = 0.  A refusal sums again, from its
+    carry, each block after the first that ``_block`` skipped whose bound on
+    its relative tails reaches the best found, ties included, and reports the
+    best relative tail over all blocks.
     """
     settled = _settled(w, J, tol, order)
     if settled is not None:
@@ -428,15 +450,20 @@ def _certified_sums(
                 lo = 0
                 continue
         if lo == 0:
-            carry = None
+            carry, skipped = None, []
             # (relative tail, n, tail, partial sum): inf until an index has q < 1
             best = (math.inf, 0, math.inf, 1.0)
 
-        found, carry, best = _block(w, J, lo, hi, n, g, scale, carry, best, tol, order, absolute)
+        found, carry, best = _block(w, J, lo, hi, n, g, scale, carry, best, skipped if lo else None,
+                                    tol, order, absolute)
         if found is not None:
             return found
         lo = hi
 
+    for bound, lo, hi, kept in skipped:
+        if bound <= best[0]:
+            n, g = _log_terms(w, log_j, lo, hi)
+            best = _block(w, J, lo, hi, n, g, scale, kept, best, None, tol, order, absolute)[2]
     _, at, tail, cum = best
     with np.errstate(over="ignore"):
         partial = float(np.exp(scale) * carry[0])
@@ -477,7 +504,7 @@ def _batch_sums(w: WeightTable, Js, tol: float, order: int) -> dict[float, Power
             n, g = _log_terms(w, np.array([math.log(x) for x in chunk])[:, None], 0, width)
             scale = np.maximum.reduce(g, axis=1, keepdims=True)
             column = np.array(chunk, dtype=float)[:, None]
-            found = _block(w, column, 0, width, n, g, scale, None, None, tol, order, False)[0]
+            found = _block(w, column, 0, width, n, g, scale, None, None, None, tol, order, False)[0]
             distinct.update(zip(chunk, found or ()))
     # the kernel, through its public name that a tracer wraps, sums the rest
     return {J: ps or power_sums(w, J, rel_tol=tol, need_second=order > 1)

@@ -18,6 +18,7 @@ from cstates import (
     power_gap_spectrum,
     validate,
 )
+from cstates.spectrum import ValidationReport, _check_levels
 
 
 def test_hydrogen_levels():
@@ -259,6 +260,77 @@ def test_validate_nonzero_ground():
     report = validate(s, 5)
     assert not report.ok
     assert report.violations[0][0] == 0
+
+
+def full_level_checks(s, e):
+    """Every check of ``_check_levels`` on every level, the reference for its
+    two-pass acceptance of valid levels: the report must match it exactly."""
+    violations = []
+    if not np.isfinite(e[0]) or e[0] != 0.0:
+        violations.append((0, f"e_0 must be 0, got {e[0]!r}"))
+    for idx in np.nonzero(~np.isfinite(e))[0]:
+        if idx > 0:
+            violations.append((int(idx), "level is not finite"))
+    finite_pair = np.isfinite(e[1:]) & np.isfinite(e[:-1])
+    diffs = np.diff(e)
+    with np.errstate(invalid="ignore"):
+        decreasing = (diffs < 0) & finite_pair
+        ties = (diffs == 0) & finite_pair
+    for idx in np.nonzero(decreasing)[0]:
+        violations.append((int(idx) + 1, "decreasing level"))
+    if s.levels is not None:
+        for idx in np.nonzero(ties)[0]:
+            violations.append((int(idx) + 1, "degenerate level (equal to the previous one)"))
+    if s.e_star is not None and math.isfinite(s.e_star):
+        for idx in np.nonzero(e >= s.e_star)[0]:
+            violations.append((int(idx), f"level {e[idx]!r} is not below e_star={s.e_star}"))
+    violations.sort()
+    return ValidationReport(ok=not violations, violations=tuple(violations),
+                            shift_applied=s.shift_applied)
+
+
+def with_defect(e, at, value):
+    e = np.array(e, dtype=float)
+    e[at] = value
+    return e
+
+
+VALID = np.array([0.0, 0.5, 1.0, 2.0, 3.5, 5.0, 7.0, 9.0, 11.0])
+LEVEL_ARRAYS = {
+    "valid": VALID,
+    "one-level": np.array([0.0]),
+    "negative-zero-ground": with_defect(VALID, 0, -0.0),
+    **{f"nan-at-{at}": with_defect(VALID, at, math.nan) for at in (0, 4, -1)},
+    **{f"{v}-at-{at}": with_defect(VALID, at, v) for v in (math.inf, -math.inf) for at in (0, 4, -1)},
+    "one-nan-level": np.array([math.nan]),
+    "nonzero-ground": with_defect(VALID, 0, 0.25),
+    "negative-ground": with_defect(VALID, 0, -1.0),
+    "one-nonzero-level": np.array([1.0]),
+    "decreasing-step": with_defect(VALID, 4, 0.75),
+    "decreasing-at-end": with_defect(VALID, -1, 8.0),
+    "tie": with_defect(VALID, 4, 2.0),
+    "tie-at-end": with_defect(VALID, -1, 9.0),
+    "tie-at-ground": with_defect(VALID, 1, 0.0),
+    "at-e_star": with_defect(VALID, -1, 12.0),
+    "above-e_star": with_defect(VALID, -1, 20.0),
+    "tie-above-e_star": np.array([0.0, 1.0, 13.0, 13.0]),
+}
+
+
+@pytest.mark.parametrize("name", LEVEL_ARRAYS)
+def test_check_levels_reports_as_the_full_checks(name):
+    # explicit lists and rules, without e_star, with a finite and an infinite one
+    e = LEVEL_ARRAYS[name]
+    spectra = [
+        *(from_levels("list", 1.0, VALID, e_star=star) for star in (None, 12.0)),
+        *(from_rule("rule", 1.0, lambda n: n, e_star=star) for star in (None, 12.0, math.inf)),
+    ]
+    for s in spectra:
+        assert _check_levels(s, e) == full_level_checks(s, e), (s.levels is None, s.e_star)
+    # with e_star = 12, rules tolerate ties where explicit lists refuse them
+    valid = name in ("valid", "one-level", "negative-zero-ground")
+    tie = name.startswith("tie") and "e_star" not in name
+    assert (_check_levels(spectra[1], e).ok, _check_levels(spectra[3], e).ok) == (valid, valid or tie)
 
 
 def test_from_levels_rejects_decreasing():

@@ -520,6 +520,104 @@ def test_chunked_scan_refusals_match_whole_table(monkeypatch, hydrogen):
                 assert got == ref, (schedule.id, w.spectrum.name, order)
 
 
+def spy_skips(monkeypatch):
+    """The (lo, hi) of every block ``_block`` skips, as the kernel runs."""
+    skips, block = [], weights._block
+
+    def spy(w, J, lo, hi, n, g, scale, carry, best, skipped, *rest):
+        before = len(skipped) if skipped is not None else 0
+        found = block(w, J, lo, hi, n, g, scale, carry, best, skipped, *rest)
+        if skipped is not None and len(skipped) > before:
+            skips.append((lo, hi))
+        return found
+
+    monkeypatch.setattr(weights, "_block", spy)
+    return skips
+
+
+def spy_reads(monkeypatch):
+    """The (lo, hi) of every range the scan reads log-terms of."""
+    reads, log_terms = [], weights._log_terms
+
+    def spy(w, log_j, lo, hi):
+        reads.append((lo, hi))
+        return log_terms(w, log_j, lo, hi)
+
+    monkeypatch.setattr(weights, "_log_terms", spy)
+    return reads
+
+
+# (model, n_max, grid, whether blocks are skipped in cuts and refusals, in
+# both modes): harmonic J = 800 cuts its relative sums in the first block
+LONG_SCANS = [
+    ("hydrogen_like", 20_000, (0.999, 0.9999, 1 - 10**-4.5), False),
+    ("hydrogen_like", 100_000, (0.999, 0.9999, 1 - 10**-4.5), True),
+    ("hydrogen_like", 300_000, (0.999, 0.9999, 1 - 10**-4.5), True),
+    ("power_gap_0.25", 200_000, (0.9, 0.95), False),
+    ("harmonic", 20_000, (800.0,), False),
+]
+
+
+@pytest.mark.parametrize("model, n_max, grid, every", LONG_SCANS)
+def test_long_scans_skip_blocks_that_cannot_cut(monkeypatch, model, n_max, grid, every):
+    # blocks after the first that end before the table form no tails when
+    # they cannot hold the cut; cuts and refusals stay the whole table's
+    s = power_gap_spectrum(0.25) if model == "power_gap_0.25" else make_builtin(model)
+    w = compute_weights(s, n_max)
+    skips = spy_skips(monkeypatch)
+    kinds = set()
+    for J in grid:
+        for tol in (1e-12, 1e-6):
+            for order, absolute in ((0, True), (0, False), (1, False), (2, False)):
+                skips.clear()
+                got, ref = scan_outcomes(w, J, tol, order, absolute)
+                assert got == ref, (J, tol, order, absolute)
+                assert all(0 < lo and hi <= n_max for lo, hi in skips)
+                if skips:
+                    kinds.add((got[0] == "TruncationError", absolute))
+    assert kinds
+    if every:
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_refused_long_scan_reads_each_block_once(monkeypatch, hydrogen):
+    # J = 0.9999 on 100,001 entries: the best relative tail is at the table's
+    # end, in the last block, which is never skipped; no skipped block ties
+    # it, so none is summed again, and the scan reads the 25 blocks it did
+    # before blocks were skipped
+    w = compute_weights(hydrogen, 100_000)
+    skips, reads = spy_skips(monkeypatch), spy_reads(monkeypatch)
+    for order, absolute in ((0, True), (0, False), (1, False), (2, False)):
+        skips.clear()
+        reads.clear()
+        got, ref = scan_outcomes(w, 0.9999, 1e-12, order, absolute)
+        assert got == ref and got[0] == "TruncationError"
+        assert len(reads) == 25 == len(set(reads)), order
+        assert [lo for lo, _ in reads].count(0) == 1
+        assert len(skips) == 23
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES + FIRST_ENDS)
+def test_refusal_sums_again_the_skipped_blocks_that_tie(monkeypatch, schedule):
+    # flat_top at J = 1.5: terms underflow to the floor near n = 2,600 and the
+    # relative tails tie from there, so the skipped blocks whose bound ties
+    # the best are summed again, from their carry, never from n = 0, and the
+    # report names the first of the tied tails
+    use_schedule(monkeypatch, schedule)
+    w = compute_weights(from_rule("flat_top", 1.0, flat_top_levels), 3_000)
+    skips, reads = spy_skips(monkeypatch), spy_reads(monkeypatch)
+    for order, absolute in ((0, True), (0, False), (1, False)):
+        skips.clear()
+        reads.clear()
+        got, ref = scan_outcomes(w, 1.5, 1e-320, order, absolute)
+        assert got == ref and got[0] == "TruncationError", (order, absolute)
+        assert [lo for lo, _ in reads].count(0) == 1
+        again = [r for r in reads if reads.count(r) > 1]
+        assert set(again) <= set(skips)
+        if len(schedule) == 2 and schedule[1] < 2_600 and not absolute:
+            assert again  # tied blocks before the table's last are skipped, then read again
+
+
 def refusal(exc):
     """Type, message and payload of a refusal, the payload by repr."""
     return (type(exc).__name__, str(exc),
