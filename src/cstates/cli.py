@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -306,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_resolution)
 
     p = sub.add_parser("verify", parents=[common], help="run the invariant suite")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -269,26 +269,6 @@ def _certified_variance(s: Spectrum, w: WeightTable, J: float) -> VariancePoint 
         return None
 
 
-def _window_bounds(w: WeightTable, window: Sequence[float] | None) -> list[tuple[float, float]]:
-    """(J, term bound less its rounding margin) per window point inside the edge guard, by J."""
-    if window is None:
-        window = [1.0 - 10.0 ** (-1.5 * k) for k in range(1, 6)]
-    return [(J, _min_certified_terms(J, w.j_star, DEFAULT_TAIL_TOL) / (1.0 + _TERM_BOUND_MARGIN))
-            for J in sorted(J for J in window if 0.0 < J <= 1.0 - EDGE_GUARD)]
-
-
-def _fit_table(s: Spectrum, w: WeightTable, fit_window: Sequence[float] | None = None,
-               n_cap: int = DEFAULT_FIT_CAP) -> WeightTable:
-    """w if it holds the term bound of each window point that max(n_cap, w.n_max)
-    entries hold, else one table a block past the largest of them, capped there.
-    A sum reads only the entries up to its cut, and a longer table begins with a
-    shorter one's entries bit for bit, so any table holding a cut gives one value."""
-    _check_near_jstar(s, w)
-    top = max(n_cap, w.n_max)
-    need = max((b for _, b in _window_bounds(w, fit_window) if b <= top + 1), default=0.0)
-    return w if need <= w.n_max + 1 else compute_weights(s, min(top, math.ceil(need) + _BLOCK))
-
-
 def near_jstar_exponent(
     s: Spectrum,
     w: WeightTable,
@@ -302,33 +282,49 @@ def near_jstar_exponent(
     guard and by truncation feasibility (points whose series do not converge
     within n_cap terms are dropped).  Requires a declared J* equal to 1.
 
-    Every point runs on ``_fit_table``'s table if its ``_min_certified_terms``
-    bound fits there, else is dropped; a point that table cannot certify is
-    retried on one n_cap table, built once.
+    A point runs only if its ``_min_certified_terms`` bound fits in
+    max(n_cap, w.n_max) entries.  The points run on w if it holds all those
+    bounds, else on one table a block past the largest of them, capped there.
+    A point that table cannot certify, when it is shorter than n_cap, is
+    retried on one n_cap table, built once, and every later point runs there.
     """
     return _near_jstar_fit(s, w, fit_window, n_cap)[0]
 
 
 def _near_jstar_fit(s: Spectrum, w: WeightTable, fit_window: Sequence[float] | None = None,
-                    n_cap: int = DEFAULT_FIT_CAP) -> tuple[float, list[VariancePoint]]:
-    """``near_jstar_exponent``'s slope and the window points it was fitted to."""
-    fit = _fit_table(s, w, fit_window, n_cap)
-    window = _window_bounds(w, fit_window)
-    cap: WeightTable | None = None
+                    n_cap: int = DEFAULT_FIT_CAP) -> tuple[float, list[VariancePoint], WeightTable]:
+    """``near_jstar_exponent``'s slope, the window points it was fitted to and
+    the table it ended on: the sized table, or the n_cap table once built.
+
+    A sum reads only the entries up to its cut, and a longer table begins with
+    a shorter one's entries bit for bit, so any table holding a cut gives one
+    value: a point certified on the sized table is the same on the n_cap table.
+    """
+    _check_near_jstar(s, w)
+    if fit_window is None:
+        fit_window = [1.0 - 10.0 ** (-1.5 * k) for k in range(1, 6)]
+    window = sorted(J for J in fit_window if 0.0 < J <= 1.0 - EDGE_GUARD)
+    top = max(n_cap, w.n_max)
+    bounds = [_min_certified_terms(J, w.j_star, DEFAULT_TAIL_TOL) / (1.0 + _TERM_BOUND_MARGIN)
+              for J in window]
+    need = max((b for b in bounds if b <= top + 1), default=0.0)
+    table = w if need <= w.n_max + 1 else compute_weights(s, min(top, math.ceil(need) + _BLOCK))
     points: list[VariancePoint] = []
-    for J in [J for J, b in window if b <= fit.n_max + 1]:
-        vp = _certified_variance(s, fit, J)
-        if vp is None and fit.n_max < n_cap:
-            cap = cap or compute_weights(s, n_cap)
-            vp = _certified_variance(s, cap, J)
+    for J, b in zip(window, bounds):
+        if b > top + 1:
+            continue
+        vp = _certified_variance(s, table, J)
+        if vp is None and table.n_max < n_cap:
+            table = compute_weights(s, n_cap)
+            vp = _certified_variance(s, table, J)
         if vp is not None and vp.variance > 0:
             points.append(vp)
     if len(points) < 3:
         raise TruncationError(
             f"only {len(points)} of {len(window)} window points were feasible within "
-            f"{max(n_cap, w.n_max)} terms; supply a window farther from J*"
+            f"{top} terms; supply a window farther from J*"
         )
-    return _fit_loglog(*np.array([(p.J, p.variance) for p in points]).T)[0], points
+    return _fit_loglog(*np.array([(p.J, p.variance) for p in points]).T)[0], points, table
 
 
 class JstarCoefficient(NamedTuple):

@@ -10,7 +10,6 @@ from .dynamics import _kinematics, _stability, evolve_label
 from .errors import CertificationError, CStatesError, TruncationError
 from .observables import (
     VariancePoint,
-    _fit_table,
     _near_jstar_fit,
     energy_mean,
     moments_from_state,
@@ -229,10 +228,7 @@ def run_suite(
 
     def chk_slope():
         ref = s.e(1)
-        try:
-            got = small_j_slope(s, w)
-        except CertificationError as exc:
-            raise AssertionError(f"slope not certifiable: {exc}") from None
+        got = small_j_slope(s, w)
         assert abs(got / ref - 1.0) <= 1e-4, f"slope {got!r} vs e_1 = {ref!r}"
         return f"v(J)/J -> {got:.12g}, e_1 = {ref:.12g}"
 
@@ -240,8 +236,7 @@ def run_suite(
            "no certified second-moment bound (declare e_star)")
 
     def chk_exponent():
-        fit = _fit_table(s, w)  # also holds the intercept's ~3e4 terms at J = 0.999
-        got, points = _near_jstar_fit(s, fit)
+        got, points, fit = _near_jstar_fit(s, w)
         assert abs(got - 1.0) <= 0.1, f"fitted exponent {got:.3f} not within 1.0 +- 0.1"
         coeff = near_jstar_coefficient(s, w)
         # J = 0.999 is a point of the default window: reuse its fitted variance

@@ -211,6 +211,37 @@ def test_usage_error_between_commands_leaves_the_parser_reusable(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum"], ["weights"], ["state", "--J", "0.5"], ["variance", "--grid", "0.5"],
+    ["evolve", "--J", "0.5", "--t", "1"], ["resolution"],
+])
+def test_seed_is_a_verify_option_only(capsys, argv):
+    # only verify draws samples; every other command refuses --seed as a usage error
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--model", "harmonic", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_spectrum_reports_each_violation_and_still_prints_levels(capsys, monkeypatch):
+    # every spectrum the CLI builds is validated on construction, so a failing
+    # report is injected: exit 1, one stderr line per violation, levels on stdout
+    import cstates.cli as cli_mod
+    from cstates.spectrum import ValidationReport
+
+    violations = ((2, "level not above its predecessor"), (4, "level is not finite"))
+    report = ValidationReport(ok=False, violations=violations, shift_applied=0.0)
+    monkeypatch.setattr(cli_mod, "validate", lambda s, n_max: report)
+    code, out, err = run(capsys, ["spectrum", "--model", "harmonic", "--count", "3"])
+    assert code == 1
+    assert err == (
+        "validation violation at n=2: level not above its predecessor\n"
+        "validation violation at n=4: level is not finite\n"
+    )
+    _, rows = csv_rows(out)
+    assert [float(r[1]) for r in rows] == [0.0, 1.0, 2.0]
+
+
 def test_evolve_reports_residual(capsys):
     code, out, _ = run(
         capsys, ["evolve", "--model", "hydrogen_like", "--J", "0.5", "--gamma", "0", "--t", "3.7"]

@@ -54,6 +54,19 @@ def test_probe_ladder_stops_at_the_first_certification_error(series_calls):
     assert [ok for _, _, ok in series_calls] == [False]
 
 
+STEPS_BOUNDED = from_levels("steps", 1.0, [0.0, 2.0, 5.0, 9.0], e_star=12.0)
+
+
+@pytest.mark.parametrize("start, rungs", [(1e-13, 0), (1.0, 78), (9.5, 80)])
+def test_probe_ladder_gives_zero_when_no_rung_certifies(series_calls, start, rungs):
+    # no J certifies a 1e-300 relative tail on a four-level list: the ladder
+    # ends at J <= 1e-12 (at once from 1e-13, after 78 rungs from 1.0) or
+    # after its 80 rungs (from verify's start 0.95 * 10), with 0 either way
+    w = compute_weights(STEPS_BOUNDED, 3)
+    assert _probe_usable_j(w, start, 1e-300, need_second=True) == 0.0
+    assert [ok for _, _, ok in series_calls] == [False] * rungs
+
+
 def test_run_suite_refused_series_calls_capped(series_calls):
     # 27 refused calls: 26 first-order TruncationErrors down the J ladder and
     # one CertificationError, which ends the second-moment probe at once
