@@ -339,7 +339,9 @@ def near_jstar_coefficient(s: Spectrum, w: WeightTable) -> JstarCoefficient:
     rho_inf * sum_m gap_m^2 / rho_m (the two halves of the squared level
     difference contribute equally; an Abel summation of sum Delta_m/rho_m
     shows the same value).  ``converged`` is False when the partial sums are
-    still moving at n_max, e.g. when rho_n -> 0.
+    still moving at n_max, e.g. when rho_n -> 0.  rho_inf is the record's
+    (``Model.rho_inf``) for a built-in spectrum that has one, else
+    rho_{n_max}, which is 1 + 1/(n_max + 1) times hydrogen_like's.
 
     The sum runs over the series kernel's blocks (``weights._blocks``), split
     at the end of the head, 0.9 n_max, so its working memory does not grow
@@ -362,7 +364,7 @@ def near_jstar_coefficient(s: Spectrum, w: WeightTable) -> JstarCoefficient:
         head = blocked_sum(0, split)
         total = head + blocked_sum(split, size)
     converged = math.isfinite(total) and (total - head) <= 0.01 * total
-    rho_inf = float(np.exp(w.log_rho[-1]))
+    rho_inf = s.model.rho_inf if s.model and s.model.rho_inf else float(np.exp(w.log_rho[-1]))
     return JstarCoefficient(value=rho_inf * total, converged=converged)
 
 

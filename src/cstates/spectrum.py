@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -31,6 +33,85 @@ def _hydrogen_level(n: np.ndarray) -> np.ndarray:
     """1 - 1/(n+1)^2, subtracted in place from the gap's array."""
     gap = _hydrogen_gap(n)
     return np.subtract(1.0, gap, out=gap)
+
+
+def _hydrogen_normalization(J: float) -> float:
+    """N(J) = 2/(1-J) + 2(J + ln(1-J))/J^2 for hydrogen_like, 0 < J < 1."""
+    return 2.0 / (1.0 - J) + (2.0 / (J * J)) * (J + math.log1p(-J))
+
+
+# zeta(2) and zeta(3): Li_2(1) and Li_3(1)
+ZETA2 = math.pi**2 / 6.0
+ZETA3 = 1.2020569031595942
+
+# terms of the regular part of Li_s(e^mu) past mu^(s-1); for |mu| <= ln 2 the
+# k-th falls like (ln 2 / 2 pi)^k, below 1e-19 of the sum by k = 20
+_MU_TERMS = 20
+
+
+@functools.cache
+def _mu_coefficients() -> dict[int, tuple[float, ...]]:
+    """zeta(-m)/(m+s)! for m = 0.._MU_TERMS-1, for s = 2 and 3, on first use.
+
+    zeta(-m) = (-1)^m B_{m+1}/(m+1), with the Bernoulli numbers from
+    B_0 = 1, B_m = -sum_{j<m} C(m+1, j) B_j/(m+1), exactly in fractions.
+    """
+    bern = [Fraction(1)]
+    for m in range(1, _MU_TERMS + 1):
+        bern.append(-sum(math.comb(m + 1, j) * b for j, b in enumerate(bern)) / (m + 1))
+    zeta = [(-1) ** m * bern[m + 1] / (m + 1) for m in range(_MU_TERMS)]
+    return {s: tuple(float(z / math.factorial(m + s)) for m, z in enumerate(zeta)) for s in (2, 3)}
+
+
+def _polylog_near_one(s: int, mu: float) -> float:
+    """Li_s(e^mu) for s = 2 or 3 and ln(1/2) <= mu < 0.
+
+    Li_s(e^mu) = sum_{k<s-1} zeta(s-k) mu^k/k! + mu^(s-1)/(s-1)! (H_{s-1} - ln(-mu))
+    + sum_{k>=s} zeta(s-k) mu^k/k!, which converges for |mu| < 2 pi (Lewin,
+    Polylogarithms and Associated Functions, 1981; D. C. Wood, The
+    computation of polylogarithms, Univ. of Kent Tech. Rep. 15-92, 1992).
+    """
+    regular = 0.0
+    for c in reversed(_mu_coefficients()[s]):
+        regular = regular * mu + c
+    regular *= mu**s
+    log_part = math.log(-mu)
+    if s == 2:
+        return ZETA2 + mu * (1.0 - log_part) + regular
+    return ZETA3 + ZETA2 * mu + 0.5 * mu * mu * (1.5 - log_part) + regular
+
+
+def _hydrogen_variance(J: float, omega: float) -> float:
+    """Exact v(J) for hydrogen_like, 0 <= J < 1.
+
+    rho_n = (n+2)/(2(n+1)) and the gaps are g_n = 1/(n+1)^2, whose mean is
+    1 - J by the action identity.  Up to J = 1/2, v/omega^2 is summed as the
+    series of positive terms sum (J - e_n)^2 J^n/rho_n / N, to the first
+    term below 2^-60 of the sum.  Above, partial fractions give
+    G(J) = sum g_n^2 J^n/rho_n = 2[(Li_3 - Li_2 + 1)/J - Li_1 (1-J)/J^2], and
+    v/omega^2 = G/N - (1-J)^2, with Li_1 = -ln(1-J).  Summed there, the
+    series would need millions of terms near J* = 1; from polylogarithms,
+    G/N - (1-J)^2 loses up to 6.4e-15 relative below J = 1/2 (2.2e-16 for
+    the series).
+    """
+    if J <= 0.5:
+        num = J * J  # n = 0: e_0 = 0, rho_0 = 1
+        total = 1.0
+        n, t = 0, 1.0
+        while True:
+            n += 1
+            t *= J
+            term = t * 2.0 * (n + 1) / (n + 2)
+            if term <= 2.0**-60 * num:
+                return omega * omega * num / total
+            d = (J - 1.0) + 1.0 / ((n + 1) * (n + 1))
+            num += d * d * term
+            total += term
+    mu = math.log(J)
+    eps = 1.0 - J
+    g = 2.0 * ((_polylog_near_one(3, mu) - _polylog_near_one(2, mu) + 1.0) / J
+               + math.log(eps) * eps / (J * J))
+    return omega * omega * (g / _hydrogen_normalization(J) - eps * eps)
 
 
 @dataclass(frozen=True)
@@ -127,8 +208,10 @@ class Model:
     """Closed-form facts of one built-in spectrum, and how ``verify`` checks them.
 
     ``ratio_cap(n)`` bounds e_{m+1}/e_m over m > n where e_star is infinite;
-    ``normalization`` is N(J); ``measure`` is the JSON text of a measure
-    document, which ``resolution.builtin_measure`` reads on [0, e_star);
+    ``normalization`` is N(J) and ``variance(J, omega)`` the exact v(J);
+    ``rho_inf`` is the limit of rho_n, None where it diverges; ``measure``
+    is the JSON text of a measure document, which
+    ``resolution.builtin_measure`` reads on [0, e_star);
     ``variance_bound(J, omega)``, read as ``variance_bound_text``, caps
     v(J).  ``verify`` checks N(J) on ``closed_form_grid`` within
     ``closed_form_rtol`` (or the tail bound, when larger), variances on
@@ -142,6 +225,8 @@ class Model:
     gap_rule: Callable[[np.ndarray], np.ndarray] | None = None
     ratio_cap: Callable[[np.ndarray], np.ndarray] | None = None
     normalization: Callable[[float], float]
+    variance: Callable[[float, float], float]
+    rho_inf: float | None = None
     measure: str
     variance_bound: Callable[[float, float], float] | None = None
     variance_bound_text: str = ""
@@ -162,6 +247,7 @@ MODELS: dict[str, Model] = {
             # e_{m+1}/e_m = (m+1)/m falls with m, so m = n+1 sets the cap
             ratio_cap=lambda n: (n + 2.0) / (n + 1.0),
             normalization=math.exp,
+            variance=lambda J, omega: omega * omega * J,
             measure='{"density": {"kind": "exponential", "rate": 1}}',
             closed_form_grid=(0.5, 1.0, 2.0, 5.0),
             closed_form_rtol=1e-12,
@@ -174,7 +260,9 @@ MODELS: dict[str, Model] = {
             e_star=1.0,
             level_rule=_hydrogen_level,
             gap_rule=_hydrogen_gap,
-            normalization=lambda J: 2.0 / (1.0 - J) + (2.0 / (J * J)) * (J + math.log1p(-J)),
+            normalization=_hydrogen_normalization,
+            variance=_hydrogen_variance,
+            rho_inf=0.5,
             measure='{"density": {"kind": "constant", "value": 0.5}, "atoms": [{"u": 1, "w": 0.5}]}',
             variance_bound=lambda J, omega: 0.75 * omega**2 * J * (1.0 - J),
             variance_bound_text="(3/4) omega^2 J (1-J)",

@@ -10,7 +10,7 @@ from .dynamics import _kinematics, _stability, evolve_label
 from .errors import CertificationError, CStatesError, TruncationError
 from .observables import (
     VariancePoint,
-    _near_jstar_fit,
+    _min_certified_terms,
     energy_mean,
     moments_from_state,
     near_jstar_coefficient,
@@ -18,12 +18,16 @@ from .observables import (
     variance,
 )
 from .resolution import Measure, gamma_averaged_projector, moment_check, unity_check
-from .spectrum import Spectrum
+from .spectrum import ZETA2, ZETA3, Spectrum
 from .state import StateLabel, _phased, _states, _zero_padded, coefficients, norm_deficit
 from .weights import DEFAULT_TAIL_TOL, WeightTable, _check_same_spectrum
 from .weights import normalization, power_sums
 
 DEFAULT_SEED = 1234
+
+# near-jstar-exponent compares the series with the exact v(J) at the points
+# J = 1 - 10^-x, x = 1.5, 1.75, ..., 4.5, that the command's table certifies
+_NEAR_JSTAR_WINDOW = tuple(1.0 - 10.0 ** (-q / 4) for q in range(6, 19))
 
 
 @dataclass(frozen=True)
@@ -236,18 +240,52 @@ def run_suite(
            "no certified second-moment bound (declare e_star)")
 
     def chk_exponent():
-        got, points, fit = _near_jstar_fit(s, w)
-        assert abs(got - 1.0) <= 0.1, f"fitted exponent {got:.3f} not within 1.0 +- 0.1"
-        coeff = near_jstar_coefficient(s, w)
-        # J = 0.999 is a point of the default window: reuse its fitted variance
-        at = next((p for p in points if p.J == 0.999), None) or variance(s, fit, 0.999)
-        intercept = at.variance / (s.omega**2 * (1.0 - 0.999))
-        rel = abs(intercept / coeff.value - 1.0)
-        assert rel <= 0.2, (
-            f"v/(1-J) at J=0.999 is {intercept:.4f} vs direct-sum coefficient "
-            f"{coeff.value:.4f} (off by {rel:.1%})"
+        # as J -> 1, v/(omega^2 eps) = c + eps (-zeta(2) - c ln eps) + O(eps^2 ln^2 eps),
+        # eps = 1 - J, c = 1 + zeta(3) - zeta(2), for the hydrogen-like rule
+        c = 1.0 + ZETA3 - ZETA2
+        worst, points = 0.0, []
+        for J in _NEAR_JSTAR_WINDOW:  # each point needs more terms than the last
+            if _min_certified_terms(J, w.j_star, DEFAULT_TAIL_TOL) > w.n_max + 1:
+                break
+            try:
+                vp = variance(s, w, J)
+            except TruncationError:
+                break
+            gap = abs(vp.variance - model.variance(J, s.omega))
+            assert gap <= vp.tail_bound, (
+                f"v({J:.6g}) = {vp.variance!r} is {gap:.3e} from the exact form, "
+                f"past its tail bound {vp.tail_bound:.3e}"
+            )
+            worst = max(worst, gap / vp.tail_bound)
+            points.append(J)
+        if not points:
+            raise TruncationError(
+                f"no near-J* window point certifies within n_max={w.n_max}; "
+                f"the first, J = {_NEAR_JSTAR_WINDOW[0]:.6g}, needs more terms"
+            )
+        used = 0.0
+        for k in range(3, 13):
+            J = 1.0 - 10.0**-k
+            eps = 1.0 - J  # exact, unlike 10^-k
+            ratio = model.variance(J, s.omega) / (s.omega**2 * eps)
+            allowed = 2.0 * eps * (-ZETA2 - c * math.log(eps))  # twice the next term
+            assert abs(ratio - c) <= allowed, (
+                f"v/(omega^2 (1-J)) at J = 1 - 1e-{k} is {ratio!r}, "
+                f"not within {allowed:.3e} of 1 + zeta(3) - zeta(2) = {c!r}"
+            )
+            used = max(used, abs(ratio - c) / allowed)
+        coeff = near_jstar_coefficient(s, w).value
+        # its terms past n_max are below 1/(n+1)^4 (rho_n >= rho_inf), so they
+        # sum to less than 1/(3 (n_max+1)^3); 1e-14 covers the rounding
+        allowed = 1.0 / (3.0 * (w.n_max + 1.0) ** 3) + 1e-14
+        assert abs(coeff - c) <= allowed, (
+            f"near-J* coefficient {coeff!r} is not within {allowed:.3e} of "
+            f"1 + zeta(3) - zeta(2) = {c!r}"
         )
-        return f"exponent {got:.3f}; v/(1-J) vs coefficient off by {rel:.1%}"
+        return (f"series within {worst:.2g} of its tail bound of the exact v at {len(points)} "
+                f"of {len(_NEAR_JSTAR_WINDOW)} window points (J <= {points[-1]:.6g}); "
+                f"v/(omega^2 (1-J)) within {used:.2g} of twice the next term of its limit "
+                f"at J = 1 - 10^-k, k = 3..12; near-J* coefficient off by {abs(coeff - c):.1e}")
 
     run_if("near-jstar-exponent" in model_checks, "near-jstar-exponent", chk_exponent,
            "needs declared J* = 1 with known asymptotics")

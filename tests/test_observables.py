@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import mpmath
@@ -15,6 +16,7 @@ from cstates import (
     compute_weights,
     energy_mean,
     from_levels,
+    from_rule,
     make_builtin,
     moments_from_state,
     near_jstar_coefficient,
@@ -126,6 +128,45 @@ def test_hydrogen_variance_encloses_the_polylog_closed_form(hydrogen, w_hydrogen
     for J in (0.05, 0.3, 0.5, 0.9, 0.99, 0.999):
         vp = variance(hydrogen, w_hydrogen, J)
         assert abs(vp.variance - hydrogen_variance_exact(J)) <= vp.tail_bound, J
+
+
+def test_hydrogen_exact_variance_encloses_the_series(hydrogen, w_hydrogen):
+    # Model.variance against the certified series at the J just above
+    for J in (0.05, 0.3, 0.5, 0.9, 0.99, 0.999):
+        vp = variance(hydrogen, w_hydrogen, J)
+        assert abs(vp.variance - hydrogen.model.variance(J, 1.0)) <= vp.tail_bound, J
+
+
+def hydrogen_variance_50_digits(J):
+    """v(J) = G/N - (1-J)^2 at omega = 1, from mpmath's polylog at 50 digits,
+    with G = 2[(Li_3 - Li_2 + Li_1)/J - (Li_1 - J)/J^2]."""
+    with mpmath.workdps(50):
+        J = mpmath.mpf(J)
+        li1, li2, li3 = (mpmath.polylog(k, J) for k in (1, 2, 3))
+        g = 2 * ((li3 - li2 + li1) / J - (li1 - J) / (J * J))
+        n = 2 / (1 - J) + 2 * (J + mpmath.log(1 - J)) / (J * J)
+        return g / n - (1 - J) ** 2
+
+
+def test_hydrogen_exact_variance_matches_50_digit_polylogs(hydrogen):
+    # 100 J uniform in [0.05, 0.95] and 100 at 1 - 10^-u, u uniform in
+    # [1.3, 14]; the worst read 2.0e-15, both sides of J = 1/2 included
+    rng = random.Random(20011017)
+    grid = [rng.uniform(0.05, 0.95) for _ in range(100)]
+    grid += [1.0 - 10.0 ** -rng.uniform(1.3, 14.0) for _ in range(100)]
+    grid += [0.05, 0.5, math.nextafter(0.5, 1.0), 1.0 - 1e-14]
+    for J in grid:
+        exact = hydrogen_variance_50_digits(J)
+        assert abs(hydrogen.model.variance(J, 1.0) / exact - 1) <= 1e-14, J
+
+
+def test_exact_variance_scales_with_omega_squared():
+    for model in ("hydrogen_like", "harmonic"):
+        record = make_builtin(model).model
+        for J in (0.3, 0.7, 0.999):
+            assert record.variance(J, 2.0) == 4.0 * record.variance(J, 1.0)
+        assert record.variance(0.0, 2.0) == 0.0
+    assert make_builtin("harmonic").model.variance(60.0, 1.5) == 2.25 * 60.0
 
 
 def test_near_jstar_hydrogen_variance_encloses_the_polylog_closed_form(hydrogen):
@@ -442,18 +483,25 @@ def test_near_jstar_coefficient_matches_intercept(hydrogen, w_hydrogen):
     assert abs(intercept / coeff.value - 1.0) <= 0.2
 
 
-def test_near_jstar_coefficient_is_off_by_rho_n_max_over_rho_inf(hydrogen):
-    # The limit is rho_inf sum gap_m^2/rho_m = 1 + zeta(3) - zeta(2), but the sum
-    # is scaled by rho_{n_max} = (1 + 1/(n_max + 1))/2, not rho_inf = 1/2: the
-    # rho_{n_max} != rho_inf defect open in ROADMAP.md.  Cutting the series at
-    # n_max moves the value by about 1e-13 more.
-    n_max = 20_000
-    coeff = near_jstar_coefficient(hydrogen, compute_weights(hydrogen, n_max))
+def test_near_jstar_coefficient_reaches_one_plus_zeta3_minus_zeta2(hydrogen):
+    # rho_inf = 1/2 is the record's; the terms past n_max = 20,000 sum to
+    # 4.2e-14, and rho_{n_max} in its place read 1/(n_max + 1) high
+    coeff = near_jstar_coefficient(hydrogen, compute_weights(hydrogen, 20_000))
     with mpmath.workdps(40):
         exact = float(1 + mpmath.zeta(3) - mpmath.zeta(2))
-    offset = coeff.value / exact - 1.0
-    defect = 1.0 / (n_max + 1)
-    assert abs(offset - defect) <= 1e-6 * defect
+    assert coeff.converged
+    assert abs(coeff.value - exact) <= 1e-12
+
+
+def test_near_jstar_coefficient_of_a_custom_spectrum_scales_by_rho_n_max(hydrogen):
+    # the same levels without a record: rho_inf is read off the table's end
+    n_max = 20_000
+    custom = from_rule("custom", 1.0, gap_rule=hydrogen.gap_rule, e_star=1.0)
+    w = compute_weights(custom, n_max)
+    coeff = near_jstar_coefficient(custom, w)
+    builtin = near_jstar_coefficient(hydrogen, compute_weights(hydrogen, n_max))
+    assert coeff.value == builtin.value * 2.0 * math.exp(w.log_rho[-1])
+    assert coeff.value / builtin.value - 1.0 == pytest.approx(1.0 / (n_max + 1), rel=1e-9)
 
 
 def test_near_jstar_coefficient_abel_identity(hydrogen, w_hydrogen):
@@ -467,12 +515,12 @@ def test_near_jstar_coefficient_abel_identity(hydrogen, w_hydrogen):
 
 
 def whole_table_jstar_coefficient(s, w):
-    """near_jstar_coefficient as one pass over the whole table."""
+    """near_jstar_coefficient of a built-in spectrum as one pass over the whole table."""
     gaps = s.gap_array(w.n_max)
     terms = gaps * gaps / np.exp(w.log_rho)
     total = float(terms.sum())
     head = float(terms[: max(1, int(0.9 * len(terms)))].sum())
-    return float(np.exp(w.log_rho[-1])) * total, (total - head) <= 0.01 * total
+    return s.model.rho_inf * total, (total - head) <= 0.01 * total
 
 
 def test_near_jstar_coefficient_memory_does_not_grow_with_the_table(hydrogen, w_near_jstar):

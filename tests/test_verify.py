@@ -1,4 +1,8 @@
+import dataclasses
+import math
+import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -24,24 +28,68 @@ def test_run_suite_series_calls_capped(model, cap, series_calls):
     assert len(series_calls) <= cap
 
 
-def test_run_suite_builds_one_near_jstar_table(table_builds):
-    # the fit and the J = 0.999 intercept share one table, a block past the
-    # term bound of J = 1 - 10^-4.5 (873,755.8, rounded up to 873,756)
+def test_run_suite_builds_no_near_jstar_table(table_builds):
+    # the near-J* row reads the command's own table and the exact v(J)
     s = make_builtin("hydrogen_like", 1.0)
     w = compute_weights(s, 20_000)
     results = run_suite(s, w, builtin_measure("hydrogen_like"))
     assert {r.name: r.status for r in results}["near-jstar-exponent"] == "pass"
-    assert table_builds == [873_756 + 4_096]
+    assert table_builds == []
 
 
-def test_run_suite_sums_the_intercept_once(series_calls):
-    # J = 0.999 is a window point of the exponent fit, and the v/(1-J)
-    # intercept reuses that point rather than summing it again
+def test_run_suite_sums_every_series_on_the_commands_table(series_calls):
     s = make_builtin("hydrogen_like", 1.0)
     w = compute_weights(s, 20_000)
-    results = run_suite(s, w, builtin_measure("hydrogen_like"))
-    assert {r.name: r.status for r in results}["near-jstar-exponent"] == "pass"
-    assert [J for table, J, _ in series_calls if table is not w and J == 0.999] == [0.999]
+    run_suite(s, w, builtin_measure("hydrogen_like"))
+    assert series_calls and all(table is w for table, _, _ in series_calls)
+
+
+def near_jstar_row(s, w):
+    return {r.name: r for r in run_suite(s, w, builtin_measure(s.model.name))}["near-jstar-exponent"]
+
+
+def test_near_jstar_row_passes_on_the_default_table():
+    # J = 1 - 10^-1.5 .. 1 - 10^-2.75 certify on 20,001 entries (860 to 15,524 terms)
+    s = make_builtin("hydrogen_like", 1.0)
+    row = near_jstar_row(s, compute_weights(s))
+    assert row.status == "pass"
+    assert "at 6 of 13 window points (J <= 0.998222)" in row.detail
+
+
+@pytest.mark.parametrize("n", [1, 100, 1_000])
+def test_near_jstar_row_fails_on_one_perturbed_rho(n):
+    # rho_n 1e-4 high, where the certified window points' terms are large:
+    # some point's series leaves the exact v by more than its tail bound
+    s = make_builtin("hydrogen_like", 1.0)
+    w = compute_weights(s, 20_000)
+    log_rho = w.log_rho.copy()
+    log_rho[n] += math.log1p(1e-4)
+    row = near_jstar_row(s, dataclasses.replace(w, log_rho=log_rho))
+    assert row.status == "fail"
+    assert "from the exact form, past its tail bound" in row.detail
+
+
+@pytest.mark.parametrize("n_max", [8, 500])
+def test_near_jstar_row_without_a_certified_point_names_n_max(table_builds, n_max):
+    # J = 1 - 10^-1.5 needs at least 860 terms
+    s = make_builtin("hydrogen_like", 1.0)
+    w = compute_weights(s, n_max)
+    table_builds.clear()
+    row = near_jstar_row(s, w)
+    assert row.status == "fail"
+    assert row.detail.startswith("TruncationError: no near-J* window point certifies within "
+                                 f"n_max={n_max};")
+    assert table_builds == []
+
+
+def test_hydrogen_verify_runs_without_mpmath():
+    # the polylogarithms of the exact v(J) are the standard library's
+    code = ("import sys; sys.modules['mpmath'] = None; from cstates import cli; "
+            "sys.exit(cli.main(['verify', '--model', 'hydrogen_like']))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert "\nnear-jstar-exponent,pass," in done.stdout
 
 
 STEPS = from_levels("steps", 1.0, [0.0, 2.0, 5.0, 9.0])
