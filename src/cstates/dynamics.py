@@ -11,7 +11,7 @@ import numpy as np
 from .errors import LabelRangeError
 from .phase import phase_factor
 from .spectrum import Spectrum
-from .state import StateCoefficients, StateLabel, _phased, _states, _zero_padded
+from .state import StateCoefficients, StateLabel, _amplitudes, _phase_rows, _phased, _zero_padded
 from .weights import DEFAULT_TAIL_TOL, WeightTable, _check_same_spectrum
 from dataclasses import dataclass
 
@@ -61,16 +61,31 @@ def temporal_stability_residual(
     return _stability(s, w, [(l, t)], tol)[0][0]
 
 
+def _evolved_gammas(labels: list[StateLabel], ts: list[float], omega: float) -> list[float]:
+    """gamma + omega t for each label and its t of ts, as ``evolve_label``
+    forms them; where one is not finite, ``evolve_label`` raises its error."""
+    out = np.add([l.gamma for l in labels], np.multiply(omega, ts))
+    if not np.isfinite(out).all():
+        for l, t in zip(labels, ts):
+            evolve_label(l, t, omega)
+    return out.tolist()
+
+
 def _stability(
     s: Spectrum, w: WeightTable, samples: list[tuple[StateLabel, float]], tol: float
 ) -> tuple[list[float], list[StateCoefficients]]:
     """The temporal-stability residual at each (l, t) of samples, and the
-    states at the l they evolved, from one batched series over their J."""
-    states = _states(s, w, [x for l, t in samples for x in (l, evolve_label(l, t, s.omega))], tol)
-    starts = states[::2]
-    e = s.omega * w.levels[: max((len(x.c) for x in starts), default=0)]
-    moved = _phased([x.c for x in starts], e, [t for _, t in samples])
-    return [float(np.linalg.norm(m - x.c)) for m, x in zip(moved, states[1::2])], starts
+    states at the l they evolved.  Evolution keeps J, so each start and its
+    evolved label share one amplitude row; the two differ in their phases."""
+    labels, ts = [l for l, _ in samples], [t for _, t in samples]
+    after = _evolved_gammas(labels, ts, s.omega)
+    amps, rows, tails = _amplitudes(s, w, [l.J for l in labels], tol)
+    c = _phase_rows(amps, rows, w.levels, [l.gamma for l in labels])
+    moved = _phase_rows(c, rows, s.omega * w.levels[: max(rows.lengths, default=0)], ts)
+    moved -= _phase_rows(amps, rows, w.levels, after)
+    return ([float(np.linalg.norm(d)) for d in rows.split(moved)],
+            [StateCoefficients(c=v, tail_mass_bound=m, label=l, spectrum=s)
+             for v, m, l in zip(rows.split(c), tails, labels)])
 
 
 def kinematic_representation_check(
@@ -93,11 +108,14 @@ def _kinematics(
     samples: list[tuple[StateLabel, float]], tol: float,
 ) -> list[tuple[complex, complex]]:
     """kinematic_representation_check for each psi of psis with its (l, t)
-    of samples, from one batched series and one batched evolution."""
-    states = _states(s, w, [x for l, t in samples for x in (l, evolve_label(l, -t, s.omega))], tol)
+    of samples: the bras at l and l(-t) share one amplitude row."""
+    labels, ts = [l for l, _ in samples], [t for _, t in samples]
+    back = _evolved_gammas(labels, [-t for t in ts], s.omega)
+    amps, rows, _ = _amplitudes(s, w, [l.J for l in labels], tol)
+    bras = rows.split(_phase_rows(amps, rows, w.levels, [l.gamma for l in labels]))
+    backs = rows.split(_phase_rows(amps, rows, w.levels, back))
     width = max(len(psi) for psi in psis)
     e = s.omega * (w.levels[:width] if width <= len(w.levels) else s.e_array(width - 1))
-    moved = _phased(psis, e, [t for _, t in samples])
-    return [(complex(np.vdot(*_zero_padded(bra.c, psi_t))),
-             complex(np.vdot(*_zero_padded(back.c, psi))))
-            for bra, back, psi_t, psi in zip(states[::2], states[1::2], moved, psis)]
+    moved = _phased(psis, e, ts)
+    return [(complex(np.vdot(*_zero_padded(bra, psi_t))), complex(np.vdot(*_zero_padded(bk, psi))))
+            for bra, bk, psi_t, psi in zip(bras, backs, moved, psis)]

@@ -10,15 +10,7 @@ import numpy as np
 from .errors import LabelRangeError
 from .phase import phase_factor
 from .spectrum import Spectrum
-from .weights import (
-    _BLOCK,
-    DEFAULT_TAIL_TOL,
-    WeightTable,
-    _batch_sums,
-    _check_same_spectrum,
-    _log_terms,
-    power_sums,
-)
+from .weights import DEFAULT_TAIL_TOL, WeightTable, _batch_sums, _check_same_spectrum, power_sums
 
 
 @dataclass(frozen=True)
@@ -57,8 +49,88 @@ def coefficients(
     label: StateLabel,
     tol: float = DEFAULT_TAIL_TOL,
 ) -> StateCoefficients:
-    """Amplitudes of |J, gamma> truncated so the missing mass is at most tol."""
-    return _states(s, w, [label], tol)[0]
+    """Amplitudes of |J, gamma> truncated so the missing mass is at most tol.
+
+    The kernel's series at J gives the truncation, |c_n| = exp((g_n - log
+    N(J))/2) and the tail mass, as ``_states`` forms them for many labels.
+    """
+    _check_same_spectrum(w, s)
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if label.J == 0:
+        return StateCoefficients(c=np.ones(1, dtype=complex), tail_mass_bound=0.0, label=label, spectrum=s)
+    ps = power_sums(w, label.J, rel_tol=tol)
+    k = ps.terms_used
+    g = np.arange(k, dtype=float) * math.log(label.J) - w.log_rho[:k]
+    amps = np.exp(0.5 * (g - (ps.log_scale + math.log(ps.s0 + ps.t0))))
+    return StateCoefficients(c=amps * phase_factor(w.levels[:k] * label.gamma),
+                             tail_mass_bound=float(ps.t0 / (ps.s0 + ps.t0)), label=label, spectrum=s)
+
+
+class _Rows:
+    """Rows of the given lengths laid end to end in one array: row i holds its
+    entries n < lengths[i] at [bounds[i], bounds[i+1]); ``n`` is each entry's n."""
+
+    __slots__ = ("lengths", "bounds", "n")
+
+    def __init__(self, lengths: Sequence[int]):
+        self.lengths = lengths
+        bounds = np.zeros(len(lengths) + 1, dtype=int)
+        np.cumsum(lengths, out=bounds[1:])
+        self.bounds = bounds.tolist()
+        self.n = np.arange(bounds[-1]) - np.repeat(bounds[:-1], lengths)
+
+    def spread(self, values: Sequence[float]) -> np.ndarray:
+        """Each row's value of values at every entry of the row."""
+        return np.repeat(values, self.lengths)
+
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The rows of flat, as views."""
+        return [flat[a:b] for a, b in zip(self.bounds, self.bounds[1:])]
+
+
+def _amplitudes(
+    s: Spectrum, w: WeightTable, Js: Sequence[float], tol: float
+) -> tuple[np.ndarray, _Rows, list[float]]:
+    """|c_n| = exp((g_n - log N(J))/2) of the state at each J of Js, as rows
+    end to end, and their tail masses.  The series of the distinct nonzero J
+    come from ``weights._batch_sums``, which raises the first refused J's
+    error; a single J calls the kernel without the batch's grouping.  J = 0
+    is the one entry 1.  Truncation, |c_n| and tail mass depend on J alone,
+    and each entry is formed as a single J's row forms it, bit for bit."""
+    _check_same_spectrum(w, s)
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    nonzero = [J for J in Js if J != 0]
+    if len(nonzero) > 1:
+        sums = _batch_sums(w, nonzero, tol, 1)
+    else:
+        sums = {J: power_sums(w, J, rel_tol=tol) for J in nonzero}
+    # (terms, log J, log N(J), tail mass) per distinct J
+    parts = {J: (ps.terms_used, math.log(J), ps.log_scale + math.log(ps.s0 + ps.t0),
+                 float(ps.t0 / (ps.s0 + ps.t0))) for J, ps in sums.items()}
+    per = [parts[J] if J != 0 else (1, 0.0, 0.0, 0.0) for J in Js]
+    lengths, log_j, log_norm, tails = zip(*per) if per else ((),) * 4
+    rows = _Rows(lengths)
+    g = rows.n * rows.spread(log_j) - w.log_rho[rows.n]
+    return np.exp(0.5 * (g - rows.spread(log_norm))), rows, list(tails)
+
+
+def _phases(e: np.ndarray, rows: _Rows, xs: Sequence[float]) -> np.ndarray:
+    """exp(-i e_n x) at the entries of each row and its x of xs, in one
+    ``phase_factor`` call (a state: e the levels, x = gamma; an evolution:
+    e = omega levels, x = t)."""
+    return phase_factor(e[rows.n] * rows.spread(xs))
+
+
+def _phase_rows(flat: np.ndarray, rows: _Rows, e: np.ndarray, xs: Sequence[float]) -> np.ndarray:
+    """flat times ``_phases(e, rows, xs)``, each row's product bit for bit the
+    product of that row alone.  numpy writes a product into a large temporary
+    operand, and its complex product in place there can differ in the last
+    bit: a single row keeps that, several rows are multiplied into a new array."""
+    if len(rows.lengths) == 1:
+        return flat * _phases(e, rows, xs)
+    return np.multiply(flat, _phases(e, rows, xs))
 
 
 def _states(
@@ -67,48 +139,19 @@ def _states(
     labels: Sequence[StateLabel],
     tol: float,
 ) -> list[StateCoefficients]:
-    """coefficients() of each label, bit for bit, from the series of their
-    distinct nonzero J (``weights._batch_sums``), which raises the first
-    refused label's error; a single label calls the kernel without the
-    batch's grouping.  Truncation, |c_n| and tail mass depend on J alone."""
-    _check_same_spectrum(w, s)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    nonzero = [label for label in labels if label.J != 0]
-    Js = [label.J for label in nonzero]
-    sums = _batch_sums(w, Js, tol, 1) if len(Js) > 1 else {J: power_sums(w, J, rel_tol=tol) for J in Js}
-    parts: dict[float, tuple[np.ndarray, float]] = {}
-    for J, ps in sums.items():
-        g = _log_terms(w, math.log(J), 0, ps.terms_used)[1]
-        log_norm = ps.log_scale + math.log(ps.s0 + ps.t0)
-        parts[J] = (np.exp(0.5 * (g - log_norm)), float(ps.t0 / (ps.s0 + ps.t0)))
-    vectors = iter(_phased([parts[x.J][0] for x in nonzero], w.levels, [x.gamma for x in nonzero]))
-    out = []
-    for label in labels:
-        if label.J == 0:
-            c, tail_mass = np.ones(1, dtype=complex), 0.0
-        else:
-            c, tail_mass = next(vectors), parts[label.J][1]
-        out.append(StateCoefficients(c=c, tail_mass_bound=tail_mass, label=label, spectrum=s))
-    return out
+    """coefficients() of each label, bit for bit: the ``_amplitudes`` of their
+    J times the ``_phases`` of their gamma, each one array for all labels."""
+    amps, rows, tails = _amplitudes(s, w, [x.J for x in labels], tol)
+    c = _phase_rows(amps, rows, w.levels, [x.gamma for x in labels])
+    return [StateCoefficients(c=v, tail_mass_bound=m, label=x, spectrum=s)
+            for v, m, x in zip(rows.split(c), tails, labels)]
 
 
 def _phased(vectors: Sequence[np.ndarray], e: np.ndarray, xs: Sequence[float]) -> list[np.ndarray]:
-    """v_n exp(-i e_n x) for each v of vectors and its x of xs (a state: e the
-    levels, x = gamma; an evolution: e = omega levels, x = t), one
-    ``phase_factor`` call per run of at most _BLOCK / 2 amplitudes."""
-    if len(vectors) == 1:  # no run to lay out
-        return [vectors[0] * phase_factor(e[: len(vectors[0])] * xs[0])]
-    out = []
-    step = max(1, _BLOCK // 2 // max((len(v) for v in vectors), default=1))
-    for a in range(0, len(vectors), step):
-        args = [e[: len(v)] * x for v, x in zip(vectors[a : a + step], xs[a : a + step])]
-        phases = phase_factor(np.concatenate(args) if len(args) > 1 else args[0])
-        end = 0
-        for v in vectors[a : a + step]:
-            out.append(v * phases[end : end + len(v)])
-            end += len(v)
-    return out
+    """v_n exp(-i e_n x) for each v of vectors and its x of xs, as ``_phase_rows``."""
+    rows = _Rows([len(v) for v in vectors])
+    flat = vectors[0] if len(vectors) == 1 else np.concatenate(vectors)
+    return rows.split(_phase_rows(flat, rows, e, xs))
 
 
 def _zero_padded(*vectors) -> np.ndarray:

@@ -11,7 +11,6 @@ from .errors import CertificationError, CStatesError, TruncationError
 from .observables import (
     VariancePoint,
     _min_certified_terms,
-    energy_mean,
     moments_from_state,
     near_jstar_coefficient,
     small_j_slope,
@@ -20,7 +19,7 @@ from .observables import (
 from .resolution import Measure, gamma_averaged_projector, moment_check, unity_check
 from .spectrum import ZETA2, ZETA3, Spectrum
 from .state import StateLabel, _phased, _states, _zero_padded, coefficients, norm_deficit
-from .weights import DEFAULT_TAIL_TOL, WeightTable, _check_same_spectrum
+from .weights import DEFAULT_TAIL_TOL, WeightTable, _batch_sums, _check_same_spectrum
 from .weights import normalization, power_sums
 
 DEFAULT_SEED = 1234
@@ -60,6 +59,14 @@ def _probe_usable_j(w: WeightTable, start: float, tol: float, need_second: bool)
     return 0.0
 
 
+def _uniform(u: np.ndarray, *ranges: tuple[float, float]) -> list[list[float]]:
+    """Rows of draws u of U(0, 1) taken to the ranges, one range per column,
+    as ``Generator.uniform(low, high)`` takes each draw: low + (high - low) u.
+    Returns the columns."""
+    low, high = np.array(ranges, dtype=float).T
+    return (low + (high - low) * u).T.tolist()
+
+
 def run_suite(
     s: Spectrum,
     w: WeightTable,
@@ -97,8 +104,10 @@ def run_suite(
     j_mid = 0.5 * min(j_state, 1.0)
 
     def chk_action_identity():
-        grid = np.linspace(0.0, j_state, 20)
-        worst = max(abs(energy_mean(s, w, float(J)) / s.omega - J) for J in grid)
+        grid = np.linspace(0.0, j_state, 20).tolist()
+        # energy_mean's omega s1/s0 at each J, from one batched series
+        sums = _batch_sums(w, grid, DEFAULT_TAIL_TOL, 1)
+        worst = max(abs(s.omega * sums[J].s1 / sums[J].s0 / s.omega - J) for J in grid)
         assert worst <= 1e-8, f"max |mean/omega - J| = {worst:.3e} > 1e-8"
         return f"max |mean/omega - J| = {worst:.2e} over 20 points in [0, {j_state:.3g}]"
 
@@ -151,10 +160,12 @@ def run_suite(
 
     run("norm-deficit", chk_norm_deficit)
 
-    # the sampled checks draw each sample as they did one at a time, then batch them
+    # the sampled checks draw the numbers, in the order, that one uniform call
+    # per number drew, from one call to random per check (per psi where its
+    # normals come in between), then batch their series
     def chk_temporal_stability():
-        samples = [(StateLabel(float(rng.uniform(0.0, 0.9 * j_state)), float(rng.uniform(-10, 10))),
-                    float(rng.uniform(-20, 20))) for _ in range(100)]
+        Js, gammas, ts = _uniform(rng.random((100, 3)), (0.0, 0.9 * j_state), (-10, 10), (-20, 20))
+        samples = [(StateLabel(J, gamma), t) for J, gamma, t in zip(Js, gammas, ts)]
         worst = max(0.0, *_stability(s, w, samples, tol)[0])
         assert worst <= 1e-10, f"max residual {worst:.3e} > 1e-10"
         return f"max residual {worst:.2e} over 100 samples"
@@ -163,13 +174,17 @@ def run_suite(
 
     def chk_kinematics():
         width = min(40, w.n_max + 1)
-        psis, samples = [], []
+        normals, draws = [], []
         for _ in range(50):
-            psi = rng.normal(size=width) + 1j * rng.normal(size=width)
-            psis.append(psi / np.linalg.norm(psi))
-            label = StateLabel(float(rng.uniform(0.0, 0.8 * j_state)), float(rng.uniform(-5, 5)))
-            samples.append((label, float(rng.uniform(-10, 10))))
-        worst = max(0.0, *(abs(lhs - rhs) for lhs, rhs in _kinematics(s, w, psis, samples, tol)))
+            # a psi's real parts, then its imaginary parts; then its J, gamma and t
+            normals.append(rng.normal(size=2 * width))
+            draws.append(rng.random(3))
+        Js, gammas, ts = _uniform(np.array(draws), (0.0, 0.8 * j_state), (-5, 5), (-10, 10))
+        samples = [(StateLabel(J, gamma), t) for J, gamma, t in zip(Js, gammas, ts)]
+        z = np.array(normals)
+        psis = z[:, :width] + 1j * z[:, width:]
+        psis = psis / np.array([np.linalg.norm(psi) for psi in psis])[:, None]
+        worst = max(0.0, *(abs(lhs - rhs) for lhs, rhs in _kinematics(s, w, list(psis), samples, tol)))
         assert worst <= 1e-10, f"max |lhs - rhs| {worst:.3e} > 1e-10"
         return f"max |<l|psi,t> - <l(-t)|psi>| = {worst:.2e} over 50 samples"
 
@@ -331,10 +346,8 @@ def run_suite(
     def chk_continuity():
         steps = ((1e-5, 0.0), (-1e-5, 0.0), (0.0, 1e-5), (1e-6, 1e-6))
         labels = []
-        for _ in range(5):
-            label = StateLabel(float(rng.uniform(0.05 * j_state, 0.8 * j_state)),
-                               float(rng.uniform(-3, 3)))
-            labels += [label, *(StateLabel(label.J + dj, label.gamma + dg) for dj, dg in steps)]
+        for J, gamma in zip(*_uniform(rng.random((5, 2)), (0.05 * j_state, 0.8 * j_state), (-3, 3))):
+            labels += [StateLabel(J, gamma), *(StateLabel(J + dj, gamma + dg) for dj, dg in steps)]
         states = iter(_states(s, w, labels, tol))
         worst = 0.0
         for base in states:

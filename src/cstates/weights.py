@@ -27,8 +27,12 @@ may hold a relative tail as small as the best found, and reports the best.
 
 ``_batch_sums`` answers many labels at once, bit for bit as the kernel does
 one by one: one block body, ``_block``, sums a kernel block at one J and the
-short first blocks of many J as the rows of one array of at most _BLOCK
-floats; the kernel sums the J that do not cut there and raises refusals.
+first blocks of many J as the rows of one array of at most _BLOCK floats.
+The batch probes its J as one column, sums each row first over a prefix of
+32 to 128 entries, where most of ``verify``'s labels cut, and sums the whole
+first block only of the rows whose prefix does not hold the cut.  The scale
+stays the maximum of g over the kernel's whole first block.  The kernel sums
+the J that do not cut in their first block and raises refusals.
 """
 from __future__ import annotations
 
@@ -40,7 +44,6 @@ import numpy as np
 
 from .errors import (
     CertificationError,
-    CStatesError,
     LabelRangeError,
     SpectrumError,
     SpectrumMismatchError,
@@ -62,6 +65,9 @@ _BLOCK = 1 << 12
 # steps below 2x leave the probe room to misjudge the cut by a few terms and
 # still read at most twice the terms a sum of 128 to 2,048 terms uses
 _PROBE_ENDS = (256, 362, 512, 724, 1_024, 1_448, 2_048, 2_896)
+# prefixes of a first block that ``_batch_sums`` sums before the whole block:
+# verify's sampled labels cut after about 10 to 180 terms
+_PREFIX_ENDS = (32, 64, 128)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +214,7 @@ def _block_end(lo: int, stop: int) -> int:
     return min(lo + _BLOCK, stop)
 
 
-def _first_block_end(w: WeightTable, J: float, tol: float, absolute: bool) -> int:
+def _first_block_end(w: WeightTable, J, tol: float, absolute: bool):
     """End of the kernel's first scan block, sized to the sum before it is read.
 
     The first m of _PROBE_ENDS below ``_block_end(0, size)`` at which the
@@ -217,10 +223,22 @@ def _first_block_end(w: WeightTable, J: float, tol: float, absolute: bool) -> in
     0 = g_0, g_127 and the g_{m-1} probed so far, a lower bound on the log of
     the zeroth partial sum; it is dropped when ``absolute``.  If no m passes,
     the first block is a full one.  Only where blocks end depends on this.
+    J may be a column of J the kernel scans (never ``absolute``): its ends
+    come from one array test, and a J whose test lies within rounding of its
+    bound, since np.log and math.log may differ in the last ulp, is probed alone.
     """
     stop = _block_end(0, w.n_max + 1)
     if stop <= _PROBE_ENDS[0]:
         return stop
+    if isinstance(J, np.ndarray):
+        ends = np.array([m for m in _PROBE_ENDS if m < stop], dtype=int)
+        log_j = np.array([math.log(x) for x in J[:, 0].tolist()])[:, None]
+        top = np.maximum(127 * log_j - w.log_rho[127], 0.0)
+        passed, close = _probe_test(w, J, log_j, ends, top, tol)
+        out = _first_passed(passed, ends, stop)
+        for i in np.flatnonzero(close.any(axis=1)).tolist():
+            out[i] = _first_block_end(w, float(J[i, 0]), tol, False)
+        return out
     log_j, log_tol = math.log(J), math.log(tol)
     top = 0.0 if absolute else max(0.0, 127 * log_j - float(w.log_rho[127]))
     for m in _PROBE_ENDS:
@@ -233,6 +251,30 @@ def _first_block_end(w: WeightTable, J: float, tol: float, absolute: bool) -> in
         if J < e and g + log_j - math.log(e - J) <= log_tol + top:
             return m
     return stop
+
+
+def _probe_test(w: WeightTable, J: np.ndarray, log_j: np.ndarray, ends: np.ndarray,
+                top: np.ndarray | float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_first_block_end``'s test at each m of ends for each J of a column
+    (log_j its logs), top the running maximum of the g_{m-1} from ``top`` on:
+    where it passes, and where it lies within rounding of its bound."""
+    g = (ends - 1) * log_j - w.log_rho[ends - 1]
+    top = np.maximum.accumulate(np.maximum(g, top), axis=1)
+    e = w.levels[ends]
+    below = J < e
+    with np.errstate(divide="ignore", invalid="ignore"):  # no log where J >= e
+        log_gap = np.log(e - J)
+    lhs = g + log_j - log_gap
+    rhs = math.log(tol) + top
+    close = np.abs(lhs - rhs) <= 2.0**-50 * (np.abs(g) + np.abs(log_j) + np.abs(log_gap) + np.abs(rhs))
+    return below & (lhs <= rhs), below & close
+
+
+def _first_passed(passed: np.ndarray, ends: np.ndarray, default) -> np.ndarray:
+    """Per row of ``passed``, the first of ends where it holds, else default."""
+    if not ends.size:
+        return np.broadcast_to(default, len(passed))
+    return np.where(passed.any(axis=1), ends[passed.argmax(axis=1)], default)
 
 
 def _blocks(lo: int, stop: int) -> Iterator[tuple[int, int]]:
@@ -477,35 +519,70 @@ def _certified_sums(
     )
 
 
+def _batchable(w: WeightTable, Js, tol: float, order: int) -> list[float]:
+    """The float J > 0 of Js that ``_settled`` lets the kernel scan, ascending;
+    none if the tolerance, or a missing growth cap, refuses every J.  The
+    kernel sums, or refuses, the others."""
+    if not tol > 0:
+        return []
+    if order >= 2:
+        try:
+            _ratio_caps(w.spectrum, w.levels[:0], w.levels[:0])
+        except CertificationError:
+            return []
+    star = guard = math.inf  # an estimated or infinite radius checks finiteness only
+    if not (w.j_star_is_estimate or math.isinf(w.j_star)):
+        star, guard = w.j_star, w.j_star * (1.0 - EDGE_GUARD)
+    return sorted(J for J in Js if isinstance(J, float) and 0 < J < star and J <= guard)
+
+
+def _chunks(ends: np.ndarray, rows: np.ndarray, floats: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(end, indices) for the rows picked by the mask ``rows``, grouped by
+    their end, in chunks of at most _BLOCK floats at ``floats`` per entry."""
+    for end in sorted(set(ends[rows].tolist())):
+        picked = np.flatnonzero(rows & (ends == end))
+        step = max(1, _BLOCK // (floats * end))
+        for i in range(0, len(picked), step):
+            yield end, picked[i : i + step]
+
+
 def _batch_sums(w: WeightTable, Js, tol: float, order: int) -> dict[float, PowerSums]:
     """``_certified_sums(w, J, tol, order)`` at each distinct J of Js, bit for
-    bit, order 1 or 2: J whose first block the kernel would stack are the rows
-    of one ``_block`` per chunk of that width, J ascending; a cut there is past
-    the peak of g, so the block's maximum of g is the kernel's scale.  The
-    kernel sums the other J, or a single one, and raises the first refusal in
-    the order of Js."""
+    bit, order 1 or 2.  The J the kernel would scan are probed as one column,
+    and those whose first block it would stack are rows: each is summed over
+    a prefix of that block, the first of
+    _PREFIX_ENDS below its end at which ``_first_block_end``'s test passes,
+    and again over the whole block if the prefix does not hold the cut.
+    Rows of one width are summed as one ``_block`` per chunk, J ascending.
+    Running sums are sequential, so a prefix's are the block's, and a cut in
+    the block is past the peak of g, so the block's maximum of g, taken over
+    the whole block in chunks, is the kernel's scale.  The kernel sums the
+    other J, or a single one, and raises the first refusal in the order of Js."""
     distinct = dict.fromkeys(Js)
-    widths: dict[int, list] = {}
     # a single distinct J goes straight to the kernel
-    for J in distinct if len(distinct) > 1 else ():
-        try:
-            if _settled(w, J, tol, order) is not None:
-                continue
-        except (CStatesError, ValueError):
-            continue  # the kernel call below raises it
-        first = _first_block_end(w, J, tol, False)
-        if (order + 1) * first <= _BLOCK:
-            widths.setdefault(first, []).append(J)
-    for width, group in widths.items():
-        group.sort()
-        step = _BLOCK // ((order + 1) * width)
-        for chunk in (group[i : i + step] for i in range(0, len(group), step)):
-            # log J by math.log, as the kernel takes it: np.log can differ in the last ulp
-            n, g = _log_terms(w, np.array([math.log(x) for x in chunk])[:, None], 0, width)
-            scale = np.maximum.reduce(g, axis=1, keepdims=True)
-            column = np.array(chunk, dtype=float)[:, None]
-            found = _block(w, column, 0, width, n, g, scale, None, None, None, tol, order, False)[0]
-            distinct.update(zip(chunk, found or ()))
+    keys = _batchable(w, distinct, tol, order) if len(distinct) > 1 else []
+    if keys:
+        J = np.array(keys)[:, None]
+        # log J by math.log, as the kernel takes it: np.log can differ in the last ulp
+        log_j = np.array([math.log(x) for x in keys])[:, None]
+        first = np.broadcast_to(_first_block_end(w, J, tol, False), len(keys))
+        rows = (order + 1) * first <= _BLOCK
+        scale = np.empty_like(log_j)
+        for end, chunk in _chunks(first, rows, 1):
+            g = _log_terms(w, log_j[chunk], 0, end)[1]
+            scale[chunk] = np.maximum.reduce(g, axis=1, keepdims=True)
+        ends = np.array([m for m in _PREFIX_ENDS if m <= w.n_max], dtype=int)
+        passed = _probe_test(w, J, log_j, ends, 0.0, tol)[0] & (ends < first[:, None])
+        prefix = _first_passed(passed, ends, first)
+        # prefixes first, then the whole first blocks of the rows they did not answer
+        for widths, todo in ((prefix, rows & (prefix < first)), (first, None)):
+            if todo is None:
+                todo = rows & np.array([distinct[x] is None for x in keys])
+            for end, chunk in _chunks(widths, todo, order + 1):
+                n, g = _log_terms(w, log_j[chunk], 0, end)
+                found = _block(w, J[chunk], 0, end, n, g, scale[chunk], None, None, None,
+                               tol, order, False)[0]
+                distinct.update(zip([keys[i] for i in chunk.tolist()], found or ()))
     # the kernel, through its public name that a tracer wraps, sums the rest
     return {J: ps or power_sums(w, J, rel_tol=tol, need_second=order > 1)
             for J, ps in distinct.items()}

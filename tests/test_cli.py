@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -647,10 +648,15 @@ def test_missing_spectrum_source(capsys):
 
 
 def test_verify_failed_assertion_is_a_fail_row(capsys, monkeypatch):
-    # a check that fails by its own assertion reports that assertion's message
+    # a check that fails by its own assertion reports that assertion's message:
+    # action-identity reads omega s1/s0 from one batched series, here with s1/s0 = J + 1
     import cstates.verify as verify_mod
+    from cstates.weights import PowerSums
 
-    monkeypatch.setattr(verify_mod, "energy_mean", lambda s, w, J, **kw: s.omega * (J + 1.0))
+    def shifted(w, Js, tol, order):
+        return {J: PowerSums(J, 1, 0.0, 1.0, J + 1.0, math.nan, 0.0, 0.0, math.nan) for J in Js}
+
+    monkeypatch.setattr(verify_mod, "_batch_sums", shifted)
     code, out, err = run(capsys, ["verify", "--model", "harmonic", "--format", "json"])
     assert code == 3
     detail = "max |mean/omega - J| = 1.000e+00 > 1e-8"

@@ -17,10 +17,13 @@ from cstates import (
     energy_mean,
     from_levels,
     from_rule,
+    load_measure,
     make_builtin,
+    moment_check,
     moments_from_state,
     near_jstar_coefficient,
     near_jstar_exponent,
+    normalization,
     power_gap_spectrum,
     power_sums,
     small_j_slope,
@@ -367,6 +370,40 @@ def test_near_jstar_exponent_tau2_matches_closed_form():
     assert got == pytest.approx(ref_slope, abs=1e-6)
     # the measured decay rate: exponent 2 with a log correction, fitted ~1.71
     assert 1.6 <= got <= 1.8
+
+
+@pytest.fixture(scope="module")
+def w_power_gap_one():
+    # power_gap(1), the SU(1,1) states with Bargmann index k = 1: e_n = n/(n+1),
+    # rho_n = 1/(n+1); J = 0.9999 needs about 500,000 terms
+    s = power_gap_spectrum(1.0)
+    return s, compute_weights(s, 1_200_000)
+
+
+POWER_GAP_ONE_GRID = [0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 0.9999]
+
+
+@pytest.mark.parametrize("J", POWER_GAP_ONE_GRID)
+def test_power_gap_one_normalization_is_one_over_one_minus_j_squared(w_power_gap_one, J):
+    s, w = w_power_gap_one
+    assert abs(normalization(w, s, J).value * (1.0 - J) ** 2 - 1.0) <= 5e-13
+
+
+@pytest.mark.parametrize("J", POWER_GAP_ONE_GRID)
+def test_power_gap_one_variance_closed_form(w_power_gap_one, J):
+    # v = omega^2 (1-J)^2 (-ln(1-J)/J - 1) within the certified tail; the
+    # 1e-12 relative covers rounding, which the tail bound does not
+    s, w = w_power_gap_one
+    vp = variance(s, w, J)
+    exact = s.omega**2 * (1.0 - J) ** 2 * (-math.log1p(-J) / J - 1.0)
+    assert abs(vp.variance - exact) <= max(vp.tail_bound, 1e-12 * exact)
+
+
+def test_power_gap_one_measure_is_uniform_on_the_unit_interval(w_power_gap_one):
+    # int_0^1 u^n du = 1/(n+1) = rho_n
+    _, w = w_power_gap_one
+    measure = load_measure({"U": 1, "density": {"kind": "constant", "value": 1}})
+    assert moment_check(measure, w, 30) <= 1e-12
 
 
 def test_near_jstar_exponent_tau_half_measured():

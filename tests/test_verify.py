@@ -11,6 +11,7 @@ from cstates import (
     SpectrumMismatchError,
     builtin_measure,
     compute_weights,
+    dynamics,
     from_levels,
     make_builtin,
     weights,
@@ -122,6 +123,38 @@ def test_run_suite_refused_series_calls_capped(series_calls):
     assert [r.name for r in results if r.status == "fail"] == []
     assert {r.name: r.status for r in results}["small-j-slope"] == "skipped"
     assert len([J for _, J, ok in series_calls if not ok]) <= 30
+
+
+def drifting_labels(labels, ts, omega, evolved=dynamics._evolved_gammas):
+    """An evolution defect: the evolved labels' gamma + omega t (1 + 1e-6),
+    which puts a phase e_n omega t 1e-6 on level n of the evolved state."""
+    return evolved(labels, [t * (1.0 + 1e-6) for t in ts], omega)
+
+
+def backward_psis(vectors, e, xs, phased=dynamics._phased):
+    """A psi-evolution defect: each psi evolved with t of the wrong sign."""
+    return phased(vectors, e, [-x for x in xs])
+
+
+@pytest.mark.parametrize("model", ["harmonic", "hydrogen_like"])
+@pytest.mark.parametrize("name, defect, failing", [
+    ("clean", None, []),
+    ("_evolved_gammas", drifting_labels, ["temporal-stability", "dynamics-as-kinematics"]),
+    ("_phased", backward_psis, ["dynamics-as-kinematics"]),
+], ids=["clean", "evolved-label-drift", "psi-evolved-backward"])
+def test_evolution_rows_fail_under_evolution_defects(monkeypatch, model, name, defect, failing):
+    # temporal-stability and dynamics-as-kinematics build their states as
+    # amplitude rows times phases; each fails when the evolution it checks is wrong
+    if defect:
+        monkeypatch.setattr(dynamics, name, defect)
+    s = make_builtin(model)
+    results = run_suite(s, compute_weights(s), builtin_measure(model))
+    assert [r.name for r in results if r.status == "fail"] == failing
+    details = {r.name: r.detail for r in results}
+    if "temporal-stability" in failing:
+        assert details["temporal-stability"].startswith("max residual ")
+    if failing:
+        assert details["dynamics-as-kinematics"].startswith("max |lhs - rhs| ")
 
 
 def test_run_suite_refuses_another_spectrums_table(series_calls):

@@ -676,6 +676,8 @@ def test_batch_matches_kernel_and_whole_table(monkeypatch, schedule, s, n_max, g
         size, end = w.n_max + 1, schedule[2]
 
         def probe(w, J, tol, absolute):
+            if np.ndim(J):  # the batch probes its rows as one column
+                return np.array([probe(w, x, tol, absolute) for x in J[:, 0].tolist()])
             cut = cuts[J]
             return max(1, min({"table": size, "cut": cut, "cut-1": cut - 1}.get(end, end), size))
 
@@ -730,6 +732,83 @@ def test_batch_rows_reach_the_table_end(count, declared):
             assert any(ps.terms_used == count for ps in got.values()), (order, tol)
             assert "TruncationError" in refused
             assert set(refused) <= {"TruncationError", "LabelRangeError"}
+
+
+PREFIX_CASES = [(order, tol) for order in (1, 2) for tol in (1e-12, 1e-26)]
+
+
+def spy_rows(monkeypatch):
+    """(end, J, answered) for every row of every batched ``_block`` call."""
+    rows, block = [], weights._block
+
+    def spy(w, J, lo, hi, n, g, *args):
+        out = block(w, J, lo, hi, n, g, *args)
+        if g.ndim > 1:
+            found = out[0] or [None] * len(J)
+            rows.extend((hi, x, ps is not None) for x, ps in zip(J[:, 0].tolist(), found))
+        return out
+
+    monkeypatch.setattr(weights, "_block", spy)
+    return rows
+
+
+@pytest.mark.parametrize("model, Js", [
+    # near 0.40 (tol 1e-12) and 0.14 (tol 1e-26) the zeroth moment certifies
+    # inside a prefix and a higher moment only past it
+    ("hydrogen_like", [*np.linspace(0.13, 0.15, 12), *np.linspace(0.40, 0.41, 12)]),
+    ("harmonic", np.linspace(1.8, 2.0, 12)),
+])
+def test_batch_rows_that_cut_past_their_prefix(monkeypatch, model, Js):
+    # such a row is summed again over its whole first block, in the batch
+    w = compute_weights(make_builtin(model), 3_000)
+    rows = spy_rows(monkeypatch)
+    Js = [float(J) for J in Js]
+    for order, tol in PREFIX_CASES:
+        assert set(assert_batch_matches_kernel(w, Js, tol, order)) == set(Js), (order, tol)
+    missed = {J for end, J, ok in rows if end in weights._PREFIX_ENDS and not ok}
+    assert missed
+    assert missed <= {J for end, J, ok in rows if end not in weights._PREFIX_ENDS and ok}
+
+
+# e_1 = 0.5 below 1, then steep levels: at J = e_1, g_0 = -0.0 and g_1 = 0.0
+# tie, and numpy's maximum of the first 8 entries is 0.0, of 16 or more -0.0
+STEEP = [0.0, 0.5] + [100.0 * k for k in range(1, 299)]
+
+
+def test_batch_rows_on_a_flat_top(monkeypatch, hydrogen, harmonic):
+    # J at a level and one ulp above it: g_{k-1} and g_k tie up to rounding,
+    # and the scale is still the maximum over the whole first block; an
+    # 8-entry prefix on STEEP, cut at 7 terms, would take the other zero
+    rows = spy_rows(monkeypatch)
+    monkeypatch.setattr(weights, "_PREFIX_ENDS", (8, *weights._PREFIX_ENDS))
+    steep = from_levels("steep", 1.0, STEEP, e_star=STEEP[-1] + 100.0)
+    for w, levels in ((compute_weights(harmonic, 3_000), range(1, 40)),
+                      (compute_weights(hydrogen, 3_000), (0.75, 8 / 9, 0.9375)),
+                      (compute_weights(steep, 299), (0.5, 100.0, 200.0))):
+        Js = [x for level in levels for x in (float(level), float(np.nextafter(level, np.inf)))]
+        for order, tol in PREFIX_CASES:
+            assert_batch_matches_kernel(w, Js, tol, order)
+    assert (8, 0.5, True) in rows
+    assert any(end in (32, 64, 128) and ok for end, _, ok in rows)
+
+
+@pytest.mark.parametrize("count", [33, 44, 65, 104])
+@pytest.mark.parametrize("declared", [False, True], ids=["estimated", "e_star"])
+def test_batch_prefix_rows_reach_the_table_end(monkeypatch, count, declared):
+    # test_batch_rows_reach_the_table_end's lists, and lists whose last level
+    # closes a prefix of 32 or 64 entries
+    levels = [0.0] + np.cumsum(np.linspace(0.5, 1.5, count - 1)).tolist()
+    s = from_levels("list", 1.0, levels, e_star=levels[-1] + 2.0 if declared else None)
+    w = compute_weights(s, count - 1)
+    rows = spy_rows(monkeypatch)
+    Js = (np.linspace(0.0, 1.0, 161)[1:] * levels[-1] * 1.02).tolist()
+    for order, tol in PREFIX_CASES:
+        assert_batch_matches_kernel(w, Js, tol, order)
+    ends = {end for end, _, ok in rows if end in weights._PREFIX_ENDS and ok}
+    if count in (33, 65):
+        assert w.n_max in ends
+    else:
+        assert ends
 
 
 def test_states_raise_the_first_refused_labels_error(hydrogen):
