@@ -214,7 +214,7 @@ def _block_end(lo: int, stop: int) -> int:
     return min(lo + _BLOCK, stop)
 
 
-def _first_block_end(w: WeightTable, J, tol: float, absolute: bool):
+def _first_block_end(w: WeightTable, J, tol: float, absolute: bool) -> int | np.ndarray:
     """End of the kernel's first scan block, sized to the sum before it is read.
 
     The first m of _PROBE_ENDS below ``_block_end(0, size)`` at which the
