@@ -79,16 +79,13 @@ def _stability(
     evolved label share one amplitude row; the two differ in their phases."""
     labels, ts = [l for l, _ in samples], [t for _, t in samples]
     after = _evolved_gammas(labels, ts, s.omega)
-    alone = len(samples) == 1
-    residuals, starts = [], []
-    for at, amps, rows, tails in _amplitudes(s, w, [l.J for l in labels], tol):
-        c = _phase_rows(amps, rows, w.levels, [l.gamma for l in labels[at]], alone)
-        moved = _phase_rows(c, rows, s.omega * w.levels[: max(rows.lengths)], ts[at], alone)
-        moved -= _phase_rows(amps, rows, w.levels, after[at], alone)
-        residuals += [float(np.linalg.norm(d)) for d in rows.split(moved)]
-        starts += [StateCoefficients(c=v, tail_mass_bound=m, label=l, spectrum=s)
-                   for v, m, l in zip(rows.split(c), tails, labels[at])]
-    return residuals, starts
+    amps, rows, tails = _amplitudes(s, w, [l.J for l in labels], tol)
+    c = _phase_rows(amps, rows, w.levels, [l.gamma for l in labels])
+    moved = _phase_rows(c, rows, s.omega * w.levels[: max(rows.lengths, default=0)], ts)
+    moved -= _phase_rows(amps, rows, w.levels, after)
+    return ([float(np.linalg.norm(d)) for d in rows.split(moved)],
+            [StateCoefficients(c=v, tail_mass_bound=m, label=l, spectrum=s)
+             for v, m, l in zip(rows.split(c), tails, labels)])
 
 
 def kinematic_representation_check(
@@ -114,16 +111,11 @@ def _kinematics(
     of samples: the bras at l and l(-t) share one amplitude row."""
     labels, ts = [l for l, _ in samples], [t for _, t in samples]
     back = _evolved_gammas(labels, [-t for t in ts], s.omega)
-    runs = _amplitudes(s, w, [l.J for l in labels], tol)
+    amps, rows, _ = _amplitudes(s, w, [l.J for l in labels], tol)
+    bras = rows.split(_phase_rows(amps, rows, w.levels, [l.gamma for l in labels]))
+    backs = rows.split(_phase_rows(amps, rows, w.levels, back))
     width = max(len(psi) for psi in psis)
     e = s.omega * (w.levels[:width] if width <= len(w.levels) else s.e_array(width - 1))
-    moved = _phased(psis, e, ts)
-    alone = len(samples) == 1
-    out = []
-    for at, amps, rows, _ in runs:
-        bras = rows.split(_phase_rows(amps, rows, w.levels, [l.gamma for l in labels[at]], alone))
-        backs = rows.split(_phase_rows(amps, rows, w.levels, back[at], alone))
-        # a bra and its back share a length, as psi_t and psi do: one padding for four
-        out += [(complex(np.vdot(p[0], p[1])), complex(np.vdot(p[2], p[3])))
-                for p in map(_zero_padded, bras, moved[at], backs, psis[at])]
-    return out
+    # a bra and its back share a length, as psi_t and psi do: one padding for four
+    return [(complex(np.vdot(p[0], p[1])), complex(np.vdot(p[2], p[3])))
+            for p in map(_zero_padded, bras, _phased(psis, e, ts), backs, psis)]

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +10,7 @@ import numpy as np
 from .errors import LabelRangeError
 from .phase import phase_factor
 from .spectrum import Spectrum
-from .weights import _BLOCK, DEFAULT_TAIL_TOL, WeightTable, _batch_sums, _check_same_spectrum, power_sums
+from .weights import DEFAULT_TAIL_TOL, WeightTable, _batch_sums, _check_same_spectrum, power_sums
 
 
 @dataclass(frozen=True)
@@ -89,32 +89,15 @@ class _Rows:
         return [flat[a:b] for a, b in zip(self.bounds, self.bounds[1:])]
 
 
-def _runs(lengths: Sequence[int]) -> Iterator[slice]:
-    """Slices of consecutive rows that hold at most _BLOCK // 2 entries
-    together (a longer row alone), so that no complex temporary of a run is
-    larger than 32 KiB, as in the series scans."""
-    start = total = 0
-    for i, length in enumerate(lengths):
-        if i > start and total + length > _BLOCK // 2:
-            yield slice(start, i)
-            start, total = i, 0
-        total += length
-    if lengths:
-        yield slice(start, len(lengths))
-
-
 def _amplitudes(
     s: Spectrum, w: WeightTable, Js: Sequence[float], tol: float
-) -> Iterator[tuple[slice, np.ndarray, _Rows, list[float]]]:
+) -> tuple[np.ndarray, _Rows, list[float]]:
     """|c_n| = exp((g_n - log N(J))/2) of the state at each J of Js, as rows
-    end to end, and their tail masses, run by run (``_runs``): (the run's
-    slice of Js, its rows of |c_n|, their layout, their tail masses).  The
-    series of the distinct nonzero J come first, from one
-    ``weights._batch_sums``, which raises the first refused J's error; a
-    single J calls the kernel without the batch's grouping.  The runs follow
-    as they are read.  J = 0 is the one entry 1.  Truncation, |c_n| and tail
-    mass depend on J alone, and each entry is formed as the state of its J
-    alone forms it, bit for bit."""
+    end to end, and their tail masses.  The series of the distinct nonzero J
+    come from ``weights._batch_sums``, which raises the first refused J's
+    error; a single J calls the kernel without the batch's grouping.  J = 0
+    is the one entry 1.  Truncation, |c_n| and tail mass depend on J alone,
+    and each entry is formed as the state of its J alone forms it, bit for bit."""
     _check_same_spectrum(w, s)
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -127,15 +110,10 @@ def _amplitudes(
     parts = {J: (ps.terms_used, math.log(J), ps.log_scale + math.log(ps.s0 + ps.t0),
                  float(ps.t0 / (ps.s0 + ps.t0))) for J, ps in sums.items()}
     per = [parts[J] if J != 0 else (1, 0.0, 0.0, 0.0) for J in Js]
-    return (_amplitude_run(w, at, per[at]) for at in _runs([p[0] for p in per]))
-
-
-def _amplitude_run(w: WeightTable, at: slice, per: list[tuple]) -> tuple[slice, np.ndarray, _Rows, list[float]]:
-    """One run of ``_amplitudes`` from its rows' (terms, log J, log N(J), tail mass)."""
-    lengths, log_j, log_norm, tails = zip(*per)
+    lengths, log_j, log_norm, tails = zip(*per) if per else ((),) * 4
     rows = _Rows(lengths)
     g = rows.n * rows.spread(log_j) - w.log_rho[rows.n]
-    return at, np.exp(0.5 * (g - rows.spread(log_norm))), rows, list(tails)
+    return np.exp(0.5 * (g - rows.spread(log_norm))), rows, list(tails)
 
 
 def _phases(e: np.ndarray, rows: _Rows, xs: Sequence[float]) -> np.ndarray:
@@ -145,14 +123,13 @@ def _phases(e: np.ndarray, rows: _Rows, xs: Sequence[float]) -> np.ndarray:
     return phase_factor(e[rows.n] * rows.spread(xs))
 
 
-def _phase_rows(flat: np.ndarray, rows: _Rows, e: np.ndarray, xs: Sequence[float],
-                alone: bool) -> np.ndarray:
+def _phase_rows(flat: np.ndarray, rows: _Rows, e: np.ndarray, xs: Sequence[float]) -> np.ndarray:
     """flat times ``_phases(e, rows, xs)``.  numpy computes a product with a
     large temporary operand in place, and a complex product in place can
-    differ in the last bit from one into a new array: the one vector of a
-    call (``alone``) is multiplied as a one-vector call always was, and the
-    rows of a call of several into a new array, as each was one by one."""
-    if alone:
+    differ in the last bit from one into a new array: a single row is
+    multiplied as a one-vector call always was, and several rows into a new
+    array, as each was one by one."""
+    if len(rows.lengths) == 1:
         return flat * _phases(e, rows, xs)
     return np.multiply(flat, _phases(e, rows, xs))
 
@@ -164,23 +141,18 @@ def _states(
     tol: float,
 ) -> list[StateCoefficients]:
     """coefficients() of each label, bit for bit: the ``_amplitudes`` of their
-    J times the ``_phases`` of their gamma, one array per run of labels."""
-    out = []
-    for at, amps, rows, tails in _amplitudes(s, w, [x.J for x in labels], tol):
-        c = _phase_rows(amps, rows, w.levels, [x.gamma for x in labels[at]], len(labels) == 1)
-        out += [StateCoefficients(c=v, tail_mass_bound=m, label=x, spectrum=s)
-                for v, m, x in zip(rows.split(c), tails, labels[at])]
-    return out
+    J times the ``_phases`` of their gamma, each one array for all labels."""
+    amps, rows, tails = _amplitudes(s, w, [x.J for x in labels], tol)
+    c = _phase_rows(amps, rows, w.levels, [x.gamma for x in labels])
+    return [StateCoefficients(c=v, tail_mass_bound=m, label=x, spectrum=s)
+            for v, m, x in zip(rows.split(c), tails, labels)]
 
 
 def _phased(vectors: Sequence[np.ndarray], e: np.ndarray, xs: Sequence[float]) -> list[np.ndarray]:
     """v_n exp(-i e_n x) for each v of vectors and its x of xs, as ``_phase_rows``."""
-    out = []
-    for at in _runs([len(v) for v in vectors]):
-        rows = _Rows([len(v) for v in vectors[at]])
-        flat = vectors[at][0] if len(rows.lengths) == 1 else np.concatenate(vectors[at])
-        out += rows.split(_phase_rows(flat, rows, e, xs[at], len(vectors) == 1))
-    return out
+    rows = _Rows([len(v) for v in vectors])
+    flat = vectors[0] if len(vectors) == 1 else np.concatenate(vectors)
+    return rows.split(_phase_rows(flat, rows, e, xs))
 
 
 def _zero_padded(*vectors) -> np.ndarray:

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from cstates import (
 from cstates import phase
 from cstates.dynamics import _kinematics, _stability
 from cstates.phase import phase_factor, reduce_angles
-from cstates.state import _phased, _runs, _zero_padded
+from cstates.state import _phased, _zero_padded
 
 
 def test_evolve_label_examples():
@@ -190,29 +189,6 @@ def test_batched_stability_and_kinematics_match_one_by_one(s):
         assert repr(residual) == repr(float(np.linalg.norm(moved_a - b.c)))
         assert pair == (complex(np.vdot(*_zero_padded(a.c, moved_psi))),
                         complex(np.vdot(*_zero_padded(back.c, psi))))
-
-
-def test_runs_hold_at_most_2048_amplitudes():
-    # a longer row is a run of its own; the rest fill runs up to 2,048 entries
-    assert list(_runs([3_000, 10, 10, 2_040, 5])) == [slice(0, 1), slice(1, 3), slice(3, 5)]
-    assert list(_runs([2_048, 1])) == [slice(0, 1), slice(1, 2)]
-    assert list(_runs([])) == []
-
-
-def test_batched_stability_memory_does_not_grow_with_the_samples(hydrogen, w_hydrogen):
-    # 100 hydrogen samples hold about 5,400 amplitudes: built as one array of
-    # each kind they peaked at 500 KiB, in runs of 2,048 amplitudes at 252 KiB
-    rng = np.random.default_rng(1234)
-    samples = [(StateLabel(float(J), float(g)), float(t)) for J, g, t in
-               zip(rng.uniform(0, 0.855, 100), rng.uniform(-10, 10, 100), rng.uniform(-20, 20, 100))]
-    _stability(hydrogen, w_hydrogen, samples, 1e-12)
-    tracemalloc.start()
-    try:
-        _stability(hydrogen, w_hydrogen, samples, 1e-12)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 320 * 1024
 
 
 def test_reduce_angles_against_mpmath():
