@@ -208,12 +208,12 @@ def cmd_variance(args) -> int:
 def cmd_evolve(args) -> int:
     s, w = _spectrum_and_table(args)
     label = StateLabel(args.J, args.gamma)
-    (residual,), (state,) = _stability(s, w, [(label, args.t)], args.tol)
-    bound = 2.0 * 2.0 * math.sqrt(state.tail_mass_bound) if state.tail_mass_bound else 0.0
+    (residual,), c, (tail_mass,) = _stability(s, w, [(label, args.t)], args.tol)
+    bound = 2.0 * 2.0 * math.sqrt(tail_mass) if tail_mass else 0.0
     # rounding the phase arguments e_n gamma, omega e_n t and e_n (gamma + omega t)
     # moves component n by at most UNIT_ROUNDOFF (3|gamma| + 5|omega t|) e_n radians
-    e = w.levels[: len(state.c)]
-    spread = math.sqrt(float(np.sum(e * e * np.abs(state.c) ** 2)))
+    e = w.levels[: len(c)]
+    spread = math.sqrt(float(np.sum(e * e * np.abs(c) ** 2)))
     bound += UNIT_ROUNDOFF * (3.0 * abs(args.gamma) + 5.0 * abs(s.omega * args.t)) * spread
     rows = [[args.J, args.gamma, args.t, residual, bound]]
     _emit_table(["J", "gamma", "t", "residual", "bound"], rows, args)

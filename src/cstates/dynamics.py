@@ -12,7 +12,7 @@ from .errors import LabelRangeError
 from .phase import phase_factor
 from .spectrum import Spectrum
 from .state import StateCoefficients, StateLabel, _amplitudes, _phase_rows, _phased, _zero_padded
-from .weights import DEFAULT_TAIL_TOL, WeightTable, _check_same_spectrum
+from .weights import DEFAULT_TAIL_TOL, WeightTable, _check_same_spectrum, _SumColumns
 from dataclasses import dataclass
 
 
@@ -72,20 +72,21 @@ def _evolved_gammas(labels: list[StateLabel], ts: list[float], omega: float) -> 
 
 
 def _stability(
-    s: Spectrum, w: WeightTable, samples: list[tuple[StateLabel, float]], tol: float
-) -> tuple[list[float], list[StateCoefficients]]:
+    s: Spectrum, w: WeightTable, samples: list[tuple[StateLabel, float]], tol: float,
+    sums: _SumColumns | None = None,
+) -> tuple[list[float], np.ndarray, list[float]]:
     """The temporal-stability residual at each (l, t) of samples, and the
-    states at the l they evolved.  Evolution keeps J, so each start and its
+    amplitudes of the states at the l they evolved, end to end (for one
+    sample, its state's c), with their tail masses; the series come from the
+    columns ``sums`` if given.  Evolution keeps J, so each start and its
     evolved label share one amplitude row; the two differ in their phases."""
     labels, ts = [l for l, _ in samples], [t for _, t in samples]
     after = _evolved_gammas(labels, ts, s.omega)
-    amps, rows, tails = _amplitudes(s, w, [l.J for l in labels], tol)
+    amps, rows, tails = _amplitudes(s, w, [l.J for l in labels], tol, sums)
     c = _phase_rows(amps, rows, w.levels, [l.gamma for l in labels])
     moved = _phase_rows(c, rows, s.omega * w.levels[: max(rows.lengths, default=0)], ts)
     moved -= _phase_rows(amps, rows, w.levels, after)
-    return ([float(np.linalg.norm(d)) for d in rows.split(moved)],
-            [StateCoefficients(c=v, tail_mass_bound=m, label=l, spectrum=s)
-             for v, m, l in zip(rows.split(c), tails, labels)])
+    return [float(np.linalg.norm(d)) for d in rows.split(moved)], c, tails
 
 
 def kinematic_representation_check(
@@ -105,13 +106,14 @@ def kinematic_representation_check(
 
 def _kinematics(
     s: Spectrum, w: WeightTable, psis: list[np.ndarray],
-    samples: list[tuple[StateLabel, float]], tol: float,
+    samples: list[tuple[StateLabel, float]], tol: float, sums: _SumColumns | None = None,
 ) -> list[tuple[complex, complex]]:
     """kinematic_representation_check for each psi of psis with its (l, t)
-    of samples: the bras at l and l(-t) share one amplitude row."""
+    of samples, the series from the columns ``sums`` if given: the bras at l
+    and l(-t) share one amplitude row."""
     labels, ts = [l for l, _ in samples], [t for _, t in samples]
     back = _evolved_gammas(labels, [-t for t in ts], s.omega)
-    amps, rows, _ = _amplitudes(s, w, [l.J for l in labels], tol)
+    amps, rows, _ = _amplitudes(s, w, [l.J for l in labels], tol, sums)
     bras = rows.split(_phase_rows(amps, rows, w.levels, [l.gamma for l in labels]))
     backs = rows.split(_phase_rows(amps, rows, w.levels, back))
     width = max(len(psi) for psi in psis)

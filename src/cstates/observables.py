@@ -287,15 +287,6 @@ def near_jstar_exponent(
     bounds, else on one table a block past the largest of them, capped there.
     A point that table cannot certify, when it is shorter than n_cap, is
     retried on one n_cap table, built once, and every later point runs there.
-    """
-    return _near_jstar_fit(s, w, fit_window, n_cap)[0]
-
-
-def _near_jstar_fit(s: Spectrum, w: WeightTable, fit_window: Sequence[float] | None = None,
-                    n_cap: int = DEFAULT_FIT_CAP) -> tuple[float, list[VariancePoint], WeightTable]:
-    """``near_jstar_exponent``'s slope, the window points it was fitted to and
-    the table it ended on: the sized table, or the n_cap table once built.
-
     A sum reads only the entries up to its cut, and a longer table begins with
     a shorter one's entries bit for bit, so any table holding a cut gives one
     value: a point certified on the sized table is the same on the n_cap table.
@@ -324,7 +315,7 @@ def _near_jstar_fit(s: Spectrum, w: WeightTable, fit_window: Sequence[float] | N
             f"only {len(points)} of {len(window)} window points were feasible within "
             f"{top} terms; supply a window farther from J*"
         )
-    return _fit_loglog(*np.array([(p.J, p.variance) for p in points]).T)[0], points, table
+    return _fit_loglog(*np.array([(p.J, p.variance) for p in points]).T)[0]
 
 
 class JstarCoefficient(NamedTuple):

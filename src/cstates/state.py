@@ -10,7 +10,8 @@ import numpy as np
 from .errors import LabelRangeError
 from .phase import phase_factor
 from .spectrum import Spectrum
-from .weights import DEFAULT_TAIL_TOL, WeightTable, _batch_sums, _check_same_spectrum, power_sums
+from .weights import DEFAULT_TAIL_TOL, WeightTable, _batch_sums, _check_same_spectrum, _SumColumns
+from .weights import power_sums
 
 
 @dataclass(frozen=True)
@@ -90,30 +91,33 @@ class _Rows:
 
 
 def _amplitudes(
-    s: Spectrum, w: WeightTable, Js: Sequence[float], tol: float
+    s: Spectrum, w: WeightTable, Js: Sequence[float], tol: float, sums: _SumColumns | None = None
 ) -> tuple[np.ndarray, _Rows, list[float]]:
     """|c_n| = exp((g_n - log N(J))/2) of the state at each J of Js, as rows
-    end to end, and their tail masses.  The series of the distinct nonzero J
-    come from ``weights._batch_sums``, which raises the first refused J's
-    error; a single J calls the kernel without the batch's grouping.  J = 0
-    is the one entry 1.  Truncation, |c_n| and tail mass depend on J alone,
-    and each entry is formed as the state of its J alone forms it, bit for bit."""
+    end to end, and their tail masses.  The series of the nonzero J are the
+    columns ``sums`` holds, or else those of one ``weights._batch_sums``
+    call, which raises the first refused J's error; a single J calls the
+    kernel without the batch's grouping.  J = 0 is the one entry 1.
+    Truncation, |c_n| and tail mass depend on J alone, and each entry is
+    formed as the state of its J alone forms it, bit for bit: log J and
+    log(s0 + t0) by ``math.log`` per J, the rest elementwise."""
     _check_same_spectrum(w, s)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    nonzero = [J for J in Js if J != 0]
-    if len(nonzero) > 1:
-        sums = _batch_sums(w, nonzero, tol, 1)
-    else:
-        sums = {J: power_sums(w, J, rel_tol=tol) for J in nonzero}
-    # (terms, log J, log N(J), tail mass) per distinct J
-    parts = {J: (ps.terms_used, math.log(J), ps.log_scale + math.log(ps.s0 + ps.t0),
-                 float(ps.t0 / (ps.s0 + ps.t0))) for J, ps in sums.items()}
-    per = [parts[J] if J != 0 else (1, 0.0, 0.0, 0.0) for J in Js]
-    lengths, log_j, log_norm, tails = zip(*per) if per else ((),) * 4
-    rows = _Rows(lengths)
-    g = rows.n * rows.spread(log_j) - w.log_rho[rows.n]
-    return np.exp(0.5 * (g - rows.spread(log_norm))), rows, list(tails)
+    at = {J: k for k, J in enumerate(dict.fromkeys(J for J in Js if J != 0))}
+    if sums is None:
+        sums = _batch_sums(w, at, tol, 1)
+    # terms, log J, log N(J) and tail mass per distinct nonzero J, then J = 0's
+    i = [sums.at[J] for J in at]
+    norm = sums.s[0, i] + sums.t[0, i]
+    terms = np.append(sums.terms_used[i], 1)
+    log_j = np.array([math.log(J) for J in at] + [0.0])
+    log_norm = np.append(sums.log_scale[i] + np.array([math.log(x) for x in norm.tolist()]), 0.0)
+    tails = np.append(sums.t[0, i] / norm, 0.0)
+    pick = [at[J] if J != 0 else len(at) for J in Js]
+    rows = _Rows(terms[pick].tolist())
+    g = rows.n * rows.spread(log_j[pick]) - w.log_rho[rows.n]
+    return np.exp(0.5 * (g - rows.spread(log_norm[pick]))), rows, tails[pick].tolist()
 
 
 def _phases(e: np.ndarray, rows: _Rows, xs: Sequence[float]) -> np.ndarray:
@@ -139,10 +143,12 @@ def _states(
     w: WeightTable,
     labels: Sequence[StateLabel],
     tol: float,
+    sums: _SumColumns | None = None,
 ) -> list[StateCoefficients]:
     """coefficients() of each label, bit for bit: the ``_amplitudes`` of their
-    J times the ``_phases`` of their gamma, each one array for all labels."""
-    amps, rows, tails = _amplitudes(s, w, [x.J for x in labels], tol)
+    J, from the columns ``sums`` if given, times the ``_phases`` of their
+    gamma, each one array for all labels."""
+    amps, rows, tails = _amplitudes(s, w, [x.J for x in labels], tol, sums)
     c = _phase_rows(amps, rows, w.levels, [x.gamma for x in labels])
     return [StateCoefficients(c=v, tail_mass_bound=m, label=x, spectrum=s)
             for v, m, x in zip(rows.split(c), tails, labels)]

@@ -103,11 +103,39 @@ def run_suite(
     j_var = _probe_usable_j(w, j_top, tol, need_second=True)
     j_mid = 0.5 * min(j_state, 1.0)
 
+    # every sampled number first, with the calls, in the order, that the
+    # checks once drew them one by one: one call to random per check (per psi
+    # where its normals come in between), taken to U(low, high) by _uniform
+    reduction = rng.random((10, 2)) if "canonical-reduction" in model_checks else None
+    stability = _uniform(rng.random((100, 3)), (0.0, 0.9 * j_state), (-10, 10), (-20, 20))
+    width = min(40, w.n_max + 1)
+    normals, draws = [], []
+    for _ in range(50):
+        # a psi's real parts, then its imaginary parts; then its J, gamma and t
+        normals.append(rng.normal(size=2 * width))
+        draws.append(rng.random(3))
+    kinematics = _uniform(np.array(draws), (0.0, 0.8 * j_state), (-5, 5), (-10, 10))
+    steps = ((1e-5, 0.0), (-1e-5, 0.0), (0.0, 1e-5), (1e-6, 1e-6))
+    continuity = []
+    for J, gamma in zip(*_uniform(rng.random((5, 2)), (0.05 * j_state, 0.8 * j_state), (-3, 3))):
+        continuity += [StateLabel(J, gamma), *(StateLabel(J + dj, gamma + dg) for dj, dg in steps)]
+
+    # then the series of all their J, and gamma-independence's, in one batch
+    # at tol; where it refuses, each check sums its own J and fails as alone
+    grid = np.linspace(0.0, j_state, 20).tolist()
+    try:
+        shared = _batch_sums(w, [*(grid if tol == DEFAULT_TAIL_TOL else ()), *stability[0],
+                                 *kinematics[0], j_mid, *(x.J for x in continuity)], tol, 1)
+    except (CStatesError, ValueError):
+        shared = None
+
     def chk_action_identity():
-        grid = np.linspace(0.0, j_state, 20).tolist()
         # energy_mean's omega s1/s0 at each J, from one batched series
-        sums = _batch_sums(w, grid, DEFAULT_TAIL_TOL, 1)
-        worst = max(abs(s.omega * sums[J].s1 / sums[J].s0 / s.omega - J) for J in grid)
+        sums = shared
+        if shared is None or tol != DEFAULT_TAIL_TOL:
+            sums = _batch_sums(w, grid, DEFAULT_TAIL_TOL, 1)
+        i = [sums.at[J] for J in grid]
+        worst = max(np.abs(s.omega * sums.s[1, i] / sums.s[0, i] / s.omega - grid).tolist())
         assert worst <= 1e-8, f"max |mean/omega - J| = {worst:.3e} > 1e-8"
         return f"max |mean/omega - J| = {worst:.2e} over 20 points in [0, {j_state:.3g}]"
 
@@ -128,19 +156,19 @@ def run_suite(
     run_if(model, "normalization-closed-form", chk_closed_form, "no closed form for custom spectra")
 
     def chk_reduction():
+        Js, gammas = _uniform(reduction, (0.0, 6.0), (-math.pi, math.pi))
         worst = 0.0
-        for _ in range(10):
-            J = float(rng.uniform(0.0, 6.0))
-            gamma = float(rng.uniform(-math.pi, math.pi))
-            state = coefficients(s, w, StateLabel(J, gamma), tol=1e-26)
+        for state in _states(s, w, [StateLabel(J, gamma) for J, gamma in zip(Js, gammas)], 1e-26):
+            J, gamma = state.label.J, state.label.gamma
             z = math.sqrt(J) * complex(math.cos(gamma), -math.sin(gamma))
             top = min(60, state.n_top)
+            c = state.c[: top + 1].tolist()
             log_fact = 0.0
             for n in range(top + 1):
                 if n > 0:
                     log_fact += math.log(n)
                 exact = math.exp(-J / 2.0 - 0.5 * log_fact) * z**n
-                worst = max(worst, abs(state.c[n] - exact))
+                worst = max(worst, abs(c[n] - exact))
         assert worst <= 1e-12, f"worst component deviation {worst:.3e} > 1e-12"
         return f"worst |c_n - canonical| = {worst:.2e} over 10 labels, n <= 60"
 
@@ -160,31 +188,21 @@ def run_suite(
 
     run("norm-deficit", chk_norm_deficit)
 
-    # the sampled checks draw the numbers, in the order, that one uniform call
-    # per number drew, from one call to random per check (per psi where its
-    # normals come in between), then batch their series
     def chk_temporal_stability():
-        Js, gammas, ts = _uniform(rng.random((100, 3)), (0.0, 0.9 * j_state), (-10, 10), (-20, 20))
-        samples = [(StateLabel(J, gamma), t) for J, gamma, t in zip(Js, gammas, ts)]
-        worst = max(0.0, *_stability(s, w, samples, tol)[0])
+        samples = [(StateLabel(J, gamma), t) for J, gamma, t in zip(*stability)]
+        worst = max(0.0, *_stability(s, w, samples, tol, shared)[0])
         assert worst <= 1e-10, f"max residual {worst:.3e} > 1e-10"
         return f"max residual {worst:.2e} over 100 samples"
 
     run("temporal-stability", chk_temporal_stability)
 
     def chk_kinematics():
-        width = min(40, w.n_max + 1)
-        normals, draws = [], []
-        for _ in range(50):
-            # a psi's real parts, then its imaginary parts; then its J, gamma and t
-            normals.append(rng.normal(size=2 * width))
-            draws.append(rng.random(3))
-        Js, gammas, ts = _uniform(np.array(draws), (0.0, 0.8 * j_state), (-5, 5), (-10, 10))
-        samples = [(StateLabel(J, gamma), t) for J, gamma, t in zip(Js, gammas, ts)]
+        samples = [(StateLabel(J, gamma), t) for J, gamma, t in zip(*kinematics)]
         z = np.array(normals)
         psis = z[:, :width] + 1j * z[:, width:]
         psis = psis / np.array([np.linalg.norm(psi) for psi in psis])[:, None]
-        worst = max(0.0, *(abs(lhs - rhs) for lhs, rhs in _kinematics(s, w, list(psis), samples, tol)))
+        pairs = _kinematics(s, w, list(psis), samples, tol, shared)
+        worst = max(0.0, *(abs(lhs - rhs) for lhs, rhs in pairs))
         assert worst <= 1e-10, f"max |lhs - rhs| {worst:.3e} > 1e-10"
         return f"max |<l|psi,t> - <l(-t)|psi>| = {worst:.2e} over 50 samples"
 
@@ -209,7 +227,7 @@ def run_suite(
 
     def chk_gamma_independence():
         J = float(j_mid)
-        a, b = _states(s, w, [StateLabel(J, 0.0), StateLabel(J, 7.3)], tol)
+        a, b = _states(s, w, [StateLabel(J, 0.0), StateLabel(J, 7.3)], tol, shared)
         ma, _, va = moments_from_state(s, a)
         mb, _, vb = moments_from_state(s, b)
         assert abs(ma - mb) <= 1e-9 and abs(va - vb) <= 1e-9, (
@@ -344,11 +362,7 @@ def run_suite(
     run("projector-psd", chk_psd)
 
     def chk_continuity():
-        steps = ((1e-5, 0.0), (-1e-5, 0.0), (0.0, 1e-5), (1e-6, 1e-6))
-        labels = []
-        for J, gamma in zip(*_uniform(rng.random((5, 2)), (0.05 * j_state, 0.8 * j_state), (-3, 3))):
-            labels += [StateLabel(J, gamma), *(StateLabel(J + dj, gamma + dg) for dj, dg in steps)]
-        states = iter(_states(s, w, labels, tol))
+        states = iter(_states(s, w, continuity, tol, shared))
         worst = 0.0
         for base in states:
             for (dj, dg), other in zip(steps, states):  # the next len(steps) states

@@ -32,7 +32,9 @@ The batch probes its J as one column, sums each row first over a prefix of
 32 to 128 entries, where most of ``verify``'s labels cut, and sums the whole
 first block only of the rows whose prefix does not hold the cut.  The scale
 stays the maximum of g over the kernel's whole first block.  The kernel sums
-the J that do not cut in their first block and raises refusals.
+the J that do not cut in their first block and raises refusals.  The batch
+answers as columns, one array per PowerSums field with an entry per J, which
+``verify`` fills once for all its sampled labels and its checks then read.
 """
 from __future__ import annotations
 
@@ -344,9 +346,11 @@ def _block(w: WeightTable, J, lo: int, hi: int, n: np.ndarray, g: np.ndarray, sc
     certified in one comparison; otherwise (one J) the zeroth moment is
     certified first, and the higher tails and caps are built only from where
     it holds.  Returns (found, carry, best): the PowerSums where the block
-    holds the cut (for a column, a list with None where it does not); for one
-    J without a cut, the running sums at the block's end and the least of
-    ``best`` and the block's best (relative tail, n, tail, partial sum).
+    holds the cut (for a column, the arrays (cut, terms used, sums, tails):
+    whether each row holds its cut, and there its terms, its moments' sums and
+    its tails, a column per row); for one J without a cut, the running sums
+    at the block's end and the least of ``best`` and the block's best
+    (relative tail, n, tail, partial sum).
     Given a list ``skipped``, a block that ends before the table forms no
     tail if low = min(tf) q_min / (1 - q_min), q_min = J/e_hi, proves no cut:
     by monotone rounding, every zeroth tail is at least low and every partial
@@ -415,10 +419,7 @@ def _block(w: WeightTable, J, lo: int, hi: int, n: np.ndarray, g: np.ndarray, sc
         if column:
             at = cut.argmax(axis=1)
             r = np.arange(len(at))
-            return [PowerSums(x, lo + i0 + a + 1, s, *sums, *nan, *bounds, *nan) if ok else None
-                    for x, a, ok, s, sums, bounds in zip(
-                        J[:, 0].tolist(), at.tolist(), cut[r, at].tolist(), scale[:, 0].tolist(),
-                        cums[:, r, i0 + at].T.tolist(), tails[:, r, at].T.tolist())], None, None
+            return (cut[r, at], lo + i0 + at + 1, cums[:, r, i0 + at], tails[:, r, at]), None, None
         at = int(cut.argmax())
     else:
         cut = _certified(cums[0][i0:k], tail0, tol, scale, absolute)
@@ -546,22 +547,49 @@ def _chunks(ends: np.ndarray, rows: np.ndarray, floats: int) -> Iterator[tuple[i
             yield end, picked[i : i + step]
 
 
-def _batch_sums(w: WeightTable, Js, tol: float, order: int) -> dict[float, PowerSums]:
+class _SumColumns:
+    """``_batch_sums``' answer: the PowerSums fields of its distinct J as
+    arrays, entry at[J] for J, in the order the J first appear.  s and t hold
+    s0, s1, s2 and t0, t1, t2 as their rows; moments above the order are NaN."""
+
+    __slots__ = ("at", "terms_used", "log_scale", "s", "t")
+
+    def __init__(self, Js):
+        self.at = {J: i for i, J in enumerate(dict.fromkeys(Js))}
+        size = len(self.at)
+        self.terms_used = np.zeros(size, dtype=int)
+        self.log_scale = np.zeros(size)
+        self.s = np.full((3, size), math.nan)
+        self.t = np.full((3, size), math.nan)
+
+    def put(self, J: float, ps: PowerSums) -> None:
+        """Write the kernel's sums ps at J into J's entries."""
+        i = self.at[J]
+        self.terms_used[i], self.log_scale[i] = ps.terms_used, ps.log_scale
+        self.s[:, i] = ps.s0, ps.s1, ps.s2
+        self.t[:, i] = ps.t0, ps.t1, ps.t2
+
+
+def _batch_sums(w: WeightTable, Js, tol: float, order: int) -> _SumColumns:
     """``_certified_sums(w, J, tol, order)`` at each distinct J of Js, bit for
-    bit, order 1 or 2.  The J the kernel would scan are probed as one column,
-    and those whose first block it would stack are rows: each is summed over
-    a prefix of that block, the first of
+    bit, order 1 or 2, as columns.  The J the kernel would scan are probed as
+    one column, and those whose first block it would stack are rows: each is
+    summed over a prefix of that block, the first of
     _PREFIX_ENDS below its end at which ``_first_block_end``'s test passes,
     and again over the whole block if the prefix does not hold the cut.
-    Rows of one width are summed as one ``_block`` per chunk, J ascending.
+    Rows of one width are summed as one ``_block`` per chunk, J ascending,
+    and written into the columns as arrays.
     Running sums are sequential, so a prefix's are the block's, and a cut in
     the block is past the peak of g, so the block's maximum of g, taken over
     the whole block in chunks, is the kernel's scale.  The kernel sums the
-    other J, or a single one, and raises the first refusal in the order of Js."""
-    distinct = dict.fromkeys(Js)
+    other J, or a single one, into the columns from its PowerSums, and raises
+    the first refusal in the order of Js."""
+    out = _SumColumns(Js)
+    done = np.zeros(len(out.at), dtype=bool)
     # a single distinct J goes straight to the kernel
-    keys = _batchable(w, distinct, tol, order) if len(distinct) > 1 else []
+    keys = _batchable(w, out.at, tol, order) if len(out.at) > 1 else []
     if keys:
+        where = np.array([out.at[x] for x in keys])
         J = np.array(keys)[:, None]
         # log J by math.log, as the kernel takes it: np.log can differ in the last ulp
         log_j = np.array([math.log(x) for x in keys])[:, None]
@@ -577,15 +605,24 @@ def _batch_sums(w: WeightTable, Js, tol: float, order: int) -> dict[float, Power
         # prefixes first, then the whole first blocks of the rows they did not answer
         for widths, todo in ((prefix, rows & (prefix < first)), (first, None)):
             if todo is None:
-                todo = rows & np.array([distinct[x] is None for x in keys])
+                todo = rows & ~done[where]
             for end, chunk in _chunks(widths, todo, order + 1):
                 n, g = _log_terms(w, log_j[chunk], 0, end)
                 found = _block(w, J[chunk], 0, end, n, g, scale[chunk], None, None, None,
                                tol, order, False)[0]
-                distinct.update(zip([keys[i] for i in chunk.tolist()], found or ()))
+                if found is not None:
+                    cut, terms, sums, tails = found
+                    i = where[chunk[cut]]
+                    done[i] = True
+                    out.terms_used[i] = terms[cut]
+                    out.log_scale[i] = scale[chunk[cut], 0]
+                    out.s[: order + 1, i] = sums[:, cut]
+                    out.t[: order + 1, i] = tails[:, cut]
     # the kernel, through its public name that a tracer wraps, sums the rest
-    return {J: ps or power_sums(w, J, rel_tol=tol, need_second=order > 1)
-            for J, ps in distinct.items()}
+    for J, summed in zip(out.at, done.tolist()):
+        if not summed:
+            out.put(J, power_sums(w, J, rel_tol=tol, need_second=order > 1))
+    return out
 
 
 def power_sums(

@@ -49,7 +49,7 @@ def series_calls(monkeypatch):
         start = len(calls)
         out = original_batch(w, Js, *args, **kwargs)
         kernel = [J for _, J, _ in calls[start:]]
-        calls.extend((w, J, True) for J in out if J not in kernel)
+        calls.extend((w, J, True) for J in out.at if J not in kernel)
         return out
 
     monkeypatch.setattr(weights, "_certified_sums", spy)

@@ -651,10 +651,13 @@ def test_verify_failed_assertion_is_a_fail_row(capsys, monkeypatch):
     # a check that fails by its own assertion reports that assertion's message:
     # action-identity reads omega s1/s0 from one batched series, here with s1/s0 = J + 1
     import cstates.verify as verify_mod
-    from cstates.weights import PowerSums
+
+    batch = verify_mod._batch_sums
 
     def shifted(w, Js, tol, order):
-        return {J: PowerSums(J, 1, 0.0, 1.0, J + 1.0, math.nan, 0.0, 0.0, math.nan) for J in Js}
+        columns = batch(w, Js, tol, order)
+        columns.s[1] = (np.array(list(columns.at)) + 1.0) * columns.s[0]
+        return columns
 
     monkeypatch.setattr(verify_mod, "_batch_sums", shifted)
     code, out, err = run(capsys, ["verify", "--model", "harmonic", "--format", "json"])

@@ -31,7 +31,7 @@ from cstates import (
 from cstates import phase
 from cstates.dynamics import _kinematics, _stability
 from cstates.phase import phase_factor, reduce_angles
-from cstates.state import _phased, _zero_padded
+from cstates.state import _phase_rows, _phased, _Rows, _states, _zero_padded
 
 
 def test_evolve_label_examples():
@@ -165,6 +165,29 @@ def test_evolving_with_the_table_levels_matches_evolve_coefficients(s):
             assert moved.tobytes() == ref.tobytes(), (k, t)
 
 
+def test_one_vector_products_keep_their_rules(hydrogen, w_hydrogen):
+    # numpy computes a complex product with a large temporary operand in
+    # place from 16,384 entries on, and that can differ in the last bit from
+    # a product into a new array.  One vector is multiplied with ``*`` by
+    # evolve_coefficients and by _phase_rows alike; several rows into a new
+    # array, so each row is its own one-row product even where the flat
+    # product is long enough for numpy to reuse the temporary
+    e = hydrogen.omega * w_hydrogen.levels
+    x = coefficients(hydrogen, w_hydrogen, StateLabel(0.999, 0.4))
+    assert len(x.c) >= 16_384
+    for t in (2.7, -1.0, 3.3e4):
+        one = _phase_rows(x.c, _Rows([len(x.c)]), e, [t])
+        assert evolve_coefficients(x, hydrogen, t).c.tobytes() == one.tobytes(), t
+    labels = [StateLabel(float(J), 0.3 * k) for k, J in enumerate(np.linspace(0.9, 0.98, 40))]
+    vectors = [y.c for y in _states(hydrogen, w_hydrogen, labels, 1e-12)]
+    rows = _Rows([len(v) for v in vectors])
+    assert rows.bounds[-1] >= 16_384 and max(rows.lengths) < 16_384
+    ts = np.linspace(-20.0, 20.0, len(vectors)).tolist()
+    many = rows.split(_phase_rows(np.concatenate(vectors), rows, e, ts))
+    for v, t, row in zip(vectors, ts, many):
+        assert row.tobytes() == _phase_rows(v, _Rows([len(v)]), e, [t]).tobytes(), t
+
+
 @pytest.mark.parametrize("s", LEVEL_RULES, ids=lambda s: s.name)
 def test_batched_stability_and_kinematics_match_one_by_one(s):
     # many samples share one batched series and span several runs of phases;
@@ -176,19 +199,23 @@ def test_batched_stability_and_kinematics_match_one_by_one(s):
     samples = [(StateLabel(float(J), float(g)), float(t)) for J, g, t in draws]
     samples[5] = (StateLabel(0.0, 1.0), 2.0)
     samples[7] = (samples[3][0], 1e9)  # a repeated label, and a phase past 1e8
-    residuals, starts = _stability(s, w, samples, 1e-12)
+    residuals, starts, tails = _stability(s, w, samples, 1e-12)
     psis = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in rng.integers(1, 60, len(samples))]
     pairs = _kinematics(s, w, psis, samples, 1e-12)
-    for (l, t), residual, start, psi, pair in zip(samples, residuals, starts, psis, pairs):
+    singles = []
+    for (l, t), residual, tail, psi, pair in zip(samples, residuals, tails, psis, pairs):
         a = coefficients(s, w, l)
+        singles.append(a.c)
         b = coefficients(s, w, evolve_label(l, t, s.omega))
         back = coefficients(s, w, evolve_label(l, -t, s.omega))
         moved_a = a.c * phase_factor(s.omega * s.e_array(len(a.c) - 1) * t)
         moved_psi = psi * phase_factor(s.omega * s.e_array(len(psi) - 1) * t)
-        assert start.c.tobytes() == a.c.tobytes() and start.label == l
+        assert repr(tail) == repr(a.tail_mass_bound)
         assert repr(residual) == repr(float(np.linalg.norm(moved_a - b.c)))
         assert pair == (complex(np.vdot(*_zero_padded(a.c, moved_psi))),
                         complex(np.vdot(*_zero_padded(back.c, psi))))
+    # the start states, end to end in sample order
+    assert starts.tobytes() == np.concatenate(singles).tobytes()
 
 
 def test_reduce_angles_against_mpmath():

@@ -30,7 +30,7 @@ from cstates import (
     variance,
     variance_curve,
 )
-from cstates.observables import DEFAULT_FIT_CAP, _double_sum_variance, _fit_loglog, _near_jstar_fit
+from cstates.observables import DEFAULT_FIT_CAP, _double_sum_variance, _fit_loglog
 from cstates.weights import _BLOCK
 
 
@@ -474,25 +474,31 @@ def test_near_jstar_exponent_builds_at_most_one_cap_table(table_builds):
     assert len(table_builds) <= 2
 
 
-def test_near_jstar_exponent_later_points_run_on_the_cap_table(series_calls):
+def test_near_jstar_exponent_later_points_run_on_the_cap_table(series_calls, table_builds):
     # the first point is refused on the table sized from the term bound
     # (n_max 4,773); the n_cap table replaces it, and every later point runs
     # there once, without a refusal on the sized table first
     s = power_gap_spectrum(0.25)
     window = [0.90, 0.92, 0.94, 0.96]
-    _, points, table = _near_jstar_fit(s, compute_weights(s, 500), window, n_cap=1_200_000)
+    got = near_jstar_exponent(s, compute_weights(s, 500), window, n_cap=1_200_000)
     assert [(t.n_max, J, ok) for t, J, ok in series_calls] == [
         (4_773, 0.90, False), *((1_200_000, J, True) for J in window)
     ]
-    assert table.n_max == 1_200_000
-    assert [p.J for p in points] == window
+    assert table_builds == [4_773, 1_200_000]
+    # the slope is the fit to every window point, each on the n_cap table
+    table = series_calls[-1][0]
+    points = [J for t, J, ok in series_calls if ok and t is table]
+    assert points == window
+    assert got == _fit_loglog(*np.array([(J, variance(s, table, J).variance) for J in points]).T)[0]
 
 
-def test_fit_table_variance_equals_shorter_tables(hydrogen, w_hydrogen, w_near_jstar):
+def test_fit_table_variance_equals_shorter_tables(hydrogen, w_hydrogen, w_near_jstar, series_calls):
     # a sum reads only the entries up to its cut, and a longer table begins
     # with a shorter one's entries, so the fit table moves no VariancePoint
     w = compute_weights(hydrogen, 20_000)
-    fit = _near_jstar_fit(hydrogen, w)[2]
+    near_jstar_exponent(hydrogen, w)
+    fit = series_calls[-1][0]
+    assert all(table is fit for table, _, _ in series_calls)
     assert fit.n_max == 877_852
     near, mid, far = (1.0 - 10.0 ** (-1.5 * k) for k in (1, 2, 3))
     for J, table in [(near, w), (near, w_hydrogen), (mid, compute_weights(hydrogen, 34_522)),

@@ -180,8 +180,19 @@ def benchmark_like_list(seed):
 
 def per_j_sums(w, Js, tol, order):
     """The batch entry as one kernel call per distinct J, in order, so the
-    first refused J raises."""
-    return {J: weights._certified_sums(w, J, tol, order) for J in dict.fromkeys(Js)}
+    first refused J raises, written into the batch's columns."""
+    columns = weights._SumColumns(Js)
+    for J in columns.at:
+        columns.put(J, weights._certified_sums(w, J, tol, order))
+    return columns
+
+
+def patch_batch(monkeypatch, entry):
+    """Replace ``_batch_sums`` with entry in every module that binds it."""
+    batch = weights._batch_sums
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cstates.") and getattr(module, "_batch_sums", None) is batch:
+            monkeypatch.setattr(module, "_batch_sums", entry)
 
 
 @pytest.mark.parametrize("s, seed", [
@@ -196,10 +207,74 @@ def test_run_suite_rows_match_the_per_j_path(monkeypatch, s, seed):
     w = compute_weights(s, s.max_index or 20_000)
     measure = builtin_measure(s.model.name) if s.model else None
     batched = run_suite(s, w, measure, seed=seed)
-    calls, batch = [], weights._batch_sums
-    for name, module in list(sys.modules.items()):
-        if name.startswith("cstates.") and getattr(module, "_batch_sums", None) is batch:
-            monkeypatch.setattr(module, "_batch_sums", lambda *a: calls.append(a) or per_j_sums(*a))
+    calls = []
+    patch_batch(monkeypatch, lambda *a: calls.append(a) or per_j_sums(*a))
     assert run_suite(s, w, measure, seed=seed) == batched
-    assert len(calls) >= 3
+    # the stand-in summed the J of all the sampled checks: 100 + 50 + 20 at least
+    assert calls and max(len(set(Js)) for _, Js, _, _ in calls) >= 170
     assert [r.status for r in batched].count("pass") >= 10
+
+
+@pytest.mark.parametrize("s", [make_builtin("hydrogen_like"), make_builtin("harmonic"),
+                               *(benchmark_like_list(seed) for seed in (1, 2))],
+                         ids=lambda s: s.name)
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+def test_sampled_checks_share_one_batch_per_tolerance(monkeypatch, s, tol):
+    # action-identity's grid (at the default tolerance), temporal-stability,
+    # dynamics-as-kinematics and label-continuity sum their J in one batch at
+    # tol; canonical-reduction builds its ten states in one at 1e-26; every
+    # other batch holds a single distinct J
+    w = compute_weights(s, s.max_index or 20_000)
+    measure = builtin_measure(s.model.name) if s.model else None
+    calls, batch = [], weights._batch_sums
+    patch_batch(monkeypatch, lambda w, Js, tol, order: calls.append((tol, len(set(Js))))
+                or batch(w, Js, tol, order))
+    results = run_suite(s, w, measure, tol=tol)
+    assert [r.name for r in results if r.status == "fail"] == []
+    many = sorted((tol, k) for tol, k in calls if k > 1)
+    expected = [1e-12, 1e-6] if tol == 1e-6 else [1e-12]
+    if s.name == "harmonic":
+        expected.insert(0, 1e-26)
+    assert [tol for tol, _ in many] == expected
+    shared = dict(many)[tol]
+    assert shared >= (190 if tol == 1e-12 else 170)
+    if s.name == "harmonic":
+        assert dict(many)[1e-26] == 10
+    if tol == 1e-6:
+        assert dict(many)[1e-12] == 20
+
+
+@pytest.mark.parametrize("s, n_max, tol, failing", [
+    (STEPS_BOUNDED, 3, 1e-26, [
+        ("label-continuity", "TruncationError: tail bound not reached within n_max=3 for "
+         "J=1.0004219795285313e-05 (best relative tail 1.237e-23 at n=3)")]),
+    (STEPS_BOUNDED, 3, 1e-300, [
+        ("label-continuity", "TruncationError: tail bound not reached within n_max=3 for "
+         "J=1e-05 (best relative tail 1.235e-23 at n=3)")]),
+    (make_builtin("hydrogen_like"), 8, 1e-12, [
+        ("normalization-closed-form", "TruncationError: tail bound not reached within n_max=8 "
+         "for J=0.05 (best relative tail 3.493e-12 at n=8)"),
+        ("variance-route-agreement", "TruncationError: tail bound not reached within n_max=8 "
+         "for J=0.1 (best relative tail 1.758e-09 at n=8)"),
+        ("variance-bound", "TruncationError: tail bound not reached within n_max=8 "
+         "for J=0.1 (best relative tail 1.758e-09 at n=8)"),
+        ("projector-offdiagonal-decay", "TruncationError: tail bound not reached within n_max=8 "
+         "for J=0.5 (best relative tail 2.931e-03 at n=8)"),
+        ("near-jstar-exponent", "TruncationError: no near-J* window point certifies within "
+         "n_max=8; the first, J = 0.968377, needs more terms")]),
+    (make_builtin("harmonic"), 8, 1e-12, [
+        ("normalization-closed-form", "TruncationError: tail bound not reached within n_max=8 "
+         "for J=0.5 (best relative tail 3.457e-09 at n=8)"),
+        ("canonical-reduction", "TruncationError: tail bound not reached within n_max=8 "
+         "for J=5.860198600188853 (best relative tail 2.131e-01 at n=8)"),
+        ("variance-route-agreement", "TruncationError: tail bound not reached within n_max=8 "
+         "for J=0.5 (best relative tail 3.457e-09 at n=8)")]),
+], ids=["steps-1e-26", "steps-1e-300", "hydrogen_like-nmax8", "harmonic-nmax8"])
+def test_refused_rows_fail_as_each_check_alone(s, n_max, tol, failing):
+    # where the shared batch refuses, each check sums its own J: the rows
+    # that fail, and their texts, are those of one batch per check
+    measure = builtin_measure(s.model.name) if s.model else None
+    results = run_suite(s, compute_weights(s, n_max), measure, tol=tol)
+    assert [(r.name, r.detail) for r in results if r.status == "fail"] == failing
+    status = {r.name: r.status for r in results}
+    assert status["temporal-stability"] == status["dynamics-as-kinematics"] == "pass"

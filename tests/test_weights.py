@@ -633,12 +633,20 @@ def kernel_repr(w, J, tol, order):
         return refusal(exc)
 
 
+def column_sums(columns):
+    """The PowerSums of each J of ``_batch_sums``' columns, field by field."""
+    return {J: PowerSums(J, int(columns.terms_used[i]), float(columns.log_scale[i]),
+                         *columns.s[:, i].tolist(), *columns.t[:, i].tolist())
+            for J, i in columns.at.items()}
+
+
 def assert_batch_matches_kernel(w, Js, tol, order):
     """``_batch_sums`` on Js raises the kernel's refusal of the first refused
     J, if any; on the J of Js the kernel certifies, it gives every distinct
-    one, in order, the kernel's sums by repr and (J > 0) the whole-table
-    reference's.  Returns the sums of the second call that it did not leave
-    to a kernel call: the rows it summed as a batch."""
+    one, in order, the kernel's sums by repr, field by field from the
+    columns, and (J > 0) the whole-table reference's.  Returns the sums of
+    the second call that it did not leave to a kernel call: the rows it
+    summed as a batch."""
     refs = {J: kernel_repr(w, J, tol, order) for J in Js}
     refused = [ref for ref in refs.values() if isinstance(ref, tuple)]
     if refused:
@@ -649,7 +657,7 @@ def assert_batch_matches_kernel(w, Js, tol, order):
     kernel, called = weights._certified_sums, []
     with pytest.MonkeyPatch.context() as m:
         m.setattr(weights, "_certified_sums", lambda w, J, *a, **k: called.append(J) or kernel(w, J, *a, **k))
-        got = weights._batch_sums(w, certified, tol, order)
+        got = column_sums(weights._batch_sums(w, certified, tol, order))
     assert list(got) == list(dict.fromkeys(certified))
     assert len(called) == len(set(called))
     for J, ps in got.items():
@@ -744,8 +752,8 @@ def spy_rows(monkeypatch):
     def spy(w, J, lo, hi, n, g, *args):
         out = block(w, J, lo, hi, n, g, *args)
         if g.ndim > 1:
-            found = out[0] or [None] * len(J)
-            rows.extend((hi, x, ps is not None) for x, ps in zip(J[:, 0].tolist(), found))
+            cut = [False] * len(J) if out[0] is None else out[0][0].tolist()
+            rows.extend(zip([hi] * len(J), J[:, 0].tolist(), cut))
         return out
 
     monkeypatch.setattr(weights, "_block", spy)
