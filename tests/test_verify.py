@@ -221,9 +221,9 @@ def test_run_suite_rows_match_the_per_j_path(monkeypatch, s, seed):
 @pytest.mark.parametrize("tol", [1e-12, 1e-6])
 def test_sampled_checks_share_one_batch_per_tolerance(monkeypatch, s, tol):
     # action-identity's grid (at the default tolerance), temporal-stability,
-    # dynamics-as-kinematics and label-continuity sum their J in one batch at
-    # tol; canonical-reduction builds its ten states in one at 1e-26; every
-    # other batch holds a single distinct J
+    # dynamics-as-kinematics, gamma-independence and label-continuity sum
+    # their J in one batch at tol; canonical-reduction builds its ten states
+    # in one at 1e-26; any other batch holds a single distinct J
     w = compute_weights(s, s.max_index or 20_000)
     measure = builtin_measure(s.model.name) if s.model else None
     calls, batch = [], weights._batch_sums
