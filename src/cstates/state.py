@@ -16,13 +16,16 @@ from .weights import power_sums
 
 @dataclass(frozen=True)
 class StateLabel:
-    """Action-angle label (J, gamma); gamma is unbounded and never wrapped, but finite."""
+    """Action-angle label (J, gamma); gamma is unbounded and never wrapped, but finite.
+    Neither is a bool."""
 
     J: float
     gamma: float
 
     def __post_init__(self):
-        if not math.isfinite(self.gamma):
+        if isinstance(self.J, (bool, np.bool_)):
+            raise LabelRangeError(f"J must be a finite number, got {self.J!r}")
+        if isinstance(self.gamma, (bool, np.bool_)) or not math.isfinite(self.gamma):
             raise LabelRangeError(f"gamma must be a finite number, got {self.gamma!r}")
 
 

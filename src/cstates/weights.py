@@ -16,7 +16,7 @@ and ``near_jstar_coefficient``) reads the table in fixed blocks of _BLOCK
 entries, so its work stops near the terms the answer needs and its working
 memory does not grow with n_max.  The kernel sizes its first block before
 reading it: ``_first_block_end`` probes the log-terms at a few candidate ends
-of 256 to 2,896 entries and stops at the first where the zeroth tail would
+of 32 to 2,896 entries and stops at the first where the zeroth tail would
 already be certified, so a short sum reads a short block.  Within a block the
 kernel forms tails only on the suffix where q < 1, and a block whose moments
 fit one array of at most _BLOCK floats holds them as its rows and certifies
@@ -28,11 +28,9 @@ may hold a relative tail as small as the best found, and reports the best.
 ``_batch_sums`` answers many labels at once, bit for bit as the kernel does
 one by one: one block body, ``_block``, sums a kernel block at one J and the
 first blocks of many J as the rows of one array of at most _BLOCK floats.
-The batch probes its J as one column, sums each row first over a prefix of
-32 to 128 entries, where most of ``verify``'s labels cut, and sums the whole
-first block only of the rows whose prefix does not hold the cut.  The scale
-stays the maximum of g over the kernel's whole first block.  The kernel sums
-the J that do not cut in their first block and raises refusals.  The batch
+The batch probes its J as one column and sums each row over the kernel's
+first block, scaled by the maximum of the same g.  The kernel sums the J
+that do not cut in their first block and raises refusals.  The batch
 answers as columns, one array per PowerSums field with an entry per J, which
 ``verify`` fills once for all its sampled labels and its checks then read.
 """
@@ -63,13 +61,10 @@ _TERM_FLOOR = 1e-300
 # 64 KiB free-consolidation threshold, so freeing them does not trim the heap
 # and the next block or call does not fault its working set back in
 _BLOCK = 1 << 12
-# ends of the shorter first blocks the kernel may take, about 256 * 2^(k/2):
+# ends of the shorter first blocks the kernel may take, about 32 * 2^(k/2):
 # steps below 2x leave the probe room to misjudge the cut by a few terms and
-# still read at most twice the terms a sum of 128 to 2,048 terms uses
-_PROBE_ENDS = (256, 362, 512, 724, 1_024, 1_448, 2_048, 2_896)
-# prefixes of a first block that ``_batch_sums`` sums before the whole block:
-# verify's sampled labels cut after about 10 to 180 terms
-_PREFIX_ENDS = (32, 64, 128)
+# still read at most twice the terms a sum of 16 to 2,048 terms uses
+_PROBE_ENDS = (32, 45, 64, 90, 128, 181, 256, 362, 512, 724, 1_024, 1_448, 2_048, 2_896)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +146,8 @@ def check_j_range(w: WeightTable, J: float) -> None:
     An estimated radius is never used to allow or deny evaluation; in that
     case only nonnegativity is enforced and truncation certificates decide.
     """
-    if not isinstance(J, (int, float, np.integer, np.floating)) or not math.isfinite(J):
+    number = isinstance(J, (int, float, np.integer, np.floating)) and not isinstance(J, bool)
+    if not number or not math.isfinite(J):
         raise LabelRangeError(f"J must be a finite number, got {J!r}")
     if J < 0:
         raise LabelRangeError(f"J must be nonnegative, got {J}")
@@ -222,9 +218,10 @@ def _first_block_end(w: WeightTable, J, tol: float, absolute: bool) -> int | np.
     The first m of _PROBE_ENDS below ``_block_end(0, size)`` at which the
     zeroth tail would already be certified: J < e_m and
     g_{m-1} + log(J/(e_m - J)) <= log tol + top.  Here top is the largest of
-    0 = g_0, g_127 and the g_{m-1} probed so far, a lower bound on the log of
-    the zeroth partial sum; it is dropped when ``absolute``.  If no m passes,
-    the first block is a full one.  Only where blocks end depends on this.
+    0 = g_0 and the g_{m-1} probed so far, a lower bound on the log of the
+    zeroth partial sum up to m - 1; it is dropped when ``absolute``.  If no m
+    passes, the first block is a full one.  Only where blocks end depends on
+    this.
     J may be a column of J the kernel scans (never ``absolute``): its ends
     come from one array test, and a J whose test lies within rounding of its
     bound, since np.log and math.log may differ in the last ulp, is probed alone.
@@ -235,14 +232,12 @@ def _first_block_end(w: WeightTable, J, tol: float, absolute: bool) -> int | np.
     if isinstance(J, np.ndarray):
         ends = np.array([m for m in _PROBE_ENDS if m < stop], dtype=int)
         log_j = np.array([math.log(x) for x in J[:, 0].tolist()])[:, None]
-        top = np.maximum(127 * log_j - w.log_rho[127], 0.0)
-        passed, close = _probe_test(w, J, log_j, ends, top, tol)
-        out = _first_passed(passed, ends, stop)
+        passed, close = _probe_test(w, J, log_j, ends, tol)
+        out = np.where(passed.any(axis=1), ends[passed.argmax(axis=1)], stop)
         for i in np.flatnonzero(close.any(axis=1)).tolist():
             out[i] = _first_block_end(w, float(J[i, 0]), tol, False)
         return out
-    log_j, log_tol = math.log(J), math.log(tol)
-    top = 0.0 if absolute else max(0.0, 127 * log_j - float(w.log_rho[127]))
+    log_j, log_tol, top = math.log(J), math.log(tol), 0.0
     for m in _PROBE_ENDS:
         if m >= stop:
             break
@@ -256,12 +251,12 @@ def _first_block_end(w: WeightTable, J, tol: float, absolute: bool) -> int | np.
 
 
 def _probe_test(w: WeightTable, J: np.ndarray, log_j: np.ndarray, ends: np.ndarray,
-                top: np.ndarray | float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+                tol: float) -> tuple[np.ndarray, np.ndarray]:
     """``_first_block_end``'s test at each m of ends for each J of a column
-    (log_j its logs), top the running maximum of the g_{m-1} from ``top`` on:
-    where it passes, and where it lies within rounding of its bound."""
+    (log_j its logs), top the running maximum of 0 and the g_{m-1}: where it
+    passes, and where it lies within rounding of its bound."""
     g = (ends - 1) * log_j - w.log_rho[ends - 1]
-    top = np.maximum.accumulate(np.maximum(g, top), axis=1)
+    top = np.maximum.accumulate(np.maximum(g, 0.0), axis=1)
     e = w.levels[ends]
     below = J < e
     with np.errstate(divide="ignore", invalid="ignore"):  # no log where J >= e
@@ -270,13 +265,6 @@ def _probe_test(w: WeightTable, J: np.ndarray, log_j: np.ndarray, ends: np.ndarr
     rhs = math.log(tol) + top
     close = np.abs(lhs - rhs) <= 2.0**-50 * (np.abs(g) + np.abs(log_j) + np.abs(log_gap) + np.abs(rhs))
     return below & (lhs <= rhs), below & close
-
-
-def _first_passed(passed: np.ndarray, ends: np.ndarray, default) -> np.ndarray:
-    """Per row of ``passed``, the first of ends where it holds, else default."""
-    if not ends.size:
-        return np.broadcast_to(default, len(passed))
-    return np.where(passed.any(axis=1), ends[passed.argmax(axis=1)], default)
 
 
 def _blocks(lo: int, stop: int) -> Iterator[tuple[int, int]]:
@@ -573,17 +561,13 @@ class _SumColumns:
 def _batch_sums(w: WeightTable, Js, tol: float, order: int) -> _SumColumns:
     """``_certified_sums(w, J, tol, order)`` at each distinct J of Js, bit for
     bit, order 1 or 2, as columns.  The J the kernel would scan are probed as
-    one column, and those whose first block it would stack are rows: each is
-    summed over a prefix of that block, the first of
-    _PREFIX_ENDS below its end at which ``_first_block_end``'s test passes,
-    and again over the whole block if the prefix does not hold the cut.
-    Rows of one width are summed as one ``_block`` per chunk, J ascending,
-    and written into the columns as arrays.
-    Running sums are sequential, so a prefix's are the block's, and a cut in
-    the block is past the peak of g, so the block's maximum of g, taken over
-    the whole block in chunks, is the kernel's scale.  The kernel sums the
-    other J, or a single one, into the columns from its PowerSums, and raises
-    the first refusal in the order of Js."""
+    one column, and those whose first block it would stack are rows: each row
+    is that first block, scaled by the maximum of its own g, as the kernel
+    scales it.  Rows of one width are summed as one ``_block`` per chunk,
+    J ascending, and written into the columns as arrays.  The kernel sums the
+    J whose first block does not hold the cut, the other J, or a single one,
+    into the columns from its PowerSums, and raises the first refusal in the
+    order of Js."""
     out = _SumColumns(Js)
     done = np.zeros(len(out.at), dtype=bool)
     # a single distinct J goes straight to the kernel
@@ -594,30 +578,18 @@ def _batch_sums(w: WeightTable, Js, tol: float, order: int) -> _SumColumns:
         # log J by math.log, as the kernel takes it: np.log can differ in the last ulp
         log_j = np.array([math.log(x) for x in keys])[:, None]
         first = np.broadcast_to(_first_block_end(w, J, tol, False), len(keys))
-        rows = (order + 1) * first <= _BLOCK
-        scale = np.empty_like(log_j)
-        for end, chunk in _chunks(first, rows, 1):
-            g = _log_terms(w, log_j[chunk], 0, end)[1]
-            scale[chunk] = np.maximum.reduce(g, axis=1, keepdims=True)
-        ends = np.array([m for m in _PREFIX_ENDS if m <= w.n_max], dtype=int)
-        passed = _probe_test(w, J, log_j, ends, 0.0, tol)[0] & (ends < first[:, None])
-        prefix = _first_passed(passed, ends, first)
-        # prefixes first, then the whole first blocks of the rows they did not answer
-        for widths, todo in ((prefix, rows & (prefix < first)), (first, None)):
-            if todo is None:
-                todo = rows & ~done[where]
-            for end, chunk in _chunks(widths, todo, order + 1):
-                n, g = _log_terms(w, log_j[chunk], 0, end)
-                found = _block(w, J[chunk], 0, end, n, g, scale[chunk], None, None, None,
-                               tol, order, False)[0]
-                if found is not None:
-                    cut, terms, sums, tails = found
-                    i = where[chunk[cut]]
-                    done[i] = True
-                    out.terms_used[i] = terms[cut]
-                    out.log_scale[i] = scale[chunk[cut], 0]
-                    out.s[: order + 1, i] = sums[:, cut]
-                    out.t[: order + 1, i] = tails[:, cut]
+        for end, chunk in _chunks(first, (order + 1) * first <= _BLOCK, order + 1):
+            n, g = _log_terms(w, log_j[chunk], 0, end)
+            scale = np.maximum.reduce(g, axis=1, keepdims=True)
+            found = _block(w, J[chunk], 0, end, n, g, scale, None, None, None, tol, order, False)[0]
+            if found is not None:
+                cut, terms, sums, tails = found
+                i = where[chunk[cut]]
+                done[i] = True
+                out.terms_used[i] = terms[cut]
+                out.log_scale[i] = scale[cut, 0]
+                out.s[: order + 1, i] = sums[:, cut]
+                out.t[: order + 1, i] = tails[:, cut]
     # the kernel, through its public name that a tracer wraps, sums the rest
     for J, summed in zip(out.at, done.tolist()):
         if not summed:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstates import (
+    LabelRangeError,
     SpectrumMismatchError,
     StateLabel,
     coefficients,
@@ -163,6 +164,14 @@ def test_coefficients_need_a_positive_tolerance(hydrogen, w_hydrogen):
     for tol in (0.0, -1e-12, math.nan):
         with pytest.raises(ValueError, match="^tol must be positive$"):
             coefficients(hydrogen, w_hydrogen, StateLabel(0.5, 0.0), tol=tol)
+
+
+@pytest.mark.parametrize("J, gamma", [(0.5, True), (0.5, np.False_), (0.5, math.nan), (0.5, math.inf),
+                                      (True, 0.0), (False, 0.0), (np.True_, 0.0)])
+def test_labels_refuse_bools_and_infinite_gamma(J, gamma):
+    # False would otherwise pass as J = 0, the one-entry ground state
+    with pytest.raises(LabelRangeError):
+        StateLabel(J, gamma)
 
 
 def test_spectrum_mismatch_rejected(hydrogen, w_hydrogen, harmonic, w_harmonic):

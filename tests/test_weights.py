@@ -150,11 +150,14 @@ def test_numpy_scalar_labels_accepted(hydrogen, w_hydrogen):
             normalization(w_hydrogen, hydrogen, bad)
 
 
-@pytest.mark.parametrize("J", [-0.5, math.nan, 1.5])
-def test_power_sums_rejects_labels_out_of_range(w_hydrogen, J):
-    # the series kernel owns the label check, so direct callers get it too
+@pytest.mark.parametrize("J", [-0.5, math.nan, 1.5, True, False, np.True_])
+def test_power_sums_rejects_labels_out_of_range(hydrogen, w_hydrogen, J):
+    # the series kernel owns the label check, so direct callers get it too;
+    # a bool is no label, though True sums at J = 1 and False at J = 0
     with pytest.raises(LabelRangeError):
         power_sums(w_hydrogen, J)
+    with pytest.raises(LabelRangeError):
+        normalization(w_hydrogen, hydrogen, J)
 
 
 def test_table_for_another_rule_under_the_same_name_is_refused():
@@ -388,7 +391,7 @@ def test_blocks_hold_a_fixed_number_of_entries():
 
 
 def test_small_sum_reads_only_the_first_block(monkeypatch, w_hydrogen):
-    # 8 terms certify J = 0.01: the probe sizes the first block to 256 of the
+    # 8 terms certify J = 0.01: the probe sizes the first block to 32 of the
     # 40,001 entries, and the scan reads no other
     assert w_hydrogen.n_max + 1 == 40_001
     ranges = []
@@ -403,12 +406,12 @@ def test_small_sum_reads_only_the_first_block(monkeypatch, w_hydrogen):
         ranges.clear()
         got = outcome(weights._certified_sums, w_hydrogen, 0.01, 1e-12, order)
         assert got == outcome(whole_table_sums, w_hydrogen, 0.01, 1e-12, order)
-        assert ranges == [(0, 256)], order
+        assert ranges == [(0, 32)], order
 
 
 @pytest.mark.parametrize("model, j_lo, j_hi", [("hydrogen_like", 1e-3, 0.999), ("harmonic", 1e-2, 1e3)])
 def test_first_block_is_sized_to_the_sum(monkeypatch, model, j_lo, j_hi):
-    # a sum of at most 2,048 terms reads at most twice its terms (256 at
+    # a sum of at most 2,048 terms reads at most twice its terms (32 at
     # least); a longer one reads at most one block more than fixed blocks do
     w = compute_weights(make_builtin(model), 40_000)
     ranges = []
@@ -429,7 +432,7 @@ def test_first_block_is_sized_to_the_sum(monkeypatch, model, j_lo, j_hi):
             terms = ps.terms_used
             read = sum(b - a for a, b in ranges)
             if terms <= 2_048:
-                assert read <= max(256, 2 * terms), (J, order, terms, ranges)
+                assert read <= max(32, 2 * terms), (J, order, terms, ranges)
             assert len(ranges) <= -(-terms // BLOCK) + 1, (J, order, terms, ranges)
 
 
@@ -667,6 +670,21 @@ def assert_batch_matches_kernel(w, Js, tol, order):
     return {J: ps for J, ps in got.items() if J not in called}
 
 
+def first_block_cuts(w, Js, tol, order):
+    """The J > 0 of Js that the kernel certifies within a first block it
+    stacks: ``_batch_sums`` sums these as rows and leaves the rest to it."""
+    cuts = set()
+    for J in set(Js):
+        try:
+            terms = weights._certified_sums(w, J, tol, order).terms_used
+        except CStatesError:
+            continue
+        first = weights._first_block_end(w, J, tol, False)
+        if J > 0 and terms <= first and (order + 1) * first <= BLOCK:
+            cuts.add(J)
+    return cuts
+
+
 BATCH_CASES = [(order, tol) for order in (1, 2) for tol in (1e-12, 1e-26, 1e-6)]
 
 
@@ -702,11 +720,15 @@ def test_batch_matches_kernel_and_whole_table(monkeypatch, schedule, s, n_max, g
 
 
 def test_batch_sums_the_rows_of_a_benign_grid(hydrogen):
-    # every row cuts in its first block; one distinct J goes to the kernel
+    # the batch sums every row whose probed first block holds the cut, all of
+    # the grid but J = 0.147 at tol 1e-26 (33 terms, one past its 32-entry
+    # block); one distinct J goes to the kernel
     w = compute_weights(hydrogen, 3_000)
     Js = np.linspace(0.01, 0.9, 40).tolist()
     for order, tol in BATCH_CASES:
-        assert set(assert_batch_matches_kernel(w, Js, tol, order)) == set(Js)
+        rows = first_block_cuts(w, Js, tol, order)
+        assert len(rows) >= len(Js) - 1
+        assert set(assert_batch_matches_kernel(w, Js, tol, order)) == rows
         assert assert_batch_matches_kernel(w, [0.3, 0.3], tol, order) == {}
 
 
@@ -717,19 +739,23 @@ def test_batch_takes_log_j_as_the_kernel_does(hydrogen):
     Js = [0.1472133497769775, 0.24613884549564533, 0.6062613670814139, 0.7157108995977207,
           0.7680520948638214, 0.8178849557854342, 0.8978943417984623]
     for order, tol in BATCH_CASES:
-        assert set(assert_batch_matches_kernel(w, Js, tol, order)) == set(Js)
+        rows = first_block_cuts(w, Js, tol, order)
+        assert len(rows) >= len(Js) - 1
+        assert set(assert_batch_matches_kernel(w, Js, tol, order)) == rows
 
 
 @pytest.mark.parametrize("count", [44, 104])
 @pytest.mark.parametrize("declared", [False, True], ids=["estimated", "e_star"])
 def test_batch_rows_reach_the_table_end(count, declared):
-    # a whole short list is one first block: rows close their tails with
-    # next_level_bound at the table's end; the J past it, and every second
-    # moment without e_star, are refused by the kernel
+    # a J the probe does not pass takes the whole short list as its first
+    # block: rows close their tails with next_level_bound at the table's end;
+    # the J past it, and every second moment without e_star, are refused by
+    # the kernel
     levels = [0.0] + np.cumsum(np.linspace(0.5, 1.5, count - 1)).tolist()
     s = from_levels("list", 1.0, levels, e_star=levels[-1] + 2.0 if declared else None)
     w = compute_weights(s, count - 1)
-    assert weights._first_block_end(w, 1.0, 1e-12, False) == w.n_max + 1
+    assert weights._first_block_end(w, 1.0, 1e-12, False) == 32
+    assert weights._first_block_end(w, levels[-1] / 2, 1e-12, False) == w.n_max + 1
     Js = (np.linspace(0.0, 1.0, 161)[1:] * levels[-1] * 1.02).tolist()
     for order, tol in BATCH_CASES:
         got = assert_batch_matches_kernel(w, Js, tol, order)
@@ -767,15 +793,20 @@ def spy_rows(monkeypatch):
     ("harmonic", np.linspace(1.8, 2.0, 12)),
 ])
 def test_batch_rows_that_cut_past_their_prefix(monkeypatch, model, Js):
-    # such a row is summed again over its whole first block, in the batch
+    # a row whose probed first block does not hold the cut is left to the
+    # kernel, which sums on past that block
     w = compute_weights(make_builtin(model), 3_000)
     rows = spy_rows(monkeypatch)
     Js = [float(J) for J in Js]
+    missed = set()
     for order, tol in PREFIX_CASES:
-        assert set(assert_batch_matches_kernel(w, Js, tol, order)) == set(Js), (order, tol)
-    missed = {J for end, J, ok in rows if end in weights._PREFIX_ENDS and not ok}
+        rows.clear()
+        got = assert_batch_matches_kernel(w, Js, tol, order)
+        assert set(got) == first_block_cuts(w, Js, tol, order), (order, tol)
+        left = {J for _, J, ok in rows if not ok}
+        assert left == set(Js) - set(got), (order, tol)
+        missed |= left
     assert missed
-    assert missed <= {J for end, J, ok in rows if end not in weights._PREFIX_ENDS and ok}
 
 
 # e_1 = 0.5 below 1, then steep levels: at J = e_1, g_0 = -0.0 and g_1 = 0.0
@@ -785,10 +816,10 @@ STEEP = [0.0, 0.5] + [100.0 * k for k in range(1, 299)]
 
 def test_batch_rows_on_a_flat_top(monkeypatch, hydrogen, harmonic):
     # J at a level and one ulp above it: g_{k-1} and g_k tie up to rounding,
-    # and the scale is still the maximum over the whole first block; an
-    # 8-entry prefix on STEEP, cut at 7 terms, would take the other zero
+    # and a row's scale is the maximum of g over the kernel's first block; an
+    # 8-entry first block on STEEP, cut at 7 terms, takes the other zero
     rows = spy_rows(monkeypatch)
-    monkeypatch.setattr(weights, "_PREFIX_ENDS", (8, *weights._PREFIX_ENDS))
+    monkeypatch.setattr(weights, "_PROBE_ENDS", (8, *weights._PROBE_ENDS))
     steep = from_levels("steep", 1.0, STEEP, e_star=STEEP[-1] + 100.0)
     for w, levels in ((compute_weights(harmonic, 3_000), range(1, 40)),
                       (compute_weights(hydrogen, 3_000), (0.75, 8 / 9, 0.9375)),
@@ -797,14 +828,14 @@ def test_batch_rows_on_a_flat_top(monkeypatch, hydrogen, harmonic):
         for order, tol in PREFIX_CASES:
             assert_batch_matches_kernel(w, Js, tol, order)
     assert (8, 0.5, True) in rows
-    assert any(end in (32, 64, 128) and ok for end, _, ok in rows)
+    assert any(end in (32, 45, 64, 90, 128) and ok for end, _, ok in rows)
 
 
 @pytest.mark.parametrize("count", [33, 44, 65, 104])
 @pytest.mark.parametrize("declared", [False, True], ids=["estimated", "e_star"])
 def test_batch_prefix_rows_reach_the_table_end(monkeypatch, count, declared):
     # test_batch_rows_reach_the_table_end's lists, and lists whose last level
-    # closes a prefix of 32 or 64 entries
+    # closes a probed first block of 32 or 64 entries
     levels = [0.0] + np.cumsum(np.linspace(0.5, 1.5, count - 1)).tolist()
     s = from_levels("list", 1.0, levels, e_star=levels[-1] + 2.0 if declared else None)
     w = compute_weights(s, count - 1)
@@ -812,11 +843,12 @@ def test_batch_prefix_rows_reach_the_table_end(monkeypatch, count, declared):
     Js = (np.linspace(0.0, 1.0, 161)[1:] * levels[-1] * 1.02).tolist()
     for order, tol in PREFIX_CASES:
         assert_batch_matches_kernel(w, Js, tol, order)
-    ends = {end for end, _, ok in rows if end in weights._PREFIX_ENDS and ok}
+    ends = {end for end, _, ok in rows if ok}
+    assert w.n_max + 1 in ends
     if count in (33, 65):
         assert w.n_max in ends
     else:
-        assert ends
+        assert ends & set(weights._PROBE_ENDS)
 
 
 def test_states_raise_the_first_refused_labels_error(hydrogen):
