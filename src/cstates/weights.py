@@ -141,7 +141,7 @@ def compute_weights(s: Spectrum, n_max: int = DEFAULT_NMAX) -> WeightTable:
 
 
 def check_j_range(w: WeightTable, J: float) -> None:
-    """Reject labels outside [0, J*(1 - EDGE_GUARD)].
+    """Reject bools, non-finite labels and labels outside [0, J*(1 - EDGE_GUARD)].
 
     An estimated radius is never used to allow or deny evaluation; in that
     case only nonnegativity is enforced and truncation certificates decide.
