@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import _stability
+from .dynamics import evolve_label, stability_residuals
 from .errors import (
     CertificationError,
     CrossCheckError,
@@ -26,7 +26,7 @@ from .errors import (
 from .observables import variance_curve
 from .resolution import builtin_measure, load_measure, moment_check, unity_check
 from .spectrum import MODELS, Spectrum, _read_object, load_spectrum, make_builtin, validate
-from .state import StateLabel, coefficients
+from .state import LabelBatch, StateLabel, coefficients
 from .verify import DEFAULT_SEED, run_suite
 from .weights import DEFAULT_NMAX, DEFAULT_TAIL_TOL, compute_weights, normalization
 
@@ -208,12 +208,14 @@ def cmd_variance(args) -> int:
 def cmd_evolve(args) -> int:
     s, w = _spectrum_and_table(args)
     label = StateLabel(args.J, args.gamma)
-    (residual,), c, (tail_mass,) = _stability(s, w, [(label, args.t)], args.tol)
+    evolve_label(label, args.t, s.omega)  # a non-finite t is refused before the series
+    batch = LabelBatch(s, w, [label], args.tol)
+    (residual,), (tail_mass,) = stability_residuals(batch, [args.t]), batch.tails
     bound = 2.0 * 2.0 * math.sqrt(tail_mass) if tail_mass else 0.0
     # rounding the phase arguments e_n gamma, omega e_n t and e_n (gamma + omega t)
     # moves component n by at most UNIT_ROUNDOFF (3|gamma| + 5|omega t|) e_n radians
-    e = w.levels[: len(c)]
-    spread = math.sqrt(float(np.sum(e * e * np.abs(c) ** 2)))
+    e = w.levels[: len(batch.c)]
+    spread = math.sqrt(float(np.sum(e * e * np.abs(batch.c) ** 2)))
     bound += UNIT_ROUNDOFF * (3.0 * abs(args.gamma) + 5.0 * abs(s.omega * args.t)) * spread
     rows = [[args.J, args.gamma, args.t, residual, bound]]
     _emit_table(["J", "gamma", "t", "residual", "bound"], rows, args)

@@ -11,8 +11,8 @@ import numpy as np
 from .errors import LabelRangeError
 from .phase import phase_factor
 from .spectrum import Spectrum
-from .state import StateCoefficients, StateLabel, _amplitudes, _phase_rows, _phased, _zero_padded
-from .weights import DEFAULT_TAIL_TOL, WeightTable, _check_same_spectrum, _SumColumns
+from .state import LabelBatch, StateCoefficients, StateLabel, _zero_padded
+from .weights import DEFAULT_TAIL_TOL, WeightTable, _check_same_spectrum
 from dataclasses import dataclass
 
 
@@ -58,35 +58,16 @@ def temporal_stability_residual(
     share the truncation picked for J, and the residual measures only the
     phase identity, not mismatched supports.
     """
-    return _stability(s, w, [(l, t)], tol)[0][0]
+    evolve_label(l, t, s.omega)  # a non-finite t is refused before the series
+    return stability_residuals(LabelBatch(s, w, [l], tol), [t])[0]
 
 
-def _evolved_gammas(labels: list[StateLabel], ts: list[float], omega: float) -> list[float]:
-    """gamma + omega t for each label and its t of ts, as ``evolve_label``
-    forms them; where one is not finite, ``evolve_label`` raises its error."""
-    out = np.add([l.gamma for l in labels], np.multiply(omega, ts))
-    if not np.isfinite(out).all():
-        for l, t in zip(labels, ts):
-            evolve_label(l, t, omega)
-    return out.tolist()
-
-
-def _stability(
-    s: Spectrum, w: WeightTable, samples: list[tuple[StateLabel, float]], tol: float,
-    sums: _SumColumns | None = None,
-) -> tuple[list[float], np.ndarray, list[float]]:
-    """The temporal-stability residual at each (l, t) of samples, and the
-    amplitudes of the states at the l they evolved, end to end (for one
-    sample, its state's c), with their tail masses; the series come from the
-    columns ``sums`` if given.  Evolution keeps J, so each start and its
-    evolved label share one amplitude row; the two differ in their phases."""
-    labels, ts = [l for l, _ in samples], [t for _, t in samples]
-    after = _evolved_gammas(labels, ts, s.omega)
-    amps, rows, tails = _amplitudes(s, w, [l.J for l in labels], tol, sums)
-    c = _phase_rows(amps, rows, w.levels, [l.gamma for l in labels])
-    moved = _phase_rows(c, rows, s.omega * w.levels[: max(rows.lengths, default=0)], ts)
-    moved -= _phase_rows(amps, rows, w.levels, after)
-    return [float(np.linalg.norm(d)) for d in rows.split(moved)], c, tails
+def stability_residuals(batch: LabelBatch, ts: list[float]) -> list[float]:
+    """temporal_stability_residual at each label of batch and its t of ts:
+    a state and its evolved label share one amplitude row."""
+    after = batch.evolved(ts)  # refuses a non-finite t before it enters a phase
+    e = batch.spectrum.omega * batch.table.levels[: max(batch.lengths, default=0)]
+    return [float(np.linalg.norm(d)) for d in batch.split(batch.phased(batch.c, e, ts) - after)]
 
 
 def kinematic_representation_check(
@@ -101,23 +82,23 @@ def kinematic_representation_check(
 
     l and l(-t) share J, so both bras come from one certified series.
     """
-    return _kinematics(s, w, [np.asarray(psi, dtype=complex)], [(l, t)], tol)[0]
+    evolve_label(l, -t, s.omega)  # a non-finite t is refused before the series
+    return kinematic_pairs(LabelBatch(s, w, [l], tol), [np.asarray(psi, dtype=complex)], [t])[0]
 
 
-def _kinematics(
-    s: Spectrum, w: WeightTable, psis: list[np.ndarray],
-    samples: list[tuple[StateLabel, float]], tol: float, sums: _SumColumns | None = None,
+def kinematic_pairs(
+    batch: LabelBatch, psis: list[np.ndarray], ts: list[float]
 ) -> list[tuple[complex, complex]]:
-    """kinematic_representation_check for each psi of psis with its (l, t)
-    of samples, the series from the columns ``sums`` if given: the bras at l
-    and l(-t) share one amplitude row."""
-    labels, ts = [l for l, _ in samples], [t for _, t in samples]
-    back = _evolved_gammas(labels, [-t for t in ts], s.omega)
-    amps, rows, _ = _amplitudes(s, w, [l.J for l in labels], tol, sums)
-    bras = rows.split(_phase_rows(amps, rows, w.levels, [l.gamma for l in labels]))
-    backs = rows.split(_phase_rows(amps, rows, w.levels, back))
+    """kinematic_representation_check at each label of batch, its psi of psis
+    and its t of ts: the bras at l and l(-t) share one amplitude row."""
+    backs = batch.split(batch.evolved([-t for t in ts]))
+    s, w = batch.spectrum, batch.table
     width = max(len(psi) for psi in psis)
     e = s.omega * (w.levels[:width] if width <= len(w.levels) else s.e_array(width - 1))
+    # psi exp(-i omega e_n t) with LabelBatch.phased's rule for one row and for several
+    padded, x = _zero_padded(*psis), np.multiply.outer(ts, e)
+    moved = padded * phase_factor(x) if len(psis) == 1 else np.multiply(padded, phase_factor(x))
+    moved = [m[: len(psi)] for m, psi in zip(moved, psis)]
     # a bra and its back share a length, as psi_t and psi do: one padding for four
     return [(complex(np.vdot(p[0], p[1])), complex(np.vdot(p[2], p[3])))
-            for p in map(_zero_padded, bras, _phased(psis, e, ts), backs, psis)]
+            for p in map(_zero_padded, batch.split(batch.c), moved, backs, psis)]

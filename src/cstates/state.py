@@ -56,7 +56,8 @@ def coefficients(
     """Amplitudes of |J, gamma> truncated so the missing mass is at most tol.
 
     The kernel's series at J gives the truncation, |c_n| = exp((g_n - log
-    N(J))/2) and the tail mass, as ``_states`` forms them for many labels.
+    N(J))/2) and the tail mass, as ``LabelBatch``, the one many-label path,
+    forms them; one label is cheaper here than through the batch.
     """
     _check_same_spectrum(w, s)
     if not tol > 0:
@@ -71,97 +72,83 @@ def coefficients(
                              tail_mass_bound=float(ps.t0 / (ps.s0 + ps.t0)), label=label, spectrum=s)
 
 
-class _Rows:
-    """Rows of the given lengths laid end to end in one array: row i holds its
-    entries n < lengths[i] at [bounds[i], bounds[i+1]); ``n`` is each entry's n."""
+class LabelBatch:
+    """The states |J, gamma> of many labels at one tolerance, each as
+    coefficients() forms it, bit for bit, as rows laid end to end in one
+    array: row i holds its entries n < lengths[i] at [bounds[i], bounds[i+1]),
+    and ``n`` is each entry's n.  Truncation, |c_n| (``amplitudes``) and tail
+    mass (``tails``) depend on J alone, so a label and its evolved labels
+    (J, gamma + omega t) share one amplitude row; ``c`` holds the states.
 
-    __slots__ = ("lengths", "bounds", "n")
+    The series of the nonzero J are the columns ``sums`` holds, or else those
+    of one ``weights._batch_sums`` call, which raises the first refused J's
+    error; a single J calls the kernel without the batch's grouping.  J = 0
+    is the one entry 1.  log J and log(s0 + t0) are taken by ``math.log`` per
+    J, as for one label, and the rest elementwise."""
 
-    def __init__(self, lengths: Sequence[int]):
-        self.lengths = lengths
-        bounds = np.zeros(len(lengths) + 1, dtype=int)
-        np.cumsum(lengths, out=bounds[1:])
+    __slots__ = ("spectrum", "table", "labels", "lengths", "bounds", "n", "amplitudes", "tails", "c")
+
+    def __init__(self, s: Spectrum, w: WeightTable, labels: Sequence[StateLabel], tol: float,
+                 sums: _SumColumns | None = None):
+        _check_same_spectrum(w, s)
+        if not tol > 0:
+            raise ValueError("tol must be positive")
+        at = {J: k for k, J in enumerate(dict.fromkeys(x.J for x in labels if x.J != 0))}
+        if sums is None:
+            sums = _batch_sums(w, at, tol, 1)
+        # terms, log J, log N(J) and tail mass per distinct nonzero J, then J = 0's
+        i = [sums.at[J] for J in at]
+        norm = sums.s[0, i] + sums.t[0, i]
+        terms = np.append(sums.terms_used[i], 1)
+        log_j = np.array([math.log(J) for J in at] + [0.0])
+        log_norm = np.append(sums.log_scale[i] + np.array([math.log(x) for x in norm.tolist()]), 0.0)
+        tails = np.append(sums.t[0, i] / norm, 0.0)
+        pick = [at[x.J] if x.J != 0 else len(at) for x in labels]
+        self.spectrum, self.table, self.labels = s, w, labels
+        self.lengths, self.tails = terms[pick].tolist(), tails[pick].tolist()
+        bounds = np.zeros(len(labels) + 1, dtype=int)
+        np.cumsum(self.lengths, out=bounds[1:])
         self.bounds = bounds.tolist()
-        self.n = np.arange(bounds[-1]) - np.repeat(bounds[:-1], lengths)
+        self.n = np.arange(bounds[-1]) - np.repeat(bounds[:-1], self.lengths)
+        g = self.n * np.repeat(log_j[pick], self.lengths) - w.log_rho[self.n]
+        self.amplitudes = np.exp(0.5 * (g - np.repeat(log_norm[pick], self.lengths)))
+        self.c = self.phased(self.amplitudes, w.levels, [x.gamma for x in labels])
 
-    def spread(self, values: Sequence[float]) -> np.ndarray:
-        """Each row's value of values at every entry of the row."""
-        return np.repeat(values, self.lengths)
+    def phased(self, flat: np.ndarray, e: np.ndarray, xs: Sequence[float]) -> np.ndarray:
+        """flat, laid out as the rows, times exp(-i e_n x) with each row's x of
+        xs, in one ``phase_factor`` call.  numpy computes a product with a
+        large temporary operand in place, and a complex product in place can
+        differ in the last bit from one into a new array: a single row is
+        multiplied as a one-vector call always was, and several rows into a
+        new array, as each was one by one."""
+        x = e[self.n] * np.repeat(xs, self.lengths)
+        return flat * phase_factor(x) if len(self.lengths) == 1 else np.multiply(flat, phase_factor(x))
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
         """The rows of flat, as views."""
         return [flat[a:b] for a, b in zip(self.bounds, self.bounds[1:])]
 
+    def states(self) -> list[StateCoefficients]:
+        """coefficients() of each label, bit for bit."""
+        return [StateCoefficients(c=v, tail_mass_bound=m, label=x, spectrum=self.spectrum)
+                for v, m, x in zip(self.split(self.c), self.tails, self.labels)]
 
-def _amplitudes(
-    s: Spectrum, w: WeightTable, Js: Sequence[float], tol: float, sums: _SumColumns | None = None
-) -> tuple[np.ndarray, _Rows, list[float]]:
-    """|c_n| = exp((g_n - log N(J))/2) of the state at each J of Js, as rows
-    end to end, and their tail masses.  The series of the nonzero J are the
-    columns ``sums`` holds, or else those of one ``weights._batch_sums``
-    call, which raises the first refused J's error; a single J calls the
-    kernel without the batch's grouping.  J = 0 is the one entry 1.
-    Truncation, |c_n| and tail mass depend on J alone, and each entry is
-    formed as the state of its J alone forms it, bit for bit: log J and
-    log(s0 + t0) by ``math.log`` per J, the rest elementwise."""
-    _check_same_spectrum(w, s)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    at = {J: k for k, J in enumerate(dict.fromkeys(J for J in Js if J != 0))}
-    if sums is None:
-        sums = _batch_sums(w, at, tol, 1)
-    # terms, log J, log N(J) and tail mass per distinct nonzero J, then J = 0's
-    i = [sums.at[J] for J in at]
-    norm = sums.s[0, i] + sums.t[0, i]
-    terms = np.append(sums.terms_used[i], 1)
-    log_j = np.array([math.log(J) for J in at] + [0.0])
-    log_norm = np.append(sums.log_scale[i] + np.array([math.log(x) for x in norm.tolist()]), 0.0)
-    tails = np.append(sums.t[0, i] / norm, 0.0)
-    pick = [at[J] if J != 0 else len(at) for J in Js]
-    rows = _Rows(terms[pick].tolist())
-    g = rows.n * rows.spread(log_j[pick]) - w.log_rho[rows.n]
-    return np.exp(0.5 * (g - rows.spread(log_norm[pick]))), rows, tails[pick].tolist()
+    def evolved(self, ts: Sequence[float]) -> np.ndarray:
+        """The states at the evolved labels (J, gamma + omega t), t of ts."""
+        gammas = _evolved_gammas(self.labels, ts, self.spectrum.omega)
+        return self.phased(self.amplitudes, self.table.levels, gammas)
 
 
-def _phases(e: np.ndarray, rows: _Rows, xs: Sequence[float]) -> np.ndarray:
-    """exp(-i e_n x) at the entries of each row and its x of xs, in one
-    ``phase_factor`` call (a state: e the levels, x = gamma; an evolution:
-    e = omega levels, x = t)."""
-    return phase_factor(e[rows.n] * rows.spread(xs))
+def _evolved_gammas(labels: Sequence[StateLabel], ts: Sequence[float], omega: float) -> list[float]:
+    """gamma + omega t for each label and its t of ts, as ``evolve_label``
+    forms them; where one is not finite, ``evolve_label`` raises its error."""
+    out = np.add([l.gamma for l in labels], np.multiply(omega, ts))
+    if not np.isfinite(out).all():
+        from .dynamics import evolve_label  # dynamics imports this module
 
-
-def _phase_rows(flat: np.ndarray, rows: _Rows, e: np.ndarray, xs: Sequence[float]) -> np.ndarray:
-    """flat times ``_phases(e, rows, xs)``.  numpy computes a product with a
-    large temporary operand in place, and a complex product in place can
-    differ in the last bit from one into a new array: a single row is
-    multiplied as a one-vector call always was, and several rows into a new
-    array, as each was one by one."""
-    if len(rows.lengths) == 1:
-        return flat * _phases(e, rows, xs)
-    return np.multiply(flat, _phases(e, rows, xs))
-
-
-def _states(
-    s: Spectrum,
-    w: WeightTable,
-    labels: Sequence[StateLabel],
-    tol: float,
-    sums: _SumColumns | None = None,
-) -> list[StateCoefficients]:
-    """coefficients() of each label, bit for bit: the ``_amplitudes`` of their
-    J, from the columns ``sums`` if given, times the ``_phases`` of their
-    gamma, each one array for all labels."""
-    amps, rows, tails = _amplitudes(s, w, [x.J for x in labels], tol, sums)
-    c = _phase_rows(amps, rows, w.levels, [x.gamma for x in labels])
-    return [StateCoefficients(c=v, tail_mass_bound=m, label=x, spectrum=s)
-            for v, m, x in zip(rows.split(c), tails, labels)]
-
-
-def _phased(vectors: Sequence[np.ndarray], e: np.ndarray, xs: Sequence[float]) -> list[np.ndarray]:
-    """v_n exp(-i e_n x) for each v of vectors and its x of xs, as ``_phase_rows``."""
-    rows = _Rows([len(v) for v in vectors])
-    flat = vectors[0] if len(vectors) == 1 else np.concatenate(vectors)
-    return rows.split(_phase_rows(flat, rows, e, xs))
+        for l, t in zip(labels, ts):
+            evolve_label(l, t, omega)
+    return out.tolist()
 
 
 def _zero_padded(*vectors) -> np.ndarray:

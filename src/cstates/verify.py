@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _kinematics, _stability, evolve_label
+from .dynamics import evolve_coefficients, evolve_label, kinematic_pairs, stability_residuals
 from .errors import CertificationError, CStatesError, TruncationError
 from .observables import (
     VariancePoint,
@@ -18,7 +18,7 @@ from .observables import (
 )
 from .resolution import Measure, gamma_averaged_projector, moment_check, unity_check
 from .spectrum import ZETA2, ZETA3, Spectrum
-from .state import StateLabel, _phased, _states, _zero_padded, coefficients, norm_deficit
+from .state import LabelBatch, StateLabel, _zero_padded, coefficients, norm_deficit
 from .weights import DEFAULT_TAIL_TOL, WeightTable, _batch_sums, _check_same_spectrum
 from .weights import normalization, power_sums
 
@@ -158,7 +158,7 @@ def run_suite(
     def chk_reduction():
         Js, gammas = _uniform(reduction, (0.0, 6.0), (-math.pi, math.pi))
         worst = 0.0
-        for state in _states(s, w, [StateLabel(J, gamma) for J, gamma in zip(Js, gammas)], 1e-26):
+        for state in LabelBatch(s, w, list(map(StateLabel, Js, gammas)), 1e-26).states():
             J, gamma = state.label.J, state.label.gamma
             z = math.sqrt(J) * complex(math.cos(gamma), -math.sin(gamma))
             top = min(60, state.n_top)
@@ -189,19 +189,19 @@ def run_suite(
     run("norm-deficit", chk_norm_deficit)
 
     def chk_temporal_stability():
-        samples = [(StateLabel(J, gamma), t) for J, gamma, t in zip(*stability)]
-        worst = max(0.0, *_stability(s, w, samples, tol, shared)[0])
+        labels = [StateLabel(J, gamma) for J, gamma, _ in zip(*stability)]
+        worst = max(0.0, *stability_residuals(LabelBatch(s, w, labels, tol, shared), stability[2]))
         assert worst <= 1e-10, f"max residual {worst:.3e} > 1e-10"
         return f"max residual {worst:.2e} over 100 samples"
 
     run("temporal-stability", chk_temporal_stability)
 
     def chk_kinematics():
-        samples = [(StateLabel(J, gamma), t) for J, gamma, t in zip(*kinematics)]
+        batch = LabelBatch(s, w, [StateLabel(J, g) for J, g, _ in zip(*kinematics)], tol, shared)
         z = np.array(normals)
         psis = z[:, :width] + 1j * z[:, width:]
         psis = psis / np.array([np.linalg.norm(psi) for psi in psis])[:, None]
-        pairs = _kinematics(s, w, list(psis), samples, tol, shared)
+        pairs = kinematic_pairs(batch, list(psis), kinematics[2])
         worst = max(0.0, *(abs(lhs - rhs) for lhs, rhs in pairs))
         assert worst <= 1e-10, f"max |lhs - rhs| {worst:.3e} > 1e-10"
         return f"max |<l|psi,t> - <l(-t)|psi>| = {worst:.2e} over 50 samples"
@@ -227,7 +227,7 @@ def run_suite(
 
     def chk_gamma_independence():
         J = float(j_mid)
-        a, b = _states(s, w, [StateLabel(J, 0.0), StateLabel(J, 7.3)], tol, shared)
+        a, b = LabelBatch(s, w, [StateLabel(J, 0.0), StateLabel(J, 7.3)], tol, shared).states()
         ma, _, va = moments_from_state(s, a)
         mb, _, vb = moments_from_state(s, b)
         assert abs(ma - mb) <= 1e-9 and abs(va - vb) <= 1e-9, (
@@ -362,7 +362,7 @@ def run_suite(
     run("projector-psd", chk_psd)
 
     def chk_continuity():
-        states = iter(_states(s, w, continuity, tol, shared))
+        states = iter(LabelBatch(s, w, continuity, tol, shared).states())
         worst = 0.0
         for base in states:
             for (dj, dg), other in zip(steps, states):  # the next len(steps) states
@@ -379,8 +379,8 @@ def run_suite(
         vec = rng.normal(size=width) + 1j * rng.normal(size=width)
         vec /= np.linalg.norm(vec)
         worst = 0.0
-        for ev in _phased([vec] * 4, s.omega * w.levels[:width], [0.0, 1.7, -33.0, 1e6]):
-            worst = max(worst, abs(np.linalg.norm(ev) ** 2 - 1.0))
+        for t in (0.0, 1.7, -33.0, 1e6):
+            worst = max(worst, abs(np.linalg.norm(evolve_coefficients(vec, s, t).c) ** 2 - 1.0))
         assert worst <= 1e-12, f"norm drift {worst:.3e} > 1e-12"
         return f"max norm drift {worst:.2e}"
 
@@ -388,9 +388,9 @@ def run_suite(
 
     def chk_flow():
         worst = 0.0
-        for _ in range(20):
-            label = StateLabel(float(rng.uniform(0, 1)), float(rng.uniform(-5, 5)))
-            t1, t2 = float(rng.uniform(-9, 9)), float(rng.uniform(-9, 9))
+        draws = _uniform(rng.random((20, 4)), (0, 1), (-5, 5), (-9, 9), (-9, 9))
+        for J, gamma, t1, t2 in zip(*draws):
+            label = StateLabel(J, gamma)
             once = evolve_label(evolve_label(label, t1, s.omega), t2, s.omega)
             whole = evolve_label(label, t1 + t2, s.omega)
             worst = max(worst, abs(once.gamma - whole.gamma))

@@ -29,9 +29,9 @@ from cstates import (
     temporal_stability_residual,
 )
 from cstates import phase
-from cstates.dynamics import _kinematics, _stability
+from cstates.dynamics import kinematic_pairs, stability_residuals
 from cstates.phase import phase_factor, reduce_angles
-from cstates.state import _phase_rows, _phased, _Rows, _states, _zero_padded
+from cstates.state import LabelBatch, _zero_padded
 
 
 def test_evolve_label_examples():
@@ -157,35 +157,42 @@ def test_evolving_with_the_table_levels_matches_evolve_coefficients(s):
     assert w.levels.tobytes() == s.e_array(59).tobytes()
     rng = np.random.default_rng(3)
     c = rng.normal(size=60) + 1j * rng.normal(size=60)
-    for k in (1, 17, 60):
+    # one-label batches whose rows hold 1 entry and 7 to 33 entries
+    ks = []
+    for J in (0.0, 0.02, 0.2):
+        batch = LabelBatch(s, w, [StateLabel(J, 0.5)], 1e-12)
+        k = batch.lengths[0]
+        ks.append(k)
         for t in (0.0, 1.7, -33.0, 3.7e11):
             ref = evolve_coefficients(c[:k], s, t).c
             assert ref.tobytes() == (c[:k] * phase_factor(s.omega * s.e_array(k - 1) * t)).tobytes()
-            moved = _phased([c[:k]], s.omega * w.levels[:k], [t])[0]
+            moved = batch.phased(c[:k], s.omega * w.levels, [t])
             assert moved.tobytes() == ref.tobytes(), (k, t)
+    assert ks[0] == 1 and ks[2] > ks[1] > 1
 
 
 def test_one_vector_products_keep_their_rules(hydrogen, w_hydrogen):
     # numpy computes a complex product with a large temporary operand in
     # place from 16,384 entries on, and that can differ in the last bit from
     # a product into a new array.  One vector is multiplied with ``*`` by
-    # evolve_coefficients and by _phase_rows alike; several rows into a new
+    # evolve_coefficients and by LabelBatch.phased alike; several rows into a new
     # array, so each row is its own one-row product even where the flat
     # product is long enough for numpy to reuse the temporary
     e = hydrogen.omega * w_hydrogen.levels
     x = coefficients(hydrogen, w_hydrogen, StateLabel(0.999, 0.4))
     assert len(x.c) >= 16_384
     for t in (2.7, -1.0, 3.3e4):
-        one = _phase_rows(x.c, _Rows([len(x.c)]), e, [t])
+        one = LabelBatch(hydrogen, w_hydrogen, [x.label], 1e-12).phased(x.c, e, [t])
         assert evolve_coefficients(x, hydrogen, t).c.tobytes() == one.tobytes(), t
     labels = [StateLabel(float(J), 0.3 * k) for k, J in enumerate(np.linspace(0.9, 0.98, 40))]
-    vectors = [y.c for y in _states(hydrogen, w_hydrogen, labels, 1e-12)]
-    rows = _Rows([len(v) for v in vectors])
-    assert rows.bounds[-1] >= 16_384 and max(rows.lengths) < 16_384
+    batch = LabelBatch(hydrogen, w_hydrogen, labels, 1e-12)
+    vectors = [y.c for y in batch.states()]
+    assert batch.bounds[-1] >= 16_384 and max(batch.lengths) < 16_384
     ts = np.linspace(-20.0, 20.0, len(vectors)).tolist()
-    many = rows.split(_phase_rows(np.concatenate(vectors), rows, e, ts))
-    for v, t, row in zip(vectors, ts, many):
-        assert row.tobytes() == _phase_rows(v, _Rows([len(v)]), e, [t]).tobytes(), t
+    many = batch.split(batch.phased(np.concatenate(vectors), e, ts))
+    for label, v, t, row in zip(labels, vectors, ts, many):
+        one_row = LabelBatch(hydrogen, w_hydrogen, [label], 1e-12)
+        assert row.tobytes() == one_row.phased(v, e, [t]).tobytes(), t
 
 
 @pytest.mark.parametrize("s", LEVEL_RULES, ids=lambda s: s.name)
@@ -199,9 +206,11 @@ def test_batched_stability_and_kinematics_match_one_by_one(s):
     samples = [(StateLabel(float(J), float(g)), float(t)) for J, g, t in draws]
     samples[5] = (StateLabel(0.0, 1.0), 2.0)
     samples[7] = (samples[3][0], 1e9)  # a repeated label, and a phase past 1e8
-    residuals, starts, tails = _stability(s, w, samples, 1e-12)
+    batch = LabelBatch(s, w, [l for l, _ in samples], 1e-12)
+    ts = [t for _, t in samples]
+    residuals, starts, tails = stability_residuals(batch, ts), batch.c, batch.tails
     psis = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in rng.integers(1, 60, len(samples))]
-    pairs = _kinematics(s, w, psis, samples, 1e-12)
+    pairs = kinematic_pairs(batch, psis, ts)
     singles = []
     for (l, t), residual, tail, psi, pair in zip(samples, residuals, tails, psis, pairs):
         a = coefficients(s, w, l)
@@ -214,6 +223,9 @@ def test_batched_stability_and_kinematics_match_one_by_one(s):
         assert repr(residual) == repr(float(np.linalg.norm(moved_a - b.c)))
         assert pair == (complex(np.vdot(*_zero_padded(a.c, moved_psi))),
                         complex(np.vdot(*_zero_padded(back.c, psi))))
+        # the public one-label checks give the batch's row
+        assert (repr(temporal_stability_residual(s, w, l, t)),
+                repr(kinematic_representation_check(s, w, psi, l, t))) == (repr(residual), repr(pair))
     # the start states, end to end in sample order
     assert starts.tobytes() == np.concatenate(singles).tobytes()
 

@@ -1,11 +1,14 @@
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cstates
 from cstates import (
     LabelRangeError,
     SpectrumMismatchError,
@@ -17,7 +20,7 @@ from cstates import (
     norm_deficit,
     overlap,
 )
-from cstates.state import _states
+from cstates.state import LabelBatch
 
 
 def closed_form_hydrogen_normalization(J):
@@ -55,7 +58,7 @@ def test_states_equal_coefficients_bit_for_bit(system, tol, request):
     # repeated J with different gammas, distinct J, and J = 0
     labels = [StateLabel(0.4, 0.0), StateLabel(0.4, -2.5), StateLabel(0.0, 1.7),
               StateLabel(0.7, 3.1), StateLabel(0.4, 11.0), StateLabel(0.0, 0.0)]
-    got = _states(s, w, labels, tol)
+    got = LabelBatch(s, w, labels, tol).states()
     assert len(got) == len(labels)
     for label, x in zip(labels, got):
         ref = coefficients(s, w, label, tol)
@@ -63,6 +66,27 @@ def test_states_equal_coefficients_bit_for_bit(system, tol, request):
         assert x.c.tobytes() == ref.c.tobytes()
         assert x.tail_mass_bound == ref.tail_mass_bound
         assert x.spectrum is ref.spectrum
+
+
+# the private many-label helpers that LabelBatch replaced
+REPLACED = {"_Rows", "_amplitudes", "_phases", "_phase_rows", "_states", "_phased",
+            "_stability", "_kinematics"}
+
+
+def test_many_labels_take_one_type():
+    # no module defines or imports a replaced helper, and the CLI reaches
+    # states and dynamics through public names only
+    for path in Path(cstates.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imports = [(node.module, alias.name) for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for alias in node.names]
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert not REPLACED & (defined | {name for _, name in imports}), path.name
+        if path.name == "cli.py":
+            private = [(module, name) for module, name in imports
+                       if module in ("state", "dynamics") and name.startswith("_")]
+            assert private == []
 
 
 def test_harmonic_matches_canonical_formula(harmonic, w_harmonic):

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cstates import (
@@ -14,6 +15,7 @@ from cstates import (
     dynamics,
     from_levels,
     make_builtin,
+    state,
     weights,
 )
 from cstates.verify import _probe_usable_j, run_suite
@@ -125,28 +127,30 @@ def test_run_suite_refused_series_calls_capped(series_calls):
     assert len([J for _, J, ok in series_calls if not ok]) <= 30
 
 
-def drifting_labels(labels, ts, omega, evolved=dynamics._evolved_gammas):
+def drifting_labels(labels, ts, omega, evolved=state._evolved_gammas):
     """An evolution defect: the evolved labels' gamma + omega t (1 + 1e-6),
     which puts a phase e_n omega t 1e-6 on level n of the evolved state."""
     return evolved(labels, [t * (1.0 + 1e-6) for t in ts], omega)
 
 
-def backward_psis(vectors, e, xs, phased=dynamics._phased):
-    """A psi-evolution defect: each psi evolved with t of the wrong sign."""
-    return phased(vectors, e, [-x for x in xs])
+def backward_phases(x, phase=dynamics.phase_factor):
+    """A psi-evolution defect: dynamics' phases exp(+i x), so each psi is
+    evolved with t of the wrong sign."""
+    return phase(-np.asarray(x))
 
 
 @pytest.mark.parametrize("model", ["harmonic", "hydrogen_like"])
-@pytest.mark.parametrize("name, defect, failing", [
-    ("clean", None, []),
-    ("_evolved_gammas", drifting_labels, ["temporal-stability", "dynamics-as-kinematics"]),
-    ("_phased", backward_psis, ["dynamics-as-kinematics"]),
+@pytest.mark.parametrize("module, name, defect, failing", [
+    (None, None, None, []),
+    (state, "_evolved_gammas", drifting_labels, ["temporal-stability", "dynamics-as-kinematics"]),
+    (dynamics, "phase_factor", backward_phases, ["dynamics-as-kinematics"]),
 ], ids=["clean", "evolved-label-drift", "psi-evolved-backward"])
-def test_evolution_rows_fail_under_evolution_defects(monkeypatch, model, name, defect, failing):
-    # temporal-stability and dynamics-as-kinematics build their states as
-    # amplitude rows times phases; each fails when the evolution it checks is wrong
+def test_evolution_rows_fail_under_evolution_defects(monkeypatch, model, module, name, defect, failing):
+    # temporal-stability and dynamics-as-kinematics build their states as one
+    # LabelBatch's amplitude rows times phases; each fails when the evolution
+    # it checks is wrong
     if defect:
-        monkeypatch.setattr(dynamics, name, defect)
+        monkeypatch.setattr(module, name, defect)
     s = make_builtin(model)
     results = run_suite(s, compute_weights(s), builtin_measure(model))
     assert [r.name for r in results if r.status == "fail"] == failing

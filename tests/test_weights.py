@@ -25,7 +25,7 @@ from cstates import (
     variance,
 )
 from cstates import StateLabel, weights
-from cstates.state import _states
+from cstates.state import LabelBatch
 from cstates.weights import _TERM_FLOOR, PowerSums, _ratio_caps
 
 
@@ -863,7 +863,7 @@ def test_states_raise_the_first_refused_labels_error(hydrogen):
              ([0.95], 0.95), ([0.0, -0.5], -0.5))
     for labels, first in cases:
         with pytest.raises(CStatesError) as info:
-            _states(hydrogen, w, [StateLabel(J, 1.0) for J in labels], 1e-12)
+            LabelBatch(hydrogen, w, [StateLabel(J, 1.0) for J in labels], 1e-12)
         assert refusal(info.value) == kernel_repr(w, first, 1e-12, 1)
 
 
