@@ -11,7 +11,7 @@ import numpy as np
 from .errors import LabelRangeError
 from .phase import phase_factor
 from .spectrum import Spectrum
-from .state import LabelBatch, StateCoefficients, StateLabel, _zero_padded
+from .state import LabelBatch, StateCoefficients, StateLabel, _refuse_overflow, _zero_padded
 from .weights import DEFAULT_TAIL_TOL, WeightTable, _check_same_spectrum
 from dataclasses import dataclass
 
@@ -42,6 +42,7 @@ def evolve_coefficients(x, s: Spectrum, t: float) -> EvolvedState:
     else:
         c, source = np.asarray(x, dtype=complex), None
     e = s.e_array(len(c) - 1)
+    _refuse_overflow(s.omega * float(e[-1]), float(t), "t")
     return EvolvedState(c=c * phase_factor(s.omega * e * t), t=float(t), source_label=source)
 
 
@@ -95,6 +96,7 @@ def kinematic_pairs(
     s, w = batch.spectrum, batch.table
     width = max(len(psi) for psi in psis)
     e = s.omega * (w.levels[:width] if width <= len(w.levels) else s.e_array(width - 1))
+    _refuse_overflow(float(e[-1]), max(ts, key=abs), "t")  # the largest |t| overflows first
     # psi exp(-i omega e_n t) with LabelBatch.phased's rule for one row and for several
     padded, x = _zero_padded(*psis), np.multiply.outer(ts, e)
     moved = padded * phase_factor(x) if len(psis) == 1 else np.multiply(padded, phase_factor(x))

@@ -66,6 +66,7 @@ def coefficients(
         return StateCoefficients(c=np.ones(1, dtype=complex), tail_mass_bound=0.0, label=label, spectrum=s)
     ps = power_sums(w, label.J, rel_tol=tol)
     k = ps.terms_used
+    _refuse_overflow(float(w.levels[k - 1]), label.gamma, "gamma")
     g = np.arange(k, dtype=float) * math.log(label.J) - w.log_rho[:k]
     amps = np.exp(0.5 * (g - (ps.log_scale + math.log(ps.s0 + ps.t0))))
     return StateCoefficients(c=amps * phase_factor(w.levels[:k] * label.gamma),
@@ -112,15 +113,17 @@ class LabelBatch:
         self.n = np.arange(bounds[-1]) - np.repeat(bounds[:-1], self.lengths)
         g = self.n * np.repeat(log_j[pick], self.lengths) - w.log_rho[self.n]
         self.amplitudes = np.exp(0.5 * (g - np.repeat(log_norm[pick], self.lengths)))
-        self.c = self.phased(self.amplitudes, w.levels, [x.gamma for x in labels])
+        self.c = self.phased(self.amplitudes, w.levels, [x.gamma for x in labels], "gamma")
 
-    def phased(self, flat: np.ndarray, e: np.ndarray, xs: Sequence[float]) -> np.ndarray:
+    def phased(self, flat: np.ndarray, e: np.ndarray, xs: Sequence[float], name="t") -> np.ndarray:
         """flat, laid out as the rows, times exp(-i e_n x) with each row's x of
-        xs, in one ``phase_factor`` call.  numpy computes a product with a
-        large temporary operand in place, and a complex product in place can
-        differ in the last bit from one into a new array: a single row is
-        multiplied as a one-vector call always was, and several rows into a
-        new array, as each was one by one."""
+        xs, in one ``phase_factor`` call; an x whose e_n x overflows is refused
+        as name.  numpy computes a product with a large temporary operand in
+        place, and a complex product in place can differ in the last bit from
+        one into a new array: a single row is multiplied as a one-vector call
+        always was, and several rows into a new array, as each was one by one."""
+        for top, x in zip(e[np.array(self.lengths, dtype=int) - 1].tolist(), xs):
+            _refuse_overflow(top, x, name)
         x = e[self.n] * np.repeat(xs, self.lengths)
         return flat * phase_factor(x) if len(self.lengths) == 1 else np.multiply(flat, phase_factor(x))
 
@@ -136,7 +139,7 @@ class LabelBatch:
     def evolved(self, ts: Sequence[float]) -> np.ndarray:
         """The states at the evolved labels (J, gamma + omega t), t of ts."""
         gammas = _evolved_gammas(self.labels, ts, self.spectrum.omega)
-        return self.phased(self.amplitudes, self.table.levels, gammas)
+        return self.phased(self.amplitudes, self.table.levels, gammas, "gamma + omega t")
 
 
 def _evolved_gammas(labels: Sequence[StateLabel], ts: Sequence[float], omega: float) -> list[float]:
@@ -149,6 +152,13 @@ def _evolved_gammas(labels: Sequence[StateLabel], ts: Sequence[float], omega: fl
         for l, t in zip(labels, ts):
             evolve_label(l, t, omega)
     return out.tolist()
+
+
+def _refuse_overflow(top: float, x: float, name: str) -> None:
+    """Refuse x where the phase argument top * x, formed as numpy forms it, is past the
+    float range; levels rise from e_0 = 0, so top, the last level used, decides."""
+    if not math.isfinite(top * x):
+        raise LabelRangeError(f"{name} = {x!r} puts the phase argument past the float range")
 
 
 def _zero_padded(*vectors) -> np.ndarray:

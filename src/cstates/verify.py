@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import evolve_coefficients, evolve_label, kinematic_pairs, stability_residuals
+from .dynamics import evolve_coefficients, kinematic_pairs, stability_residuals
 from .errors import CertificationError, CStatesError, TruncationError
 from .observables import (
     VariancePoint,
@@ -27,6 +27,8 @@ DEFAULT_SEED = 1234
 # near-jstar-exponent compares the series with the exact v(J) at the points
 # J = 1 - 10^-x, x = 1.5, 1.75, ..., 4.5, that the command's table certifies
 _NEAR_JSTAR_WINDOW = tuple(1.0 - 10.0 ** (-q / 4) for q in range(6, 19))
+# label-continuity's steps (dJ, dgamma) from each of its five drawn labels
+_STEPS = ((1e-5, 0.0), (-1e-5, 0.0), (0.0, 1e-5), (1e-6, 1e-6))
 
 
 @dataclass(frozen=True)
@@ -67,98 +69,88 @@ def _uniform(u: np.ndarray, *ranges: tuple[float, float]) -> list[list[float]]:
     return (low + (high - low) * u).T.tolist()
 
 
-def run_suite(
-    s: Spectrum,
-    w: WeightTable,
-    measure: Measure | None,
-    *,
-    seed: int = DEFAULT_SEED,
-    tol: float = DEFAULT_TAIL_TOL,
-) -> list[CheckResult]:
-    """Every check of the suite on s, in order; a table of another spectrum is
-    refused before any check runs."""
-    _check_same_spectrum(w, s)
-    rng = np.random.default_rng(seed)
-    results: list[CheckResult] = []
-    model = s.model
-    model_checks = model.checks if model else frozenset()
+class _Suite:
+    """What the rows share, built once: the spectrum, its table, the measure,
+    tol and the model's record, the probed J, every sampled number and the
+    batched series of their J.  Each row is a method that returns its detail
+    text, or fails on an assertion or a package error."""
 
-    def run(name, fn):
+    def __init__(self, s: Spectrum, w: WeightTable, measure: Measure | None, seed: int, tol: float):
+        self.s, self.w, self.measure, self.tol, self.model = s, w, measure, tol, s.model
+        self.model_checks = s.model.checks if s.model else frozenset()
+        self.n_check = min(w.n_max, s.model.n_check if s.model else 15)
+        j_top = 0.95 * min(w.j_star, 10.0)
+        j_state = self.j_state = _probe_usable_j(w, j_top, tol, need_second=False)
+        self.j_var = _probe_usable_j(w, j_top, tol, need_second=True)
+        self.j_mid = 0.5 * min(j_state, 1.0)
+
+        # every sampled number, before any row runs: one call to random per row
+        # (per psi where its normals come in between), taken to U(low, high) by
+        # _uniform, gives the numbers one uniform call per number would, in order;
+        # evolution-norm's normals last
+        rng = np.random.default_rng(seed)
+        self.reduction = rng.random((10, 2)) if "canonical-reduction" in self.model_checks else None
+        self.stability = _uniform(rng.random((100, 3)), (0.0, 0.9 * j_state), (-10, 10), (-20, 20))
+        width = min(40, w.n_max + 1)
+        self.psis, draws = [], []
+        for _ in range(50):
+            # a psi's real parts, then its imaginary parts; then its J, gamma and t
+            z = rng.normal(size=2 * width)
+            psi = z[:width] + 1j * z[width:]
+            self.psis.append(psi / np.linalg.norm(psi))
+            draws.append(rng.random(3))
+        self.kinematics = _uniform(np.array(draws), (0.0, 0.8 * j_state), (-5, 5), (-10, 10))
+        # five labels, each followed by its steps
+        Js, gammas = _uniform(rng.random((5, 2)), (0.05 * j_state, 0.8 * j_state), (-3, 3))
+        self.continuity = [StateLabel(J + dj, gamma + dg) for J, gamma in zip(Js, gammas)
+                           for dj, dg in ((0.0, 0.0), *_STEPS)]
+        width = min(24, w.n_max + 1)
+        vec = rng.normal(size=width) + 1j * rng.normal(size=width)
+        self.vec = vec / np.linalg.norm(vec)
+
+        # then the series of all their J, and gamma-independence's, in one batch
+        # at tol; where it refuses, each row sums its own J and fails as alone
+        self.grid = np.linspace(0.0, j_state, 20).tolist()
         try:
-            detail = fn()
-            results.append(CheckResult(name, "pass", detail or ""))
-        except AssertionError as exc:
-            results.append(CheckResult(name, "fail", str(exc)))
-        except CStatesError as exc:
-            results.append(CheckResult(name, "fail", f"{type(exc).__name__}: {exc}"))
+            self.shared = _batch_sums(
+                w, [*(self.grid if tol == DEFAULT_TAIL_TOL else ()), *self.stability[0],
+                    *self.kinematics[0], self.j_mid, *(x.J for x in self.continuity)], tol, 1)
+        except (CStatesError, ValueError):
+            self.shared = None
+        # variance-bound reads the points variance-route-agreement certified on
+        # the model's grid; a point that raised there is recomputed and raises again
+        self.variance_points: dict[float, VariancePoint] = {}
 
-    def run_if(applies, name, fn, reason):
-        if applies:
-            run(name, fn)
-        else:
-            results.append(CheckResult(name, "skipped", reason))
+    def _batch(self, labels: list[StateLabel]) -> LabelBatch:
+        """The states of labels at tol, from the shared series where it holds."""
+        return LabelBatch(self.s, self.w, labels, self.tol, self.shared)
 
-    j_top = 0.95 * min(w.j_star, 10.0)
-    j_state = _probe_usable_j(w, j_top, tol, need_second=False)
-    j_var = _probe_usable_j(w, j_top, tol, need_second=True)
-    j_mid = 0.5 * min(j_state, 1.0)
-
-    # every sampled number first, with the calls, in the order, that the
-    # checks once drew them one by one: one call to random per check (per psi
-    # where its normals come in between), taken to U(low, high) by _uniform
-    reduction = rng.random((10, 2)) if "canonical-reduction" in model_checks else None
-    stability = _uniform(rng.random((100, 3)), (0.0, 0.9 * j_state), (-10, 10), (-20, 20))
-    width = min(40, w.n_max + 1)
-    normals, draws = [], []
-    for _ in range(50):
-        # a psi's real parts, then its imaginary parts; then its J, gamma and t
-        normals.append(rng.normal(size=2 * width))
-        draws.append(rng.random(3))
-    kinematics = _uniform(np.array(draws), (0.0, 0.8 * j_state), (-5, 5), (-10, 10))
-    steps = ((1e-5, 0.0), (-1e-5, 0.0), (0.0, 1e-5), (1e-6, 1e-6))
-    continuity = []
-    for J, gamma in zip(*_uniform(rng.random((5, 2)), (0.05 * j_state, 0.8 * j_state), (-3, 3))):
-        continuity += [StateLabel(J, gamma), *(StateLabel(J + dj, gamma + dg) for dj, dg in steps)]
-
-    # then the series of all their J, and gamma-independence's, in one batch
-    # at tol; where it refuses, each check sums its own J and fails as alone
-    grid = np.linspace(0.0, j_state, 20).tolist()
-    try:
-        shared = _batch_sums(w, [*(grid if tol == DEFAULT_TAIL_TOL else ()), *stability[0],
-                                 *kinematics[0], j_mid, *(x.J for x in continuity)], tol, 1)
-    except (CStatesError, ValueError):
-        shared = None
-
-    def chk_action_identity():
+    def action_identity(self) -> str:
         # energy_mean's omega s1/s0 at each J, from one batched series
-        sums = shared
-        if shared is None or tol != DEFAULT_TAIL_TOL:
-            sums = _batch_sums(w, grid, DEFAULT_TAIL_TOL, 1)
+        s, grid, sums = self.s, self.grid, self.shared
+        if sums is None or self.tol != DEFAULT_TAIL_TOL:
+            sums = _batch_sums(self.w, grid, DEFAULT_TAIL_TOL, 1)
         i = [sums.at[J] for J in grid]
         worst = max(np.abs(s.omega * sums.s[1, i] / sums.s[0, i] / s.omega - grid).tolist())
         assert worst <= 1e-8, f"max |mean/omega - J| = {worst:.3e} > 1e-8"
-        return f"max |mean/omega - J| = {worst:.2e} over 20 points in [0, {j_state:.3g}]"
+        return f"max |mean/omega - J| = {worst:.2e} over 20 points in [0, {self.j_state:.3g}]"
 
-    run("action-identity", chk_action_identity)
-
-    def chk_closed_form():
+    def closed_form(self) -> str:
         worst = 0.0
-        for J in model.closed_form_grid:
-            val = normalization(w, s, J)
-            ref = model.normalization(J)
+        for J in self.model.closed_form_grid:
+            val = normalization(self.w, self.s, J)
+            ref = self.model.normalization(J)
             err = abs(val.value / ref - 1.0)
             worst = max(worst, err)
-            assert err <= max(model.closed_form_rtol, val.tail_bound / ref), (
+            assert err <= max(self.model.closed_form_rtol, val.tail_bound / ref), (
                 f"N({J:.2f}) series {val.value!r} vs closed form {ref!r}"
             )
         return f"max relative deviation {worst:.2e}"
 
-    run_if(model, "normalization-closed-form", chk_closed_form, "no closed form for custom spectra")
-
-    def chk_reduction():
-        Js, gammas = _uniform(reduction, (0.0, 6.0), (-math.pi, math.pi))
+    def canonical_reduction(self) -> str:
+        labels = list(map(StateLabel, *_uniform(self.reduction, (0.0, 6.0), (-math.pi, math.pi))))
         worst = 0.0
-        for state in LabelBatch(s, w, list(map(StateLabel, Js, gammas)), 1e-26).states():
+        for state in LabelBatch(self.s, self.w, labels, 1e-26).states():
             J, gamma = state.label.J, state.label.gamma
             z = math.sqrt(J) * complex(math.cos(gamma), -math.sin(gamma))
             top = min(60, state.n_top)
@@ -172,13 +164,10 @@ def run_suite(
         assert worst <= 1e-12, f"worst component deviation {worst:.3e} > 1e-12"
         return f"worst |c_n - canonical| = {worst:.2e} over 10 labels, n <= 60"
 
-    run_if("canonical-reduction" in model_checks, "canonical-reduction", chk_reduction,
-           "canonical closed form applies to the harmonic rule only")
-
-    def chk_norm_deficit():
+    def deficit(self) -> str:
         worst = 0.0
         for frac in (0.3, 0.8):
-            state = coefficients(s, w, StateLabel(frac * j_state, 1.3), tol=tol)
+            state = coefficients(self.s, self.w, StateLabel(frac * self.j_state, 1.3), tol=self.tol)
             deficit = norm_deficit(state)
             assert deficit <= state.tail_mass_bound + 5e-15, (
                 f"deficit {deficit:.3e} exceeds bound {state.tail_mass_bound:.3e}"
@@ -186,95 +175,69 @@ def run_suite(
             worst = max(worst, deficit)
         return f"max deficit {worst:.2e}"
 
-    run("norm-deficit", chk_norm_deficit)
-
-    def chk_temporal_stability():
-        labels = [StateLabel(J, gamma) for J, gamma, _ in zip(*stability)]
-        worst = max(0.0, *stability_residuals(LabelBatch(s, w, labels, tol, shared), stability[2]))
+    def temporal_stability(self) -> str:
+        Js, gammas, ts = self.stability
+        worst = max(0.0, *stability_residuals(self._batch(list(map(StateLabel, Js, gammas))), ts))
         assert worst <= 1e-10, f"max residual {worst:.3e} > 1e-10"
         return f"max residual {worst:.2e} over 100 samples"
 
-    run("temporal-stability", chk_temporal_stability)
-
-    def chk_kinematics():
-        batch = LabelBatch(s, w, [StateLabel(J, g) for J, g, _ in zip(*kinematics)], tol, shared)
-        z = np.array(normals)
-        psis = z[:, :width] + 1j * z[:, width:]
-        psis = psis / np.array([np.linalg.norm(psi) for psi in psis])[:, None]
-        pairs = kinematic_pairs(batch, list(psis), kinematics[2])
+    def dynamics_as_kinematics(self) -> str:
+        Js, gammas, ts = self.kinematics
+        pairs = kinematic_pairs(self._batch(list(map(StateLabel, Js, gammas))), self.psis, ts)
         worst = max(0.0, *(abs(lhs - rhs) for lhs, rhs in pairs))
         assert worst <= 1e-10, f"max |lhs - rhs| {worst:.3e} > 1e-10"
         return f"max |<l|psi,t> - <l(-t)|psi>| = {worst:.2e} over 50 samples"
 
-    run("dynamics-as-kinematics", chk_kinematics)
-
-    # variance-bound reads the points variance-route-agreement certified on
-    # the model's grid; a point that raised there is recomputed and raises again
-    variance_points: dict[float, VariancePoint] = {}
-
-    def chk_variance_agreement():
-        grid = model.variance_grid if model else np.linspace(0.1, 0.8, 5) * j_var
+    def route_agreement(self) -> str:
+        grid = self.model.variance_grid if self.model else np.linspace(0.1, 0.8, 5) * self.j_var
         worst = 0.0
         for J in grid:
-            vp = variance(s, w, float(J))  # raises CrossCheckError on disagreement
-            variance_points[float(J)] = vp
+            vp = variance(self.s, self.w, float(J))  # raises CrossCheckError on disagreement
+            self.variance_points[float(J)] = vp
             if vp.variance != 0:
                 worst = max(worst, abs(vp.variance - vp.double_sum) / abs(vp.variance))
         return f"max relative route difference {worst:.2e}"
 
-    run_if(model or j_var > 0, "variance-route-agreement", chk_variance_agreement,
-           "no certified second-moment bound (declare e_star)")
-
-    def chk_gamma_independence():
-        J = float(j_mid)
-        a, b = LabelBatch(s, w, [StateLabel(J, 0.0), StateLabel(J, 7.3)], tol, shared).states()
-        ma, _, va = moments_from_state(s, a)
-        mb, _, vb = moments_from_state(s, b)
+    def gamma_independence(self) -> str:
+        J = float(self.j_mid)
+        a, b = self._batch([StateLabel(J, 0.0), StateLabel(J, 7.3)]).states()
+        ma, _, va = moments_from_state(self.s, a)
+        mb, _, vb = moments_from_state(self.s, b)
         assert abs(ma - mb) <= 1e-9 and abs(va - vb) <= 1e-9, (
             f"means {ma!r}/{mb!r}, variances {va!r}/{vb!r}"
         )
         return f"|mean diff| = {abs(ma - mb):.2e}, |variance diff| = {abs(va - vb):.2e}"
 
-    run("gamma-independence", chk_gamma_independence)
-
-    def chk_bound():
-        grid = model.variance_grid
+    def variance_bound(self) -> str:
+        model, grid, known = self.model, self.model.variance_grid, self.variance_points
         for J in grid:
-            vp = variance_points[J] if J in variance_points else variance(s, w, J)
-            bound = model.variance_bound(J, s.omega)
+            vp = known[J] if J in known else variance(self.s, self.w, J)
+            bound = model.variance_bound(J, self.s.omega)
             assert vp.variance <= bound + 1e-9, (
                 f"v({J:g}) = {vp.variance!r} exceeds {model.variance_bound_text} = {bound!r}"
             )
         return f"v(J) <= {model.variance_bound_text} on the {grid[0]:g}..{grid[-1]:g} grid"
 
-    run_if(model and model.variance_bound, "variance-bound", chk_bound,
-           "closed-form bound applies to the hydrogen-like rule only")
-
-    def chk_decay():
+    def decay(self) -> str:
         offs = []
         for gam in (1e2, 1e3, 1e4):
-            proj = gamma_averaged_projector(s, w, 0.5, gam, min(w.n_max, 30))
+            proj = gamma_averaged_projector(self.s, self.w, 0.5, gam, min(self.w.n_max, 30))
             off = proj.entries - np.diag(np.diag(proj.entries))
             offs.append(float(np.abs(off).max()))
         r1, r2 = offs[0] / offs[1], offs[1] / offs[2]
         assert r1 >= 8.0 and r2 >= 8.0, f"decay ratios {r1:.2f}, {r2:.2f} below 8"
         return f"off-diagonal max decay ratios {r1:.1f}x, {r2:.1f}x per 10x Gamma"
 
-    run_if("projector-offdiagonal-decay" in model_checks, "projector-offdiagonal-decay",
-           chk_decay, "calibrated for the hydrogen-like gap structure")
-
-    def chk_slope():
-        ref = s.e(1)
-        got = small_j_slope(s, w)
+    def slope(self) -> str:
+        ref = self.s.e(1)
+        got = small_j_slope(self.s, self.w)
         assert abs(got / ref - 1.0) <= 1e-4, f"slope {got!r} vs e_1 = {ref!r}"
         return f"v(J)/J -> {got:.12g}, e_1 = {ref:.12g}"
 
-    run_if(j_var > 0, "small-j-slope", chk_slope,
-           "no certified second-moment bound (declare e_star)")
-
-    def chk_exponent():
+    def exponent(self) -> str:
         # as J -> 1, v/(omega^2 eps) = c + eps (-zeta(2) - c ln eps) + O(eps^2 ln^2 eps),
         # eps = 1 - J, c = 1 + zeta(3) - zeta(2), for the hydrogen-like rule
+        s, w, model = self.s, self.w, self.model
         c = 1.0 + ZETA3 - ZETA2
         worst, points = 0.0, []
         for J in _NEAR_JSTAR_WINDOW:  # each point needs more terms than the last
@@ -320,83 +283,106 @@ def run_suite(
                 f"v/(omega^2 (1-J)) within {used:.2g} of twice the next term of its limit "
                 f"at J = 1 - 10^-k, k = 3..12; near-J* coefficient off by {abs(coeff - c):.1e}")
 
-    run_if("near-jstar-exponent" in model_checks, "near-jstar-exponent", chk_exponent,
-           "needs declared J* = 1 with known asymptotics")
-
-    n_check = min(w.n_max, model.n_check if model else 15)
-
-    def chk_moments():
-        err = moment_check(measure, w, n_check)
+    def moments(self) -> str:
+        err = moment_check(self.measure, self.w, self.n_check)
         assert err <= 1e-9, f"max relative moment error {err:.3e} > 1e-9"
-        return f"max relative moment error {err:.2e} for n <= {n_check}"
+        return f"max relative moment error {err:.2e} for n <= {self.n_check}"
 
-    def chk_unity():
-        d = unity_check(measure, w, s, n_check)
+    def unity(self) -> str:
+        d = unity_check(self.measure, self.w, self.s, self.n_check)
         worst = float(np.abs(d - 1.0).max())
         assert worst <= 1e-9, f"unity diagonals deviate by {worst:.3e} > 1e-9"
-        return f"max |d_n - 1| = {worst:.2e} for n <= {n_check}"
+        return f"max |d_n - 1| = {worst:.2e} for n <= {self.n_check}"
 
-    for name, fn in (("measure-moments", chk_moments), ("unity-diagonals", chk_unity)):
-        run_if(measure is not None, name, fn, "no measure available for this spectrum")
-
-    def chk_trace():
-        ps = power_sums(w, j_mid, rel_tol=tol)
-        size = min(w.n_max, ps.terms_used + 40)
-        proj = gamma_averaged_projector(s, w, float(j_mid), math.inf, size)
+    def trace(self) -> str:
+        ps = power_sums(self.w, self.j_mid, rel_tol=self.tol)
+        size = min(self.w.n_max, ps.terms_used + 40)
+        proj = gamma_averaged_projector(self.s, self.w, float(self.j_mid), math.inf, size)
         trace = float(np.trace(proj.entries).real)
         assert abs(trace - 1.0) <= 1e-10, f"trace {trace!r} not within 1e-10 of 1"
         off = float(np.abs(proj.entries - np.diag(np.diag(proj.entries))).max())
         assert off == 0.0, f"Gamma=inf projector has off-diagonal {off!r}"
         return f"|trace - 1| = {abs(trace - 1.0):.2e}, diagonal exactly"
 
-    run("projector-trace", chk_trace)
-
-    def chk_psd():
-        size = min(w.n_max, 30)
-        proj = gamma_averaged_projector(s, w, float(j_mid), 50.0, size)
+    def psd(self) -> str:
+        size = min(self.w.n_max, 30)
+        proj = gamma_averaged_projector(self.s, self.w, float(self.j_mid), 50.0, size)
         assert np.abs(proj.entries - proj.entries.conj().T).max() <= 1e-12, "not Hermitian"
         smallest = float(np.linalg.eigvalsh(proj.entries).min())
         assert smallest >= -1e-10, f"smallest eigenvalue {smallest:.3e} < -1e-10"
         return f"Hermitian, smallest eigenvalue {smallest:.2e}"
 
-    run("projector-psd", chk_psd)
-
-    def chk_continuity():
-        states = iter(LabelBatch(s, w, continuity, tol, shared).states())
+    def label_continuity(self) -> str:
+        states = iter(self._batch(self.continuity).states())
         worst = 0.0
         for base in states:
-            for (dj, dg), other in zip(steps, states):  # the next len(steps) states
+            for (dj, dg), other in zip(_STEPS, states):  # the next len(_STEPS) states
                 va, vb = _zero_padded(base.c, other.c)
                 ratio = float(np.linalg.norm(va - vb)) / (abs(dj) + abs(dg))
                 worst = max(worst, ratio)
         assert math.isfinite(worst), "difference quotient diverged"
         return f"local Lipschitz constant C <= {worst:.4g}"
 
-    run("label-continuity", chk_continuity)
-
-    def chk_evolution_norm():
-        width = min(24, w.n_max + 1)
-        vec = rng.normal(size=width) + 1j * rng.normal(size=width)
-        vec /= np.linalg.norm(vec)
+    def evolution_norm(self) -> str:
         worst = 0.0
         for t in (0.0, 1.7, -33.0, 1e6):
-            worst = max(worst, abs(np.linalg.norm(evolve_coefficients(vec, s, t).c) ** 2 - 1.0))
+            norm = np.linalg.norm(evolve_coefficients(self.vec, self.s, t).c)
+            worst = max(worst, abs(norm**2 - 1.0))
         assert worst <= 1e-12, f"norm drift {worst:.3e} > 1e-12"
         return f"max norm drift {worst:.2e}"
 
-    run("evolution-norm", chk_evolution_norm)
 
-    def chk_flow():
-        worst = 0.0
-        draws = _uniform(rng.random((20, 4)), (0, 1), (-5, 5), (-9, 9), (-9, 9))
-        for J, gamma, t1, t2 in zip(*draws):
-            label = StateLabel(J, gamma)
-            once = evolve_label(evolve_label(label, t1, s.omega), t2, s.omega)
-            whole = evolve_label(label, t1 + t2, s.omega)
-            worst = max(worst, abs(once.gamma - whole.gamma))
-        assert worst <= 1e-12, f"flow composition drift {worst:.3e}"
-        return f"max composition drift {worst:.2e}"
+# every row in order: its name, its method, whether it applies to the suite
+# (None: always) and the reason it is skipped where it does not
+CHECKS = (
+    ("action-identity", _Suite.action_identity, None, None),
+    ("normalization-closed-form", _Suite.closed_form, lambda x: x.model,
+     "no closed form for custom spectra"),
+    ("canonical-reduction", _Suite.canonical_reduction,
+     lambda x: "canonical-reduction" in x.model_checks,
+     "canonical closed form applies to the harmonic rule only"),
+    ("norm-deficit", _Suite.deficit, None, None),
+    ("temporal-stability", _Suite.temporal_stability, None, None),
+    ("dynamics-as-kinematics", _Suite.dynamics_as_kinematics, None, None),
+    ("variance-route-agreement", _Suite.route_agreement, lambda x: x.model or x.j_var > 0,
+     "no certified second-moment bound (declare e_star)"),
+    ("gamma-independence", _Suite.gamma_independence, None, None),
+    ("variance-bound", _Suite.variance_bound, lambda x: x.model and x.model.variance_bound,
+     "closed-form bound applies to the hydrogen-like rule only"),
+    ("projector-offdiagonal-decay", _Suite.decay,
+     lambda x: "projector-offdiagonal-decay" in x.model_checks,
+     "calibrated for the hydrogen-like gap structure"),
+    ("small-j-slope", _Suite.slope, lambda x: x.j_var > 0,
+     "no certified second-moment bound (declare e_star)"),
+    ("near-jstar-exponent", _Suite.exponent, lambda x: "near-jstar-exponent" in x.model_checks,
+     "needs declared J* = 1 with known asymptotics"),
+    ("measure-moments", _Suite.moments, lambda x: x.measure is not None,
+     "no measure available for this spectrum"),
+    ("unity-diagonals", _Suite.unity, lambda x: x.measure is not None,
+     "no measure available for this spectrum"),
+    ("projector-trace", _Suite.trace, None, None),
+    ("projector-psd", _Suite.psd, None, None),
+    ("label-continuity", _Suite.label_continuity, None, None),
+    ("evolution-norm", _Suite.evolution_norm, None, None),
+)
 
-    run("label-flow", chk_flow)
 
+def run_suite(s: Spectrum, w: WeightTable, measure: Measure | None, *, seed: int = DEFAULT_SEED,
+              tol: float = DEFAULT_TAIL_TOL) -> list[CheckResult]:
+    """Every row of CHECKS on s, in order; a table of another spectrum is
+    refused before any row runs.  A row fails on an assertion or a package
+    error; any other error propagates."""
+    _check_same_spectrum(w, s)
+    suite = _Suite(s, w, measure, seed, tol)
+    results = []
+    for name, row, applies, reason in CHECKS:
+        if applies and not applies(suite):
+            results.append(CheckResult(name, "skipped", reason))
+            continue
+        try:
+            results.append(CheckResult(name, "pass", row(suite)))
+        except AssertionError as exc:
+            results.append(CheckResult(name, "fail", str(exc)))
+        except CStatesError as exc:
+            results.append(CheckResult(name, "fail", f"{type(exc).__name__}: {exc}"))
     return results

@@ -303,6 +303,10 @@ def test_evolve_out_of_range(capsys):
         ["evolve", "--model", "hydrogen_like", "--J", "0.5", "--gamma=-inf", "--t", "1"],
         ["state", "--model", "harmonic", "--J", "1", "--gamma", "nan"],
         ["state", "--model", "hydrogen_like", "--J", "0.5", "--gamma", "inf"],
+        # finite, but the phase argument e_n gamma or omega e_n t overflows
+        ["state", "--model", "harmonic", "--J", "1", "--gamma", "1e308"],
+        ["evolve", "--model", "harmonic", "--J", "1", "--gamma", "1e308", "--t", "1"],
+        ["evolve", "--model", "harmonic", "--J", "1", "--t", "1e308"],
     ],
 )
 def test_nonfinite_label_or_time_is_refused(capsys, argv):
@@ -536,7 +540,7 @@ VERIFY_CHECKS = (
     "temporal-stability", "dynamics-as-kinematics", "variance-route-agreement",
     "gamma-independence", "variance-bound", "projector-offdiagonal-decay", "small-j-slope",
     "near-jstar-exponent", "measure-moments", "unity-diagonals", "projector-trace",
-    "projector-psd", "label-continuity", "evolution-norm", "label-flow",
+    "projector-psd", "label-continuity", "evolution-norm",
 )
 CUSTOM_SKIPS = {
     "normalization-closed-form", "canonical-reduction", "variance-bound",
@@ -680,3 +684,39 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, ["verify", "--model", "harmonic"])
     assert code == 3
     assert "doomed" in err
+
+
+def _extra_passes(suite):
+    return f"j_mid = {suite.j_mid:g}"
+
+
+def _extra_fails(suite):
+    assert suite.j_mid < 0, f"j_mid = {suite.j_mid:g} is not negative"
+
+
+@pytest.mark.parametrize("row, status, detail, code", [
+    (_extra_passes, "pass", "j_mid = 0.5", 0),
+    (_extra_fails, "fail", "j_mid = 0.5 is not negative", 3),
+])
+def test_verify_row_is_one_checks_entry(capsys, monkeypatch, row, status, detail, code):
+    # a row added to verify.CHECKS runs last, on the suite the other rows share
+    import cstates.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "CHECKS", (*verify_mod.CHECKS, ("extra", row, None, None)))
+    got, out, err = run(capsys, ["verify", "--model", "harmonic", "--format", "json"])
+    assert got == code
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == [*VERIFY_CHECKS, "extra"]
+    assert [c["status"] for c in checks if c["status"] == "fail"] == ["fail"] * (code == 3)
+    # pytest rewrites the assertion in this module, so the detail goes on past its message
+    assert checks[-1]["status"] == status and checks[-1]["detail"].startswith(detail)
+    assert err.startswith(f"FAIL extra: {detail}") if code else err == ""
+
+
+@pytest.mark.parametrize("model", ["harmonic", "hydrogen_like"])
+def test_verify_passes_at_large_omega(capsys, model):
+    # rounding alone, which grows with omega, crosses no row's bound at omega = 1e3
+    code, out, err = run(capsys, ["verify", "--model", model, "--omega", "1e3"])
+    assert code == 0, err
+    _, rows = csv_rows(out)
+    assert [r for r in rows if r[1] == "fail"] == []

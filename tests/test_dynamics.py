@@ -63,6 +63,18 @@ def test_evolve_coefficients_refuses_nonfinite_time(hydrogen, w_hydrogen, t):
             evolve_coefficients(x, hydrogen, t)
 
 
+def test_evolve_coefficients_refuses_an_overflowing_phase(harmonic, w_harmonic):
+    # (omega e_n) t at the last level overflows where t itself is finite
+    state = coefficients(harmonic, w_harmonic, StateLabel(1.0, 0.0))
+    for x in (state, state.c):
+        with pytest.raises(LabelRangeError, match="^t = 1e\\+308 puts the phase argument"):
+            evolve_coefficients(x, harmonic, 1e308)
+    assert evolve_coefficients(np.ones(1), harmonic, 1e308).c.tolist() == [1.0]
+    # a psi wider than the state's row: its last level decides
+    with pytest.raises(LabelRangeError, match="^t = 1e\\+307 puts the phase argument"):
+        kinematic_representation_check(harmonic, w_harmonic, np.ones(40), StateLabel(1e-3, 0.0), 1e307)
+
+
 def test_eigenstate_gets_pure_phase(hydrogen):
     psi = np.zeros(5, dtype=complex)
     psi[2] = 1.0

@@ -198,6 +198,22 @@ def test_labels_refuse_bools_and_infinite_gamma(J, gamma):
         StateLabel(J, gamma)
 
 
+def test_overflowing_phase_argument_is_refused(harmonic, w_harmonic):
+    # e_n gamma at the last level used decides; the ground state has no phase argument
+    label = StateLabel(1.0, 1e308)
+    with pytest.raises(LabelRangeError, match="^gamma = 1e\\+308 puts the phase argument"):
+        coefficients(harmonic, w_harmonic, label)
+    with pytest.raises(LabelRangeError, match="^gamma = 1e\\+308 puts the phase argument"):
+        LabelBatch(harmonic, w_harmonic, [StateLabel(1.0, 0.0), label], 1e-12)
+    batch = LabelBatch(harmonic, w_harmonic, [StateLabel(1.0, 0.0)], 1e-12)
+    with pytest.raises(LabelRangeError, match="^gamma \\+ omega t = 1e\\+308 puts"):
+        batch.evolved([1e308])
+    ground = StateLabel(0.0, 1e308)
+    assert coefficients(harmonic, w_harmonic, ground).c.tolist() == [1.0]
+    assert LabelBatch(harmonic, w_harmonic, [ground], 1e-12).c.tolist() == [1.0]
+    assert LabelBatch(harmonic, w_harmonic, [], 1e-12).c.tolist() == []
+
+
 def test_spectrum_mismatch_rejected(hydrogen, w_hydrogen, harmonic, w_harmonic):
     a = coefficients(hydrogen, w_hydrogen, StateLabel(0.5, 0.0))
     b = coefficients(harmonic, w_harmonic, StateLabel(0.5, 0.0))

@@ -216,7 +216,8 @@ def test_run_suite_rows_match_the_per_j_path(monkeypatch, s, seed):
     assert run_suite(s, w, measure, seed=seed) == batched
     # the stand-in summed the J of all the sampled checks: 100 + 50 + 20 at least
     assert calls and max(len(set(Js)) for _, Js, _, _ in calls) >= 170
-    assert [r.status for r in batched].count("pass") >= 10
+    # the explicit lists pass nine rows, the built-in models more
+    assert [r.status for r in batched].count("pass") >= 9
 
 
 @pytest.mark.parametrize("s", [make_builtin("hydrogen_like"), make_builtin("harmonic"),
