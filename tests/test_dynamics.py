@@ -71,8 +71,9 @@ def test_evolve_coefficients_refuses_an_overflowing_phase(harmonic, w_harmonic):
             evolve_coefficients(x, harmonic, 1e308)
     assert evolve_coefficients(np.ones(1), harmonic, 1e308).c.tolist() == [1.0]
     # a psi wider than the state's row: its last level decides
+    label = StateLabel(1e-3, 0.0)
     with pytest.raises(LabelRangeError, match="^t = 1e\\+307 puts the phase argument"):
-        kinematic_representation_check(harmonic, w_harmonic, np.ones(40), StateLabel(1e-3, 0.0), 1e307)
+        kinematic_representation_check(harmonic, w_harmonic, np.ones(40), label, 1e307)
 
 
 def test_eigenstate_gets_pure_phase(hydrogen):
