@@ -136,7 +136,8 @@ def cmd_spectrum(args) -> int:
 def cmd_weights(args) -> int:
     s, w = _spectrum_and_table(args)
     top = min(args.count - 1, w.n_max)
-    rows = [[int(n), float(w.log_rho[n]), float(np.exp(w.log_rho[n]))] for n in range(top + 1)]
+    log_rho = w._read(top + 1)[0]
+    rows = [[int(n), float(log_rho[n]), float(np.exp(log_rho[n]))] for n in range(top + 1)]
     obj = {
         "name": s.name,
         "j_star": w.j_star if math.isfinite(w.j_star) else "inf",
@@ -214,7 +215,7 @@ def cmd_evolve(args) -> int:
     bound = 2.0 * 2.0 * math.sqrt(tail_mass) if tail_mass else 0.0
     # rounding the phase arguments e_n gamma, omega e_n t and e_n (gamma + omega t)
     # moves component n by at most UNIT_ROUNDOFF (3|gamma| + 5|omega t|) e_n radians
-    e = w.levels[: len(batch.c)]
+    e = batch.levels[: len(batch.c)]
     spread = math.sqrt(float(np.sum(e * e * np.abs(batch.c) ** 2)))
     bound += UNIT_ROUNDOFF * (3.0 * abs(args.gamma) + 5.0 * abs(s.omega * args.t)) * spread
     rows = [[args.J, args.gamma, args.t, residual, bound]]
@@ -233,7 +234,7 @@ def cmd_resolution(args) -> int:
     n_check = min(args.ncheck, w.n_max)
     err = moment_check(measure, w, n_check)
     diag = unity_check(measure, w, s, n_check)
-    rho = np.exp(w.log_rho[: n_check + 1])
+    rho = np.exp(w._read(n_check + 1)[0][: n_check + 1])
     rows = [[int(n), float(rho[n]), float(diag[n] * rho[n]), float(diag[n])] for n in range(n_check + 1)]
     _emit_table(["n", "rho_n", "moment", "unity_d_n"], rows, args)
     print(f"max relative moment error: {g17(err)}", file=sys.stderr)

@@ -67,7 +67,7 @@ def stability_residuals(batch: LabelBatch, ts: list[float]) -> list[float]:
     """temporal_stability_residual at each label of batch and its t of ts:
     a state and its evolved label share one amplitude row."""
     after = batch.evolved(ts)  # refuses a non-finite t before it enters a phase
-    e = batch.spectrum.omega * batch.table.levels[: max(batch.lengths, default=0)]
+    e = batch.spectrum.omega * batch.levels[: max(batch.lengths, default=0)]
     return [float(np.linalg.norm(d)) for d in batch.split(batch.phased(batch.c, e, ts) - after)]
 
 
@@ -95,7 +95,7 @@ def kinematic_pairs(
     backs = batch.split(batch.evolved([-t for t in ts]))
     s, w = batch.spectrum, batch.table
     width = max(len(psi) for psi in psis)
-    e = s.omega * (w.levels[:width] if width <= len(w.levels) else s.e_array(width - 1))
+    e = s.omega * (w._read(width)[1][:width] if width <= w.n_max + 1 else s.e_array(width - 1))
     _refuse_overflow(float(e[-1]), max(ts, key=abs), "t")  # the largest |t| overflows first
     # psi exp(-i omega e_n t) with LabelBatch.phased's rule for one row and for several
     padded, x = _zero_padded(*psis), np.multiply.outer(ts, e)

@@ -14,7 +14,6 @@ from .weights import (
     DEFAULT_TAIL_TOL,
     EDGE_GUARD,
     WeightTable,
-    _BLOCK,
     _blocks,
     _check_same_spectrum,
     _log_terms,
@@ -27,8 +26,8 @@ AGREEMENT_RTOL = 1e-8
 
 DEFAULT_FIT_CAP = 2_000_000
 
-# near-J* fits size their tables from the certificate's term bound, which is
-# only trusted up to this relative rounding margin
+# near-J* fits skip the points whose certificate's term bound passes their
+# table, a bound only trusted up to this relative rounding margin
 _TERM_BOUND_MARGIN = 1e-9
 
 
@@ -96,18 +95,18 @@ def _double_sum_variance(w: WeightTable, J: float, k: int, omega: float) -> floa
     if J == 0:
         return 0.0
     log_j = math.log(J)
-    s = w.spectrum
+    s, levels = w.spectrum, w._read(k)[1]
     bounded = s.e_star is not None and math.isfinite(s.e_star)
 
     def gaps(n: np.ndarray, lo: int, hi: int) -> np.ndarray:
         if bounded and s.gap_rule is not None:  # on _log_terms' n, as gap_range would
             return np.asarray(s.gap_rule(n), dtype=float)
-        return s.gap_range(lo, hi) if bounded else w.levels[lo:hi]
+        return s.gap_range(lo, hi) if bounded else levels[lo:hi]
 
     blocks = list(_blocks(0, k))
     several = len(blocks) > 1
     if several:
-        at = int(np.searchsorted(w.levels[:k], J)) - 1  # e_0 = 0 < J
+        at = int(np.searchsorted(levels[:k], J)) - 1  # e_0 = 0 < J
         n, g = _log_terms(w, log_j, at, at + 1)
         top, centre = float(g[0]), float(gaps(n, at, at + 1)[0])
     else:
@@ -283,33 +282,22 @@ def near_jstar_exponent(
     within n_cap terms are dropped).  Requires a declared J* equal to 1.
 
     A point runs only if its ``_min_certified_terms`` bound fits in
-    max(n_cap, w.n_max) entries.  The points run on w if it holds all those
-    bounds, else on one table a block past the largest of them, capped there.
-    A point that table cannot certify, when it is shorter than n_cap, is
-    retried on one n_cap table, built once, and every later point runs there.
-    A sum reads only the entries up to its cut, and a longer table begins with
-    a shorter one's entries bit for bit, so any table holding a cut gives one
-    value: a point certified on the sized table is the same on the n_cap table.
+    max(n_cap, w.n_max) + 1 entries, and every point runs on one table that
+    long: w, or one table built once, which a built-in spectrum fills only
+    as far as the sums read.  A sum reads only the entries up to its cut, and
+    a longer table begins with a shorter one's entries bit for bit, so any
+    table holding a cut gives one value.
     """
     _check_near_jstar(s, w)
     if fit_window is None:
         fit_window = [1.0 - 10.0 ** (-1.5 * k) for k in range(1, 6)]
     window = sorted(J for J in fit_window if 0.0 < J <= 1.0 - EDGE_GUARD)
     top = max(n_cap, w.n_max)
-    bounds = [_min_certified_terms(J, w.j_star, DEFAULT_TAIL_TOL) / (1.0 + _TERM_BOUND_MARGIN)
-              for J in window]
-    need = max((b for b in bounds if b <= top + 1), default=0.0)
-    table = w if need <= w.n_max + 1 else compute_weights(s, min(top, math.ceil(need) + _BLOCK))
-    points: list[VariancePoint] = []
-    for J, b in zip(window, bounds):
-        if b > top + 1:
-            continue
-        vp = _certified_variance(s, table, J)
-        if vp is None and table.n_max < n_cap:
-            table = compute_weights(s, n_cap)
-            vp = _certified_variance(s, table, J)
-        if vp is not None and vp.variance > 0:
-            points.append(vp)
+    runs = [J for J in window if _min_certified_terms(J, w.j_star, DEFAULT_TAIL_TOL)
+            / (1.0 + _TERM_BOUND_MARGIN) <= top + 1]
+    table = w if top == w.n_max or not runs else compute_weights(s, top)
+    points = [vp for vp in (_certified_variance(s, table, J) for J in runs)
+              if vp is not None and vp.variance > 0]
     if len(points) < 3:
         raise TruncationError(
             f"only {len(points)} of {len(window)} window points were feasible within "
@@ -345,7 +333,7 @@ def near_jstar_coefficient(s: Spectrum, w: WeightTable) -> JstarCoefficient:
         for a, b in _blocks(lo, stop):
             terms = s.gap_range(a, b)
             terms *= terms
-            terms /= np.exp(w.log_rho[a:b])
+            terms /= np.exp(w._read(b)[0][a:b])
             out += float(terms.sum())
         return out
 
@@ -355,7 +343,8 @@ def near_jstar_coefficient(s: Spectrum, w: WeightTable) -> JstarCoefficient:
         head = blocked_sum(0, split)
         total = head + blocked_sum(split, size)
     converged = math.isfinite(total) and (total - head) <= 0.01 * total
-    rho_inf = s.model.rho_inf if s.model and s.model.rho_inf else float(np.exp(w.log_rho[-1]))
+    rho_inf = (s.model.rho_inf if s.model and s.model.rho_inf
+               else float(np.exp(w._read(size)[0][-1])))
     return JstarCoefficient(value=rho_inf * total, converged=converged)
 
 

@@ -213,7 +213,7 @@ def _measure_moments(m: Measure, n_check: int) -> np.ndarray:
 
 def _moment_ratios(m: Measure, w: WeightTable, n_check: int) -> np.ndarray:
     """The measure's moments over rho_n for n <= n_check; each equals 1."""
-    return _measure_moments(m, n_check) / np.exp(w.log_rho[: n_check + 1])
+    return _measure_moments(m, n_check) / np.exp(w._read(n_check + 1)[0][: n_check + 1])
 
 
 def moment_check(m: Measure, w: WeightTable, n_check: int) -> float:
@@ -269,7 +269,7 @@ def gamma_averaged_projector(
     else:
         g = _log_terms(w, math.log(J), 0, size)[1]
         amps = np.exp(0.5 * g)
-    ee = w.levels[:size]
+    ee = w._read(size)[1][:size]
     if math.isinf(Gamma):
         sinc = np.eye(size)
     else:

@@ -216,7 +216,9 @@ class Model:
     v(J).  ``verify`` checks N(J) on ``closed_form_grid`` within
     ``closed_form_rtol`` (or the tail bound, when larger), variances on
     ``variance_grid``, measures up to ``n_check``, and runs the model-only
-    ``checks``.
+    ``checks``.  Float levels are exact, or below e_star, only up to
+    ``levels_valid_below`` (2^53 harmonic; hydrogen_like's round to 1.0 from
+    there): a shorter weight table takes them unchecked and fills on demand.
     """
 
     name: str
@@ -234,6 +236,7 @@ class Model:
     closed_form_rtol: float
     variance_grid: tuple[float, ...]
     n_check: int
+    levels_valid_below: int
     checks: frozenset[str] = frozenset()
 
 
@@ -253,6 +256,7 @@ MODELS: dict[str, Model] = {
             closed_form_rtol=1e-12,
             variance_grid=(0.5, 1.0, 2.0, 4.0),
             n_check=15,
+            levels_valid_below=2**53,
             checks=frozenset({"canonical-reduction"}),
         ),
         Model(
@@ -270,6 +274,7 @@ MODELS: dict[str, Model] = {
             closed_form_rtol=1e-10,
             variance_grid=tuple(np.arange(0.1, 0.91, 0.1).tolist()),
             n_check=30,
+            levels_valid_below=134_217_727,
             checks=frozenset({"projector-offdiagonal-decay", "near-jstar-exponent"}),
         ),
     )

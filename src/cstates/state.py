@@ -66,10 +66,11 @@ def coefficients(
         return StateCoefficients(c=np.ones(1, dtype=complex), tail_mass_bound=0.0, label=label, spectrum=s)
     ps = power_sums(w, label.J, rel_tol=tol)
     k = ps.terms_used
-    _refuse_overflow(float(w.levels[k - 1]), label.gamma, "gamma")
-    g = np.arange(k, dtype=float) * math.log(label.J) - w.log_rho[:k]
+    log_rho, levels = w._read(k)
+    _refuse_overflow(float(levels[k - 1]), label.gamma, "gamma")
+    g = np.arange(k, dtype=float) * math.log(label.J) - log_rho[:k]
     amps = np.exp(0.5 * (g - (ps.log_scale + math.log(ps.s0 + ps.t0))))
-    return StateCoefficients(c=amps * phase_factor(w.levels[:k] * label.gamma),
+    return StateCoefficients(c=amps * phase_factor(levels[:k] * label.gamma),
                              tail_mass_bound=float(ps.t0 / (ps.s0 + ps.t0)), label=label, spectrum=s)
 
 
@@ -77,7 +78,7 @@ class LabelBatch:
     """The states |J, gamma> of many labels at one tolerance, each as
     coefficients() forms it, bit for bit, as rows laid end to end in one
     array: row i holds its entries n < lengths[i] at [bounds[i], bounds[i+1]),
-    and ``n`` is each entry's n.  Truncation, |c_n| (``amplitudes``) and tail
+    ``n`` is each entry's n and ``levels`` the table's, filled past every row.  Truncation, |c_n| (``amplitudes``) and tail
     mass (``tails``) depend on J alone, so a label and its evolved labels
     (J, gamma + omega t) share one amplitude row; ``c`` holds the states.
 
@@ -87,7 +88,8 @@ class LabelBatch:
     is the one entry 1.  log J and log(s0 + t0) are taken by ``math.log`` per
     J, as for one label, and the rest elementwise."""
 
-    __slots__ = ("spectrum", "table", "labels", "lengths", "bounds", "n", "amplitudes", "tails", "c")
+    __slots__ = ("spectrum", "table", "labels", "lengths", "bounds", "n", "levels", "amplitudes",
+                 "tails", "c")
 
     def __init__(self, s: Spectrum, w: WeightTable, labels: Sequence[StateLabel], tol: float,
                  sums: _SumColumns | None = None):
@@ -111,9 +113,10 @@ class LabelBatch:
         np.cumsum(self.lengths, out=bounds[1:])
         self.bounds = bounds.tolist()
         self.n = np.arange(bounds[-1]) - np.repeat(bounds[:-1], self.lengths)
-        g = self.n * np.repeat(log_j[pick], self.lengths) - w.log_rho[self.n]
+        log_rho, self.levels = w._read(max(self.lengths, default=0))
+        g = self.n * np.repeat(log_j[pick], self.lengths) - log_rho[self.n]
         self.amplitudes = np.exp(0.5 * (g - np.repeat(log_norm[pick], self.lengths)))
-        self.c = self.phased(self.amplitudes, w.levels, [x.gamma for x in labels], "gamma")
+        self.c = self.phased(self.amplitudes, self.levels, [x.gamma for x in labels], "gamma")
 
     def phased(self, flat: np.ndarray, e: np.ndarray, xs: Sequence[float], name="t") -> np.ndarray:
         """flat, laid out as the rows, times exp(-i e_n x) with each row's x of
@@ -139,7 +142,7 @@ class LabelBatch:
     def evolved(self, ts: Sequence[float]) -> np.ndarray:
         """The states at the evolved labels (J, gamma + omega t), t of ts."""
         gammas = _evolved_gammas(self.labels, ts, self.spectrum.omega)
-        return self.phased(self.amplitudes, self.table.levels, gammas, "gamma + omega t")
+        return self.phased(self.amplitudes, self.levels, gammas, "gamma + omega t")
 
 
 def _evolved_gammas(labels: Sequence[StateLabel], ts: Sequence[float], omega: float) -> list[float]:

@@ -203,7 +203,8 @@ class _Suite:
         a, b = self._batch([StateLabel(J, 0.0), StateLabel(J, 7.3)]).states()
         ma, _, va = moments_from_state(self.s, a)
         mb, _, vb = moments_from_state(self.s, b)
-        assert abs(ma - mb) <= 1e-9 and abs(va - vb) <= 1e-9, (
+        om = self.s.omega  # mean/omega and variance/omega^2 are unit-free
+        assert abs(ma - mb) / om <= 1e-9 and abs(va - vb) / (om * om) <= 1e-9, (
             f"means {ma!r}/{mb!r}, variances {va!r}/{vb!r}"
         )
         return f"|mean diff| = {abs(ma - mb):.2e}, |variance diff| = {abs(va - vb):.2e}"

@@ -3,7 +3,9 @@
 The weights fixed by the action identity are running products of the
 dimensionless levels, rho_n = e_n * e_{n-1} * ... * e_1, held in log form
 because they overflow (harmonic: n!) or converge to constants below 1
-(hydrogen-like: 1/2) long before n_max is reached.
+(hydrogen-like: 1/2) long before n_max is reached.  n_max caps what a sum
+may read: a built-in model's table (``compute_weights``) fills its levels and
+log rho_n in whole _BLOCK blocks only as far as something reads them.
 
 All series evaluated here have nonnegative terms t_n = J^n / rho_n (times
 e_n powers), so a partial sum is a lower bound and a geometric-domination
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,15 +78,41 @@ class WeightTable:
     finite-sample estimate exp(log_rho[n_max]/n_max) and is flagged as such.
     ``next_level_bound`` is a certified lower bound on e_{n_max+1}, used to
     close tail bounds at the end of the table.
+
+    The package reads the arrays through ``_read``, which fills them only as
+    far as asked; ``log_rho`` and ``levels`` are complete, filled in full.
     """
 
     spectrum: Spectrum
-    log_rho: np.ndarray
-    levels: np.ndarray
     n_max: int
     j_star: float
     j_star_is_estimate: bool
     next_level_bound: float
+    _log_rho: np.ndarray = field(repr=False)
+    _levels: np.ndarray = field(repr=False)
+    _filled: int = field(repr=False)
+
+    log_rho = property(lambda self: self._read(self.n_max + 1)[0])
+    levels = property(lambda self: self._read(self.n_max + 1)[1])
+
+    def _read(self, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(log_rho, levels), filled at least on [0, hi) and through level hi."""
+        if hi > self._filled:
+            self._fill(hi)
+        return self._log_rho, self._levels
+
+    def _fill(self, hi: int) -> None:
+        """Fill whole _BLOCK blocks of log_rho to cover [0, hi), and the levels one entry
+        further; the running sum carried on equals a one-shot cumsum bit for bit."""
+        lo, size = self._filled, self.n_max + 1
+        stop = min(size, -(-hi // _BLOCK) * _BLOCK)
+        e, log_rho = self._levels, self._log_rho
+        e[lo : stop + 1] = self.spectrum.e_range(lo, min(stop + 1, size))
+        a = max(lo, 1)  # log_rho[0] = 0
+        np.log(e[a:stop], out=log_rho[a:stop])
+        log_rho[a] += log_rho[a - 1]
+        np.cumsum(log_rho[a:stop], out=log_rho[a:stop])
+        object.__setattr__(self, "_filled", stop)
 
 
 @dataclass(frozen=True)
@@ -101,20 +129,33 @@ class SeriesValue:
 
 
 def compute_weights(s: Spectrum, n_max: int = DEFAULT_NMAX) -> WeightTable:
-    """Accumulate log rho_n = sum_{l<=n} log e_l for n = 0..n_max.
+    """The table of log rho_n = sum_{l<=n} log e_l for n = 0..n_max.
 
-    The logs and their running sum are written in place into log_rho, so no
-    full-length copy of it is made on the way.
+    A built-in spectrum with n_max below its record's ``levels_valid_below``
+    fills on demand, unvalidated: here its first block and the level past it.
+    Past that index a level not below e_star is refused at once.  Any other
+    spectrum is evaluated, validated and filled in full here, in place; one
+    without e_star estimates J* from log_rho[n_max].
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    e = s.e_array(n_max)
-    _refuse_invalid(_check_levels(s, e), f"spectrum '{s.name}' failed validation")
-    if not e[1] > 0:
-        raise SpectrumError("e_1 must be positive")
-    log_rho = np.empty(n_max + 1)
+    record = s.model
+    on_demand = record and (s.level_rule, s.e_star) == (record.level_rule, record.e_star)
+    if on_demand and n_max >= record.levels_valid_below:
+        n = record.levels_valid_below
+        if not s.e(n) < s.e_star:
+            raise SpectrumError(f"spectrum '{s.name}' failed validation: n={n}: "
+                                f"level {s.e(n)!r} is not below e_star={s.e_star}")
+        on_demand = False
+    if on_demand:  # one allocation: two put `cstates variance` in glibc's faulting mode
+        log_rho, e = np.empty((2, n_max + 1))
+    else:
+        log_rho, e = np.empty(n_max + 1), s.e_array(n_max)
+        _refuse_invalid(_check_levels(s, e), f"spectrum '{s.name}' failed validation")
+        if not e[1] > 0:
+            raise SpectrumError("e_1 must be positive")
+        np.cumsum(np.log(e[1:], out=log_rho[1:]), out=log_rho[1:])
     log_rho[0] = 0.0
-    np.cumsum(np.log(e[1:], out=log_rho[1:]), out=log_rho[1:])
 
     if s.e_star is not None:
         j_star = float(s.e_star)
@@ -129,15 +170,11 @@ def compute_weights(s: Spectrum, n_max: int = DEFAULT_NMAX) -> WeightTable:
         # future levels of any strictly increasing continuation exceed the last one
         next_bound = float(e[-1])
 
-    return WeightTable(
-        spectrum=s,
-        log_rho=log_rho,
-        levels=e,
-        n_max=int(n_max),
-        j_star=j_star,
-        j_star_is_estimate=estimated,
-        next_level_bound=next_bound,
-    )
+    w = WeightTable(spectrum=s, n_max=int(n_max), j_star=j_star, j_star_is_estimate=estimated,
+                    next_level_bound=next_bound, _log_rho=log_rho, _levels=e,
+                    _filled=0 if on_demand else n_max + 1)
+    w._read(min(_BLOCK, n_max + 1))  # so that first-block reads never fill
+    return w
 
 
 def check_j_range(w: WeightTable, J: float) -> None:
@@ -204,7 +241,7 @@ class PowerSums:
 def _log_terms(w: WeightTable, log_j, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """n and g_n = n log J - log rho_n for n in [lo, hi), a row per log J of a column."""
     n = np.arange(lo, hi, dtype=float)
-    return n, n * log_j - w.log_rho[lo:hi]
+    return n, n * log_j - w._read(hi)[0][lo:hi]
 
 
 def _block_end(lo: int, stop: int) -> int:
@@ -229,10 +266,11 @@ def _first_block_end(w: WeightTable, J, tol: float, absolute: bool) -> int | np.
     stop = _block_end(0, w.n_max + 1)
     if stop <= _PROBE_ENDS[0]:
         return stop
+    log_rho, levels = w._read(stop)
     if isinstance(J, np.ndarray):
         ends = np.array([m for m in _PROBE_ENDS if m < stop], dtype=int)
         log_j = np.array([math.log(x) for x in J[:, 0].tolist()])[:, None]
-        passed, close = _probe_test(w, J, log_j, ends, tol)
+        passed, close = _probe_test(log_rho, levels, J, log_j, ends, tol)
         out = np.where(passed.any(axis=1), ends[passed.argmax(axis=1)], stop)
         for i in np.flatnonzero(close.any(axis=1)).tolist():
             out[i] = _first_block_end(w, float(J[i, 0]), tol, False)
@@ -241,23 +279,23 @@ def _first_block_end(w: WeightTable, J, tol: float, absolute: bool) -> int | np.
     for m in _PROBE_ENDS:
         if m >= stop:
             break
-        g = (m - 1) * log_j - float(w.log_rho[m - 1])
+        g = (m - 1) * log_j - float(log_rho[m - 1])
         if not absolute:
             top = max(top, g)
-        e = float(w.levels[m])
+        e = float(levels[m])
         if J < e and g + log_j - math.log(e - J) <= log_tol + top:
             return m
     return stop
 
 
-def _probe_test(w: WeightTable, J: np.ndarray, log_j: np.ndarray, ends: np.ndarray,
-                tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _probe_test(log_rho: np.ndarray, levels: np.ndarray, J: np.ndarray, log_j: np.ndarray,
+                ends: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """``_first_block_end``'s test at each m of ends for each J of a column
     (log_j its logs), top the running maximum of 0 and the g_{m-1}: where it
     passes, and where it lies within rounding of its bound."""
-    g = (ends - 1) * log_j - w.log_rho[ends - 1]
+    g = (ends - 1) * log_j - log_rho[ends - 1]
     top = np.maximum.accumulate(np.maximum(g, 0.0), axis=1)
-    e = w.levels[ends]
+    e = levels[ends]
     below = J < e
     with np.errstate(divide="ignore", invalid="ignore"):  # no log where J >= e
         log_gap = np.log(e - J)
@@ -320,7 +358,7 @@ def _settled(w: WeightTable, J: float, tol: float, order: int) -> PowerSums | No
         return PowerSums(0.0, 1, 0.0, 1.0, z1, z2, 0.0, z1, z2)
     if order >= 2:
         # a spectrum without a growth cap is refused before any term is read
-        _ratio_caps(w.spectrum, w.levels[:0], w.levels[:0])
+        _ratio_caps(w.spectrum, np.empty(0), np.empty(0))
     return None
 
 
@@ -357,15 +395,16 @@ def _block(w: WeightTable, J, lo: int, hi: int, n: np.ndarray, g: np.ndarray, sc
         cums = [g, *(np.empty(hi - lo) for _ in range(order))]
     t = np.exp(g, out=cums[0])
     least = J[0, 0] if column else J
+    levels = w._read(hi)[1]
     # past the table, e_next is next_level_bound, kept only if it exceeds
     # J; levels rise, so q = J/e_next < 1 exactly on [i0, k)
-    e_next = w.levels[lo + 1 : hi + 1]
+    e_next = levels[lo + 1 : hi + 1]
     if hi == w.n_max + 1 and least < w.next_level_bound:
         e_next = np.append(e_next, w.next_level_bound)
     i0, k = int(e_next.searchsorted(least, "right")), len(e_next)
     tf = np.maximum(t[..., i0:k], _TERM_FLOOR)
     # e t and e e t, up to order, from t
-    e = w.levels[lo:hi]
+    e = levels[lo:hi]
     if order >= 1:
         np.multiply(e, cums[0], out=cums[1])
     if order >= 2:
@@ -383,7 +422,7 @@ def _block(w: WeightTable, J, lo: int, hi: int, n: np.ndarray, g: np.ndarray, sc
     if i0 == k:
         return None, [c[-1] for c in cums], best
     if skipped is not None and hi <= w.n_max:
-        q_min = J / float(w.levels[hi])
+        q_min = J / float(levels[hi])
         low = float(np.minimum.reduce(tf)) * q_min / (1.0 - q_min)
         top = max(float(cums[0][-1]), _TERM_FLOOR)
         if absolute:
@@ -473,7 +512,8 @@ def _certified_sums(
             # over the whole table after a rounding slip past it, so that the
             # scan restarts at most once
             scale, ahead = top, hi
-            while ahead < size and (lo > 0 or not J < w.levels[ahead]):
+            while ahead < size and (lo > 0 or
+                                    not J < w._read(ahead)[1][ahead]):
                 nxt = _block_end(ahead, size)
                 scale = max(scale, float(np.maximum.reduce(_log_terms(w, log_j, ahead, nxt)[1])))
                 ahead = nxt
@@ -516,7 +556,7 @@ def _batchable(w: WeightTable, Js, tol: float, order: int) -> list[float]:
         return []
     if order >= 2:
         try:
-            _ratio_caps(w.spectrum, w.levels[:0], w.levels[:0])
+            _ratio_caps(w.spectrum, np.empty(0), np.empty(0))
         except CertificationError:
             return []
     star = guard = math.inf  # an estimated or infinite radius checks finiteness only

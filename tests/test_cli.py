@@ -720,3 +720,25 @@ def test_verify_passes_at_large_omega(capsys, model):
     assert code == 0, err
     _, rows = csv_rows(out)
     assert [r for r in rows if r[1] == "fail"] == []
+
+
+def test_gamma_independence_is_unit_free(capsys):
+    # mean/omega and variance/omega^2 are compared, so rounding in the
+    # omega-scaled moments does not fail the row at omega = 1e4
+    code, out, err = run(capsys, ["verify", "--model", "hydrogen_like", "--omega", "1e4"])
+    assert code == 0, err
+    _, rows = csv_rows(out)
+    assert [r for r in rows if r[1] == "fail"] == []
+    assert [r[1] for r in rows if r[0] == "gamma-independence"] == ["pass"]
+
+
+def test_nmax_caps_what_a_sum_reads(capsys):
+    # a 20,000,001-entry cap fills the blocks the sums read, and prints what
+    # the 40,001-entry table prints
+    outs = []
+    for n_max in ("40000", "20000000"):
+        code, out, err = run(capsys, ["variance", "--model", "hydrogen_like", "--nmax", n_max,
+                                      "--grid", "0.5,0.9"])
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]

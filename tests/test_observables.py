@@ -446,12 +446,14 @@ def test_near_jstar_exponent_sized_tables_match_full_table(hydrogen):
 
 def test_near_jstar_exponent_skips_tables_the_term_bound_rules_out(hydrogen, series_calls):
     # J = 0.999 and 0.99997 need more terms than 20k entries hold: every
-    # point runs once, certified, on the one table sized from the term bound
-    # (n_max 877,852), and w is never swept for a refusal
+    # point runs once, certified, on the one n_cap table, and w is never
+    # swept for a refusal; J = 0.999999's term bound passes n_cap, so it never runs
     w = compute_weights(hydrogen, 20_000)
     near_jstar_exponent(hydrogen, w)
     window = [1.0 - 10.0 ** (-1.5 * k) for k in (1, 2, 3)]
-    assert [(table.n_max, J, ok) for table, J, ok in series_calls] == [(877_852, J, True) for J in window]
+    assert [(table.n_max, J, ok) for table, J, ok in series_calls] == [
+        (DEFAULT_FIT_CAP, J, True) for J in window
+    ]
 
 
 def test_near_jstar_exponent_undersized_table_retried_at_cap():
@@ -475,16 +477,13 @@ def test_near_jstar_exponent_builds_at_most_one_cap_table(table_builds):
 
 
 def test_near_jstar_exponent_later_points_run_on_the_cap_table(series_calls, table_builds):
-    # the first point is refused on the table sized from the term bound
-    # (n_max 4,773); the n_cap table replaces it, and every later point runs
-    # there once, without a refusal on the sized table first
+    # interior-peak weights need far more terms than their bound: every point
+    # runs once, on the one n_cap table, without a refusal on a shorter table first
     s = power_gap_spectrum(0.25)
     window = [0.90, 0.92, 0.94, 0.96]
     got = near_jstar_exponent(s, compute_weights(s, 500), window, n_cap=1_200_000)
-    assert [(t.n_max, J, ok) for t, J, ok in series_calls] == [
-        (4_773, 0.90, False), *((1_200_000, J, True) for J in window)
-    ]
-    assert table_builds == [4_773, 1_200_000]
+    assert [(t.n_max, J, ok) for t, J, ok in series_calls] == [(1_200_000, J, True) for J in window]
+    assert table_builds == [1_200_000]
     # the slope is the fit to every window point, each on the n_cap table
     table = series_calls[-1][0]
     points = [J for t, J, ok in series_calls if ok and t is table]
@@ -499,7 +498,7 @@ def test_fit_table_variance_equals_shorter_tables(hydrogen, w_hydrogen, w_near_j
     near_jstar_exponent(hydrogen, w)
     fit = series_calls[-1][0]
     assert all(table is fit for table, _, _ in series_calls)
-    assert fit.n_max == 877_852
+    assert fit.n_max == DEFAULT_FIT_CAP
     near, mid, far = (1.0 - 10.0 ** (-1.5 * k) for k in (1, 2, 3))
     for J, table in [(near, w), (near, w_hydrogen), (mid, compute_weights(hydrogen, 34_522)),
                      (mid, w_hydrogen), (far, w_near_jstar)]:

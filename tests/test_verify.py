@@ -65,9 +65,8 @@ def test_near_jstar_row_fails_on_one_perturbed_rho(n):
     # some point's series leaves the exact v by more than its tail bound
     s = make_builtin("hydrogen_like", 1.0)
     w = compute_weights(s, 20_000)
-    log_rho = w.log_rho.copy()
-    log_rho[n] += math.log1p(1e-4)
-    row = near_jstar_row(s, dataclasses.replace(w, log_rho=log_rho))
+    w.log_rho[n] += math.log1p(1e-4)  # the complete array, which the table reads
+    row = near_jstar_row(s, w)
     assert row.status == "fail"
     assert "from the exact form, past its tail bound" in row.detail
 

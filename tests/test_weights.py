@@ -909,3 +909,82 @@ def test_table_built_in_place_is_the_concatenated_one(model):
     levels = n if model == "harmonic" else 1.0 - 1.0 / ((n + 1.0) * (n + 1.0))
     assert np.array_equal(w.levels, levels)
     assert np.array_equal(w.log_rho, np.concatenate([[0.0], np.cumsum(np.log(levels[1:]))]))
+
+
+def filled_in_full(s, n_max):
+    """A table whose complete arrays were read before any sum."""
+    w = compute_weights(s, n_max)
+    w.levels
+    return w
+
+
+def result_or_refusal(call):
+    """repr of what call returns, or its error class and message: bit for bit."""
+    try:
+        return repr(call())
+    except CStatesError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+ON_DEMAND_SPECTRA = {
+    "harmonic": (lambda: make_builtin("harmonic"), [1e-3, 0.5, 7.0, 60.0, 300.0, 3000.0, 5e4]),
+    "hydrogen_like": (lambda: make_builtin("hydrogen_like"), [1e-3, 0.3, 0.9, 0.99, 0.999, 0.9999]),
+    "power_gap_0.5": (lambda: power_gap_spectrum(0.5), [1e-3, 0.3, 0.9, 0.99, 0.999]),
+    "explicit": (lambda: from_levels("ramp", 1.0, (1.0 - np.arange(1.0, 40_002.0) ** -1.5).tolist(),
+                                     e_star=1.0), [1e-3, 0.3, 0.9, 0.99, 0.999]),
+}
+
+
+@pytest.mark.parametrize("n_max", [4_095, 4_096, 4_097, 40_000])
+@pytest.mark.parametrize("name", list(ON_DEMAND_SPECTRA))
+def test_filled_on_demand_equals_filled_in_full(name, n_max):
+    from cstates import coefficients
+
+    make, Js = ON_DEMAND_SPECTRA[name]
+    s = make()
+    lazy, full = compute_weights(s, n_max), filled_in_full(s, n_max)
+
+    def calls(w):
+        out = []
+        for J in Js:
+            out += [result_or_refusal(lambda: power_sums(w, J)),
+                    result_or_refusal(lambda: power_sums(w, J, need_second=True)),
+                    result_or_refusal(lambda: normalization(w, s, J)),
+                    result_or_refusal(lambda: coefficients(s, w, StateLabel(J, 0.7)).c.tobytes()),
+                    result_or_refusal(lambda: variance(s, w, J))]
+        labels = [StateLabel(J, 1.3) for J in Js]
+        out.append(result_or_refusal(lambda: [x.c.tobytes() for x in LabelBatch(s, w, labels, 1e-12).states()]))
+        out.append(result_or_refusal(lambda: [x.c.tobytes() for x in LabelBatch(s, w, labels[:3], 1e-12).states()]))
+        return out
+
+    assert calls(lazy) == calls(full)
+    assert lazy.levels.tobytes() == full.levels.tobytes() == s.e_array(n_max).tobytes()
+    assert lazy.log_rho.tobytes() == full.log_rho.tobytes()
+
+
+def test_a_sum_fills_only_the_blocks_it_reads(hydrogen):
+    # a short hydrogen sum reads its first block: the table stays at the
+    # block built with it, or one more; the complete arrays fill it all
+    w = compute_weights(hydrogen, 40_000)
+    assert w._filled == weights._BLOCK
+    variance(hydrogen, w, 0.9)
+    assert w._filled <= 2 * weights._BLOCK
+    assert len(w.log_rho) == len(w.levels) == w._filled == 40_001
+
+
+def test_hydrogen_refuses_its_float_range_at_once(hydrogen):
+    # 1 - 1/(n+1)^2 rounds to e_star = 1.0 from n = 134,217,727 on; a table
+    # reaching it is refused before any level array is allocated
+    below, at = hydrogen.e_range(134_217_726, 134_217_728).tolist()
+    assert below < 1.0 and at == 1.0
+    assert hydrogen.model.levels_valid_below == 134_217_727
+    for n_max in (134_217_727, 10**12):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpectrumError, match=r"^spectrum 'hydrogen_like' failed validation: "
+                               r"n=134217727: level 1\.0 is not below e_star=1\.0$"):
+                compute_weights(hydrogen, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
